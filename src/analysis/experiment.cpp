@@ -64,26 +64,17 @@ SweepResult run_sweep(const SweepConfig& config) {
         const StepCount max_steps = budget(n);
 
         std::mutex merge_mutex;
-        // Repetitions fan out over the process-wide shared pool; when the
-        // engines shard internally (engine_threads > 1) the repetition
-        // concurrency is capped so repetitions x engine shards never exceed
-        // the hardware thread count.
+        // Repetitions fan out over the process-wide shared pool.
         const std::size_t hw =
             std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        const std::size_t engine_threads =
-            config.engine_threads == 0 ? hw : config.engine_threads;
-        std::size_t rep_threads = config.threads == 0 ? hw : config.threads;
-        if (engine_threads > 1) {
-            rep_threads = std::min(rep_threads, std::max<std::size_t>(1, hw / engine_threads));
-        }
+        const std::size_t rep_threads = config.threads == 0 ? hw : config.threads;
         shared_pool().for_each(
             config.repetitions,
             [&](std::size_t rep) {
                 const std::uint64_t seed =
                     derive_seed(config.seed, (static_cast<std::uint64_t>(n) << 20U) + rep);
                 const auto sim = registry.make_simulation(config.protocol, n, seed,
-                                                          config.engine, config.batch_mode,
-                                                          engine_threads);
+                                                          config.engine, config.batch_mode);
                 if (!config.checkpoint_dir.empty()) {
                     const StepCount every =
                         config.checkpoint_every > 0
@@ -201,11 +192,10 @@ TrajectoryRun record_trajectory(const std::string& protocol, std::size_t n,
                                 std::uint64_t seed, StepCount max_steps,
                                 StepCount stride, EngineKind engine,
                                 bool record_live_states, BatchMode batch_mode,
-                                const FaultPlan& fault_plan, std::size_t engine_threads) {
+                                const FaultPlan& fault_plan) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     require(registry.contains(protocol), "unknown protocol: " + protocol);
-    const auto sim =
-        registry.make_simulation(protocol, n, seed, engine, batch_mode, engine_threads);
+    const auto sim = registry.make_simulation(protocol, n, seed, engine, batch_mode);
     if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
     TrajectoryRecorder recorder(stride, record_live_states);
     sim->add_observer(recorder);

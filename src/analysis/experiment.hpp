@@ -36,10 +36,10 @@ struct SweepConfig {
     std::size_t repetitions = 30;   ///< runs per size
     std::uint64_t seed = 0xACE1ULL; ///< root seed; rep i uses derive_seed(seed, i)
     /// Worker cap for the repetition fan-out (0 = hardware concurrency).
-    /// Repetitions run on the process-wide shared pool (core/thread_pool.hpp)
-    /// so nested parallel layers never oversubscribe; when `engine_threads`
-    /// > 1 the effective repetition concurrency is additionally capped at
-    /// hardware_concurrency / engine_threads.
+    /// Repetitions run on the process-wide shared pool (core/thread_pool.hpp);
+    /// each repetition is one sequential run, so its result depends on its
+    /// seed (and, for hybrid, the shared calibration table), never on this
+    /// cap or on scheduling.
     std::size_t threads = 0;
     /// Simulation back-end: per-interaction agent engine, count-based
     /// batched engine, reaction-rate gillespie engine, or the adaptive
@@ -54,11 +54,6 @@ struct SweepConfig {
     /// auto (per-batch choice), pairwise shuffle, or bulk contingency-table
     /// sampling. Ignored by the agent engine.
     BatchMode batch_mode = BatchMode::automatic;
-    /// Intra-run worker count of the count engines (1 = sequential engines,
-    /// 0 = hardware concurrency; core/shard.hpp documents the stream-split
-    /// contract). Ignored by the agent engine. The code path behind
-    /// `ppsim_sim --threads`.
-    std::size_t engine_threads = 1;
     /// Step budget per n; defaults to StepBudget::n_log_n.
     std::function<StepCount(std::size_t)> budget;
     /// Extra steps of output-stability verification after convergence
@@ -192,7 +187,6 @@ struct TrajectoryRun {
                                               EngineKind engine = EngineKind::agent,
                                               bool record_live_states = true,
                                               BatchMode batch_mode = BatchMode::automatic,
-                                              const FaultPlan& fault_plan = {},
-                                              std::size_t engine_threads = 1);
+                                              const FaultPlan& fault_plan = {});
 
 }  // namespace ppsim

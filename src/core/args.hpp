@@ -66,27 +66,31 @@ public:
         return it == values_.end() ? std::vector<std::string>{} : it->second;
     }
 
+    /// The whole value must be an unsigned decimal integer: a sign, a
+    /// fraction or trailing characters throw InvalidArgument naming the flag.
     [[nodiscard]] std::uint64_t get_u64(const std::string& name,
                                         std::uint64_t fallback) const {
         const auto it = values_.find(name);
         if (it == values_.end()) return fallback;
-        try {
-            return std::stoull(it->second.back());
-        } catch (const std::exception&) {
-            throw InvalidArgument("flag --" + name + " expects an integer, got '" +
+        const std::optional<std::uint64_t> value = parse_u64(it->second.back());
+        if (!value) {
+            throw InvalidArgument("flag --" + name + " expects an unsigned integer, got '" +
                                   it->second.back() + "'");
         }
+        return *value;
     }
 
+    /// The whole value must be a finite number; anything else throws
+    /// InvalidArgument naming the flag.
     [[nodiscard]] double get_double(const std::string& name, double fallback) const {
         const auto it = values_.find(name);
         if (it == values_.end()) return fallback;
-        try {
-            return std::stod(it->second.back());
-        } catch (const std::exception&) {
+        const std::optional<double> value = parse_double(it->second.back());
+        if (!value) {
             throw InvalidArgument("flag --" + name + " expects a number, got '" +
                                   it->second.back() + "'");
         }
+        return *value;
     }
 
     [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const {

@@ -141,25 +141,6 @@ public:
         }
     }
 
-    /// Visits the ordered pair groups with indices in [first, last) as
-    /// (group index, initiator, responder, multiplicity) — the sharded form
-    /// of `for_each`, used by the engines' parallel cell phase so each shard
-    /// walks a contiguous slice of the same group order the sequential
-    /// visitation would see. Group indices match `for_each`'s visit order.
-    template <typename Visitor>
-    void for_each_range(std::size_t first, std::size_t last, Visitor&& visit) const {
-        if (aggregated) {
-            for (std::size_t g = first; g < last; ++g) {
-                const PairCount& pc = cells[g];
-                visit(g, pc.a, pc.b, pc.mult);
-            }
-        } else {
-            for (std::size_t g = first; g < last; ++g) {
-                visit(g, flat_a[g], flat_b[g], std::uint64_t{1});
-            }
-        }
-    }
-
     /// Total number of pairs across all groups (= the batch length).
     [[nodiscard]] std::uint64_t pair_total() const noexcept {
         if (!aggregated) return flat_a.size();

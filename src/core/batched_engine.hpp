@@ -62,7 +62,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -75,7 +74,6 @@
 #include "population.hpp"
 #include "protocol.hpp"
 #include "random.hpp"
-#include "shard.hpp"
 #include "state_index.hpp"
 #include "transition_cache.hpp"
 
@@ -91,26 +89,14 @@ class BatchedEngine {
 public:
     using State = typename P::State;
 
-    /// \param threads  intra-run worker count: 1 (default) keeps the
-    /// pre-existing sequential engine bit-for-bit; 0 means hardware
-    /// concurrency; ≥ 2 shards the batch hot loops per the stream-split
-    /// contract (shard.hpp) — replay is exact per (seed, threads) value.
     BatchedEngine(P protocol, std::size_t n, std::uint64_t seed,
-                  BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1)
+                  BatchMode batch_mode = BatchMode::automatic)
         : protocol_(std::move(protocol)),
           n_(n),
           rng_(seed),
           fault_rng_(derive_seed(seed, fault_stream_tag)),
           run_sampler_(n),
           batch_mode_(batch_mode) {
-        if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        if (threads > 1) {
-            shard_ctx_ = std::make_unique<ShardContext>(seed, threads);
-            shard_deltas_.resize(threads);
-            shard_outs_.resize(threads);
-            shard_totals_.resize(threads);
-            shard_draws_.resize(threads);
-        }
         require(n >= 2, "population must contain at least two agents");
         // The collision-step case weights t(t−1) and t(n−t) are computed in
         // 64 bits; with t = Θ(√n) they stay far below 2^64 for any n ≤ 2^32,
@@ -137,10 +123,6 @@ public:
     [[nodiscard]] const P& protocol() const noexcept { return protocol_; }
     /// The pairing strategy this engine was configured with.
     [[nodiscard]] BatchMode batch_mode() const noexcept { return batch_mode_; }
-    /// The intra-run worker count this engine was configured with.
-    [[nodiscard]] std::size_t threads() const noexcept {
-        return shard_ctx_ ? shard_ctx_->threads() : 1;
-    }
     [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept {
         return first_single_leader_step_;
     }
@@ -294,15 +276,13 @@ public:
     // --- checkpointing ------------------------------------------------------
 
     /// Serialises the engine's complete replay-relevant state: the batch and
-    /// fault stream positions, the shard round counter (every shard stream
-    /// is a pure function of it — the PR 7 contract), the interned count
-    /// store, and the step/leader/stabilisation counters. Legal between
-    /// public calls only (touched multiset empty), which the store asserts.
+    /// fault stream positions, the interned count store, and the
+    /// step/leader/stabilisation counters. Legal between public calls only
+    /// (touched multiset empty), which the store asserts.
     void save_state(CheckpointWriter& w) const {
         w.u64(n_);
         w.pod(rng_.state());
         w.pod(fault_rng_.state());
-        w.u64(shard_ctx_ ? shard_ctx_->round() : 0);
         store_.save_state(w);
         w.u64(steps_);
         w.u64(leader_count_);
@@ -311,16 +291,14 @@ public:
     }
 
     /// Restores a `save_state` payload into an engine built with the same
-    /// protocol, batch mode and thread count. The transition cache is
-    /// dropped (a pure memo, but its entries may reference states interned
-    /// after the checkpoint was taken); recomputation re-interns outputs in
-    /// the exact order the original run did, so replay stays bit-identical.
+    /// protocol and batch mode. The transition cache is dropped (a pure memo,
+    /// but its entries may reference states interned after the checkpoint was
+    /// taken); recomputation re-interns outputs in the exact order the
+    /// original run did, so replay stays bit-identical.
     void restore_state(CheckpointReader& r) {
         n_ = r.u64();
         rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        const std::uint64_t round = r.u64();
-        if (shard_ctx_) shard_ctx_->set_round(round);
         store_.restore_state(protocol_, r);
         steps_ = r.u64();
         leader_count_ = r.u64();
@@ -357,12 +335,6 @@ private:
             steps_ += budget;
             return budget;
         }
-        // Tick the shard streams once per non-trivial round, whether or not
-        // any loop below ends up above the sharding threshold — the stream-
-        // split contract keys shard rngs on the round counter alone, never
-        // on data-dependent fallback decisions. Consumes no rng_ draws, so
-        // threads == 1 and never-sharding runs keep the sequential stream.
-        if (shard_ctx_) shard_ctx_->begin_round();
         const std::uint64_t run = run_sampler_.sample(rng_);
         // Room for the batch-ending collision interaction only when the
         // whole collision-free run fits in the budget.
@@ -391,11 +363,6 @@ private:
                          std::vector<std::pair<StateId, std::uint64_t>>& out,
                          bool compact) {
         out.clear();
-        if (shard_ctx_ && k >= shard_ctx_->threads() &&
-            store_.live_ids().size() >= shard_ctx_->threads() * shard_min_states) {
-            sample_multiset_sharded(k, out, compact);
-            return;
-        }
         std::vector<StateId>& live_ids = store_.live_ids();
         std::vector<std::uint64_t>& counts = store_.counts();
         std::uint64_t pool = untouched_;
@@ -426,85 +393,6 @@ private:
         }
     }
 
-    /// The sequential fallback engages below this many live states per shard
-    /// (and below `shard_min_groups` pair groups per shard for the cell
-    /// loop): under that, the per-round bookkeeping costs more than the
-    /// draws it parallelises, and small-n / narrow-profile runs pay zero
-    /// overhead — they never even consume the shard streams' draws. The
-    /// per-item work either threshold guards is a libm-heavy variate draw
-    /// (hypergeometric / binomial, ~10² ns each), so even 8 items per shard
-    /// outweigh a pre-spawned pool's hand-off; protocols concentrate on a
-    /// few dozen live states at typical n, which is why the knee sits this
-    /// low rather than at cache-line granularity.
-    static constexpr std::size_t shard_min_states = 8;
-    static constexpr std::size_t shard_min_groups = 8;
-
-    /// Sharded form of the without-replacement chain, exact by the grouping
-    /// property of the multivariate hypergeometric: the per-shard subtotals
-    /// (how many of the k draws land in each shard's contiguous live-id
-    /// slice) form a hypergeometric chain over the slice count sums — drawn
-    /// sequentially from the main rng_ — and conditioned on its subtotal
-    /// each shard's within-slice chain is independent of every other
-    /// shard's, so it runs on the shard's private stream. Concatenating the
-    /// slices in shard order reproduces the sequential live_ids visit order
-    /// with a different (but fixed per (seed, threads)) draw stream.
-    void sample_multiset_sharded(std::uint64_t k,
-                                 std::vector<std::pair<StateId, std::uint64_t>>& out,
-                                 bool compact) {
-        if (compact) store_.compact_live();  // sequential: mutates the live list
-        std::vector<StateId>& live_ids = store_.live_ids();
-        std::vector<std::uint64_t>& counts = store_.counts();
-        const std::size_t shards = shard_ctx_->threads();
-
-        std::uint64_t pool = untouched_;
-        std::uint64_t left = k;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const ShardRange r = shard_range(live_ids.size(), shards, s);
-            std::uint64_t total = 0;
-            for (std::size_t i = r.first; i < r.last; ++i) total += counts[live_ids[i]];
-            std::uint64_t x = 0;
-            if (left > 0 && total > 0) {
-                x = total == pool ? left : hypergeometric(rng_, pool, total, left);
-            }
-            shard_totals_[s] = total;
-            shard_draws_[s] = x;
-            pool -= total;
-            left -= x;
-        }
-        ensure(left == 0, "sharded hypergeometric subtotal chain under-drew");
-
-        // Parallel: each shard draws its within-slice chain on its private
-        // stream and decrements its own ids' count words — slices are
-        // disjoint, so no two shards ever write the same word.
-        shard_ctx_->run([&](std::size_t s) {
-            StateMultiset& mine = shard_outs_[s];
-            mine.clear();
-            const ShardRange r = shard_range(live_ids.size(), shards, s);
-            Rng& rng = shard_ctx_->rng(s);
-            std::uint64_t pool_s = shard_totals_[s];
-            std::uint64_t want = shard_draws_[s];
-            for (std::size_t i = r.first; i < r.last && want > 0; ++i) {
-                const StateId id = live_ids[i];
-                const std::uint64_t c = counts[id];
-                if (c == 0) continue;
-                const std::uint64_t x =
-                    c == pool_s ? want : hypergeometric(rng, pool_s, c, want);
-                pool_s -= c;
-                if (x > 0) {
-                    mine.emplace_back(id, x);
-                    counts[id] -= x;
-                    want -= x;
-                }
-            }
-            ensure(want == 0, "sharded hypergeometric slice chain under-drew");
-        });
-
-        for (std::size_t s = 0; s < shards; ++s) {
-            out.insert(out.end(), shard_outs_[s].begin(), shard_outs_[s].end());
-        }
-        untouched_ -= k;
-    }
-
     /// Samples the `fresh` ordered state pairs of the collision-free run:
     /// initiator multiset, responder multiset, then a uniform random
     /// bijection between them via the pairing layer (batch_pairing.hpp) —
@@ -526,37 +414,31 @@ private:
         const StepCount steps_before = steps_;
         std::int64_t delta_total = 0;
         bool role_changed = false;
-        const std::size_t groups = pairs_.group_count();
-        if (shard_ctx_ && groups >= shard_ctx_->threads() * shard_min_groups) {
-            apply_pairs_sharded(groups, delta_total, role_changed);
-        } else {
-            if constexpr (RatedProtocol<P>) fired_mult_.clear();
-            pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
-                const CachedTransition& tr = transition(a, b);
-                std::uint64_t fired = mult;
-                if constexpr (RatedProtocol<P>) {
-                    // Thinning only matters for non-null transitions (a
-                    // thinned null is a null); skipping the draw there keeps
-                    // unrated-like cells cheap and changes nothing in
-                    // distribution.
-                    if (tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
-                        fired = binomial(rng_, mult, static_cast<double>(tr.fire_weight));
-                    }
-                    fired_mult_.push_back(fired);
-                    const std::uint64_t nulls = mult - fired;
-                    if (nulls > 0) {  // met without reacting: states unchanged
-                        store_.touch(a, nulls);
-                        store_.touch(b, nulls);
-                    }
-                    if (fired == 0) return;
+        if constexpr (RatedProtocol<P>) fired_mult_.clear();
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+            const CachedTransition& tr = transition(a, b);
+            std::uint64_t fired = mult;
+            if constexpr (RatedProtocol<P>) {
+                // Thinning only matters for non-null transitions (a thinned
+                // null is a null); skipping the draw there keeps unrated-like
+                // cells cheap and changes nothing in distribution.
+                if (tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
+                    fired = binomial(rng_, mult, static_cast<double>(tr.fire_weight));
                 }
-                store_.touch(tr.out_a, fired);
-                store_.touch(tr.out_b, fired);
-                delta_total += static_cast<std::int64_t>(tr.leader_delta) *
-                               static_cast<std::int64_t>(fired);
-                role_changed |= tr.role_changed;
-            });
-        }
+                fired_mult_.push_back(fired);
+                const std::uint64_t nulls = mult - fired;
+                if (nulls > 0) {  // met without reacting: states unchanged
+                    store_.touch(a, nulls);
+                    store_.touch(b, nulls);
+                }
+                if (fired == 0) return;
+            }
+            store_.touch(tr.out_a, fired);
+            store_.touch(tr.out_b, fired);
+            delta_total += static_cast<std::int64_t>(tr.leader_delta) *
+                           static_cast<std::int64_t>(fired);
+            role_changed |= tr.role_changed;
+        });
         role_change_seen_ = role_change_seen_ || role_changed;
         steps_ += fresh;
         const auto post = static_cast<std::size_t>(
@@ -565,69 +447,6 @@ private:
             first_single_leader_step_ = steps_before + crossing_offset();
         }
         leader_count_ = post;
-    }
-
-    /// Sharded per-cell application: a sequential warm pass populates the
-    /// transition cache (interning and cache growth are single-threaded),
-    /// then each shard walks a contiguous slice of the group order read-only
-    /// — cached transitions via the const find, touches buffered in its
-    /// ShardDelta, rated thinning on its private stream writing fired_mult_
-    /// by group index — and the deltas fold into the store in ascending
-    /// shard order. Concatenated contiguous slices reproduce the sequential
-    /// visit order, so the store's touched-id ordering (which the collision
-    /// step's draws walk) is independent of scheduling. Unrated protocols
-    /// consume no shard randomness here, so their sharded round output is
-    /// bit-identical to the sequential cell loop's.
-    void apply_pairs_sharded(std::size_t groups, std::int64_t& delta_total,
-                             bool& role_changed) {
-        // Warm every pair the shards will look up. A dense-matrix growth
-        // mid-pass drops previously warmed entries, so re-warm once when the
-        // dimension moved (growth happens a handful of times per lifetime).
-        const StateId dim_before = cache_.dense_dimension();
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t) { transition(a, b); });
-        if (cache_.dense_dimension() != dim_before) {
-            pairs_.for_each([&](StateId a, StateId b, std::uint64_t) { transition(a, b); });
-        }
-        if constexpr (RatedProtocol<P>) fired_mult_.assign(groups, 0);
-        const std::size_t states = store_.counts().size();
-        const std::size_t shards = shard_ctx_->threads();
-        for (std::size_t s = 0; s < shards; ++s) shard_deltas_[s].ensure_capacity(states);
-        shard_ctx_->run([&](std::size_t s) {
-            ShardDelta& delta = shard_deltas_[s];
-            const ShardRange r = shard_range(groups, shards, s);
-            Rng& rng = shard_ctx_->rng(s);
-            pairs_.for_each_range(
-                r.first, r.last,
-                [&](std::size_t g, StateId a, StateId b, std::uint64_t mult) {
-                    const CachedTransition* tr = cache_.find(a, b);
-                    std::uint64_t fired = mult;
-                    if constexpr (RatedProtocol<P>) {
-                        if (tr->fire_weight < 1.0F && (tr->out_a != a || tr->out_b != b)) {
-                            fired = binomial(rng, mult, static_cast<double>(tr->fire_weight));
-                        }
-                        fired_mult_[g] = fired;
-                        const std::uint64_t nulls = mult - fired;
-                        if (nulls > 0) {
-                            delta.touch(a, nulls);
-                            delta.touch(b, nulls);
-                        }
-                        if (fired == 0) return;
-                    } else {
-                        (void)g;
-                        (void)rng;
-                    }
-                    delta.touch(tr->out_a, fired);
-                    delta.touch(tr->out_b, fired);
-                    delta.leader_delta += static_cast<std::int64_t>(tr->leader_delta) *
-                                          static_cast<std::int64_t>(fired);
-                    delta.role_changed |= tr->role_changed;
-                });
-        });
-        for (std::size_t s = 0; s < shards; ++s) {
-            delta_total += shard_deltas_[s].leader_delta;
-            role_changed = role_changed || shard_deltas_[s].role_changed;
-            shard_deltas_[s].merge_into(store_);
-        }
     }
 
     /// The batch's pairs are exchangeable — contingency cells no less than
@@ -749,11 +568,6 @@ private:
     BatchPairs pairs_;
     std::vector<std::uint64_t> fired_mult_;  ///< per-group fired count (rated only)
     std::vector<std::int8_t> scratch_deltas_;
-    std::unique_ptr<ShardContext> shard_ctx_;  ///< null unless threads > 1
-    std::vector<ShardDelta> shard_deltas_;     ///< one per shard, reused
-    std::vector<StateMultiset> shard_outs_;    ///< per-shard multiset slices
-    std::vector<std::uint64_t> shard_totals_;  ///< per-shard slice count sums
-    std::vector<std::uint64_t> shard_draws_;   ///< per-shard subtotal draws
     StepCount steps_ = 0;
     std::size_t leader_count_ = 0;
     std::optional<StepCount> first_single_leader_step_;
@@ -765,8 +579,8 @@ template <typename P>
     requires InternableProtocol<P>
 [[nodiscard]] RunResult batched_simulate_to_single_leader(
     P proto, std::size_t n, std::uint64_t seed, StepCount max_steps,
-    BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1) {
-    BatchedEngine<P> engine(std::move(proto), n, seed, batch_mode, threads);
+    BatchMode batch_mode = BatchMode::automatic) {
+    BatchedEngine<P> engine(std::move(proto), n, seed, batch_mode);
     return engine.run_until_one_leader(max_steps);
 }
 

@@ -18,7 +18,7 @@ namespace ppsim {
 namespace {
 
 constexpr std::uint32_t calibration_magic = 0x5050434C;  // "PPCL"
-constexpr std::uint32_t calibration_format_version = 2;
+constexpr std::uint32_t calibration_format_version = 3;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -81,7 +81,6 @@ CalibrationTable load_calibration_strict(const std::string& path,
     require(read_string(in) == cpu_signature(), "calibration from another machine");
     require(read_string(in) == protocol, "calibration for another protocol");
     CalibrationTable table;
-    table.threads = read_u64(in);
     table.probe_population = read_u64(in);
     for (ModeCost& cost : table.costs) {
         cost.wide_ns = read_f64(in);
@@ -101,7 +100,7 @@ CalibrationTable load_calibration_strict(const std::string& path,
 struct CalibrationRegistry {
     std::mutex mutex;
     HybridOptions options;
-    std::map<std::string, CalibrationTable> memo;  ///< key: proto|threads|n_p
+    std::map<std::string, CalibrationTable> memo;  ///< key: proto|n_p
 };
 
 CalibrationRegistry& registry() {
@@ -109,10 +108,8 @@ CalibrationRegistry& registry() {
     return instance;
 }
 
-std::string memo_key(const std::string& protocol, std::size_t threads,
-                     std::size_t probe_population) {
-    return protocol + "|" + std::to_string(threads) + "|" +
-           std::to_string(probe_population);
+std::string memo_key(const std::string& protocol, std::size_t probe_population) {
+    return protocol + "|" + std::to_string(probe_population);
 }
 
 }  // namespace
@@ -158,15 +155,15 @@ std::string default_calibration_dir() {
     return std::filesystem::temp_directory_path().string() + "/ppsim";
 }
 
-std::string calibration_cache_path(std::string_view protocol, std::size_t threads,
-                                   std::size_t probe_population, std::string_view dir) {
+std::string calibration_cache_path(std::string_view protocol, std::size_t probe_population,
+                                   std::string_view dir) {
     std::string base = dir.empty() ? default_calibration_dir() : std::string(dir);
     std::string name(protocol);
     for (char& c : name) {  // registry names are alnum/underscore; be defensive
         if (c == '/' || c == '\\' || c == '.') c = '_';
     }
-    return base + "/calibration-" + name + "-t" + std::to_string(threads) + "-n" +
-           std::to_string(probe_population) + ".ppcl";
+    return base + "/calibration-" + name + "-n" + std::to_string(probe_population) +
+           ".ppcl";
 }
 
 void save_calibration(const std::string& path, std::string_view protocol,
@@ -188,7 +185,6 @@ void save_calibration(const std::string& path, std::string_view protocol,
         write_string(out, library_version);
         write_string(out, cpu_signature());
         write_string(out, protocol);
-        write_u64(out, table.threads);
         write_u64(out, table.probe_population);
         for (const ModeCost& cost : table.costs) {
             write_f64(out, cost.wide_ns);
@@ -228,8 +224,7 @@ HybridOptions hybrid_options() {
     return reg.options;
 }
 
-CalibrationTable calibration_for(const std::string& protocol, std::size_t threads,
-                                 std::size_t probe_population,
+CalibrationTable calibration_for(const std::string& protocol, std::size_t probe_population,
                                  const std::function<CalibrationTable()>& probe) {
     CalibrationRegistry& reg = registry();
     // Held across the probe on purpose: the first builder pays the probe, a
@@ -237,10 +232,10 @@ CalibrationTable calibration_for(const std::string& protocol, std::size_t thread
     // the identical table, the same-process determinism contract.
     const std::lock_guard<std::mutex> lock(reg.mutex);
     if (reg.options.injected) return *reg.options.injected;
-    const std::string key = memo_key(protocol, threads, probe_population);
+    const std::string key = memo_key(protocol, probe_population);
     if (const auto it = reg.memo.find(key); it != reg.memo.end()) return it->second;
     const std::string path =
-        calibration_cache_path(protocol, threads, probe_population, reg.options.cache_dir);
+        calibration_cache_path(protocol, probe_population, reg.options.cache_dir);
     if (!reg.options.recalibrate) {
         if (std::optional<CalibrationTable> cached = load_calibration(path, protocol)) {
             reg.memo.emplace(key, *cached);

@@ -1,8 +1,8 @@
 /// \file calibration.hpp
 /// \brief The hybrid engine's measured cost model: per-mode ns/interaction
-/// tables calibrated by short probe runs and cached on disk per
-/// (protocol, machine, threads), plus the process-wide ambient options that
-/// configure where the cache lives and when it is rebuilt.
+/// tables calibrated by short probe runs and cached on disk per (protocol,
+/// machine), plus the process-wide ambient options that configure where the
+/// cache lives and when it is rebuilt.
 ///
 /// The hybrid engine (hybrid_engine.hpp) switches between the library's
 /// execution modes mid-run based on *measured* costs, not hard-coded
@@ -72,7 +72,6 @@ struct ModeCost {
 struct CalibrationTable {
     std::array<ModeCost, hybrid_mode_count> costs{};
     std::uint64_t probe_population = 0;  ///< the n the probes ran at
-    std::uint64_t threads = 1;           ///< count-engine worker count probed
 };
 
 /// A short signature of the CPU the table was measured on (model name +
@@ -86,10 +85,9 @@ struct CalibrationTable {
 /// `save_calibration`.
 [[nodiscard]] std::string default_calibration_dir();
 
-/// Cache file path for (protocol, threads, probe population) under `dir`
+/// Cache file path for (protocol, probe population) under `dir`
 /// (empty = `default_calibration_dir()`).
 [[nodiscard]] std::string calibration_cache_path(std::string_view protocol,
-                                                 std::size_t threads,
                                                  std::size_t probe_population,
                                                  std::string_view dir = {});
 
@@ -102,8 +100,8 @@ void save_calibration(const std::string& path, std::string_view protocol,
 
 /// Reads a table written by `save_calibration`. Returns nullopt — the
 /// caller re-probes — when the file is missing, truncated, corrupt, from a
-/// different library version or CPU, or for a different protocol/threads/
-/// probe-population triple. Never throws for cache-staleness reasons.
+/// different library version, format version or CPU, or for a different
+/// protocol. Never throws for cache-staleness reasons.
 [[nodiscard]] std::optional<CalibrationTable> load_calibration(
     const std::string& path, std::string_view protocol);
 
@@ -127,14 +125,14 @@ void set_hybrid_options(HybridOptions options);
 /// A copy of the current ambient options.
 [[nodiscard]] HybridOptions hybrid_options();
 
-/// The memoised table for (protocol, threads, probe_population): the
+/// The memoised table for (protocol, probe_population): the
 /// injected table if one is set, else the first of {in-process memo, valid
 /// disk cache, fresh `probe()` run} that applies — probed tables are saved
 /// back to disk (best-effort) and memoised. Serialised under a mutex so a
 /// process probes each key at most once and two same-process simulations
 /// see the identical table.
 [[nodiscard]] CalibrationTable calibration_for(
-    const std::string& protocol, std::size_t threads, std::size_t probe_population,
+    const std::string& protocol, std::size_t probe_population,
     const std::function<CalibrationTable()>& probe);
 
 }  // namespace ppsim

@@ -6,10 +6,12 @@
 /// Protocol Model" (PODC 2019).
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <source_location>
 #include <stdexcept>
 #include <string>
@@ -111,6 +113,27 @@ inline void ensure(bool cond, const std::string& message,
     const double steps = std::ceil(time * static_cast<double>(n));
     if (steps >= 1.8e19) return std::numeric_limits<StepCount>::max();
     return static_cast<StepCount>(steps);
+}
+
+/// Parses the whole of `token` as an unsigned decimal integer: no sign, no
+/// whitespace, no trailing characters, no overflow. Returns nullopt
+/// otherwise, so "64x" or "-1" can never silently become 64 or 2^64 − 1.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_u64(std::string_view token) noexcept {
+    std::uint64_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    return value;
+}
+
+/// Parses the whole of `token` as a finite decimal floating-point number
+/// (no whitespace, no trailing characters). Returns nullopt otherwise.
+[[nodiscard]] inline std::optional<double> parse_double(std::string_view token) noexcept {
+    double value = 0.0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return std::nullopt;
+    return value;
 }
 
 /// Library version, reported by tools and embedded in result artefacts.

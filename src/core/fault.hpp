@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -171,24 +172,22 @@ inline void validate_fault_action(const FaultAction& a) {
     if (value.empty()) return fail("empty value");
 
     TimedFault out;
-    try {
-        out.time = std::stod(time_part.substr(2));
-    } catch (const std::exception&) {
-        return fail("not a model-time point: '" + time_part.substr(2) + "'");
-    }
+    const std::optional<double> time = parse_double(time_part.substr(2));
+    if (!time) return fail("not a model-time point: '" + time_part.substr(2) + "'");
+    out.time = *time;
     if (out.time < 0.0) return fail("time must be non-negative");
 
     const bool fractional = value.find_first_of(".eE") != std::string::npos;
     double as_double = 0.0;
     std::uint64_t as_count = 0;
-    try {
-        if (fractional) {
-            as_double = std::stod(value);
-        } else {
-            as_count = std::stoull(value);
-        }
-    } catch (const std::exception&) {
-        return fail("not a numeric value: '" + value + "'");
+    if (fractional) {
+        const std::optional<double> parsed = parse_double(value);
+        if (!parsed) return fail("not a numeric value: '" + value + "'");
+        as_double = *parsed;
+    } else {
+        const std::optional<std::uint64_t> parsed = parse_u64(value);
+        if (!parsed) return fail("not an unsigned count: '" + value + "'");
+        as_count = *parsed;
     }
 
     if (name == "crash") {

@@ -71,7 +71,6 @@
 #include <cstdint>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -84,7 +83,6 @@
 #include "fault.hpp"
 #include "protocol.hpp"
 #include "random.hpp"
-#include "shard.hpp"
 #include "state_index.hpp"
 #include "transition_cache.hpp"
 
@@ -129,26 +127,11 @@ public:
     /// small n), so callers regain control at a bounded cadence.
     static constexpr StepCount categorical_chunk = 4096;
 
-    /// \param threads  intra-run worker count: 1 (default) keeps the
-    /// pre-existing sequential engine bit-for-bit; 0 means hardware
-    /// concurrency; ≥ 2 shards the leap multiset chains (and rated cell
-    /// pre-thinning) per the stream-split contract (shard.hpp). The exact
-    /// SSA paths and `build_channels` stay sequential by design: they only
-    /// run while d ≤ channel_state_cap = 32 live states, below any useful
-    /// sharding threshold.
-    GillespieEngine(P protocol, std::size_t n, std::uint64_t seed,
-                    std::size_t threads = 1)
+    GillespieEngine(P protocol, std::size_t n, std::uint64_t seed)
         : protocol_(std::move(protocol)),
           n_(n),
           rng_(seed),
           fault_rng_(derive_seed(seed, fault_stream_tag)) {
-        if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        if (threads > 1) {
-            shard_ctx_ = std::make_unique<ShardContext>(seed, threads);
-            shard_outs_.resize(threads);
-            shard_totals_.resize(threads);
-            shard_draws_.resize(threads);
-        }
         require(n >= 2, "population must contain at least two agents");
         // Channel weights c_a·c_b are computed in 64 bits; n ≤ 2^32 keeps
         // them (and their sum, ≤ n(n−1)) below 2^64, matching the agent-id
@@ -191,11 +174,6 @@ public:
     /// Sum of all counts — the population size, by conservation.
     [[nodiscard]] std::uint64_t total_count() const noexcept {
         return store_.total_count();
-    }
-
-    /// The intra-run worker count this engine was configured with.
-    [[nodiscard]] std::size_t threads() const noexcept {
-        return shard_ctx_ ? shard_ctx_->threads() : 1;
     }
 
     /// τ-leaps executed so far (introspection for tests and benches).
@@ -373,16 +351,15 @@ public:
     // --- checkpointing ------------------------------------------------------
 
     /// Serialises the engine's complete replay-relevant state: the SSA and
-    /// fault stream positions, the shard round counter, the interned count
-    /// store, the step/leader/stabilisation counters and the leap/event
-    /// tallies. The channel list and its weights are per-round transients
-    /// (rebuilt from the live counts at the top of every round), so they
-    /// are never persisted. Legal between public calls only.
+    /// fault stream positions, the interned count store, the
+    /// step/leader/stabilisation counters and the leap/event tallies. The
+    /// channel list and its weights are per-round transients (rebuilt from
+    /// the live counts at the top of every round), so they are never
+    /// persisted. Legal between public calls only.
     void save_state(CheckpointWriter& w) const {
         w.u64(n_);
         w.pod(rng_.state());
         w.pod(fault_rng_.state());
-        w.u64(shard_ctx_ ? shard_ctx_->round() : 0);
         store_.save_state(w);
         w.u64(steps_);
         w.u64(leader_count_);
@@ -394,16 +371,13 @@ public:
     }
 
     /// Restores a `save_state` payload into an engine built with the same
-    /// protocol and thread count. The transition cache is dropped (its
-    /// entries may reference states interned after the checkpoint);
-    /// recomputation re-interns outputs in the original order, keeping
-    /// replay bit-identical.
+    /// protocol. The transition cache is dropped (its entries may reference
+    /// states interned after the checkpoint); recomputation re-interns
+    /// outputs in the original order, keeping replay bit-identical.
     void restore_state(CheckpointReader& r) {
         n_ = r.u64();
         rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        const std::uint64_t round = r.u64();
-        if (shard_ctx_) shard_ctx_->set_round(round);
         store_.restore_state(protocol_, r);
         steps_ = r.u64();
         leader_count_ = r.u64();
@@ -456,12 +430,6 @@ private:
             steps_ += budget;
             return budget;
         }
-        // Tick the shard streams once per non-trivial round regardless of
-        // which path runs below — the stream-split contract keys shard rngs
-        // on the round counter alone, never on data-dependent path choices.
-        // Consumes no rng_ draws, so threads == 1 and SSA-path rounds keep
-        // the sequential stream bit-for-bit.
-        if (shard_ctx_) shard_ctx_->begin_round();
         store_.compact_live();
         const std::size_t d = store_.live_ids().size();
         const StepCount leap_len =
@@ -665,19 +633,6 @@ private:
         std::int64_t delta_total = 0;
         bool role_changed = false;
         std::uint64_t dropped = 0;
-        // Rated cells shard their binomial thinning across the worker pool
-        // when the cell count clears the threshold; the clamp-and-apply walk
-        // below stays sequential in every mode — availability clamping reads
-        // the running counts, which is inherently order-dependent.
-        bool prethinned = false;
-        if constexpr (RatedProtocol<P>) {
-            if (shard_ctx_ &&
-                pairs_.group_count() >= shard_ctx_->threads() * shard_min_groups) {
-                prethin_cells_sharded(pairs_.group_count());
-                prethinned = true;
-            }
-        }
-        std::size_t group = 0;
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
             // Clamp to what the running counts can supply: with-replacement
             // sampling may over-draw a state past its count; the excess
@@ -686,29 +641,15 @@ private:
             const std::uint64_t avail =
                 a == b ? counts[a] / 2 : std::min(counts[a], counts[b]);
             const CachedTransition tr = transition(a, b);  // copy: cache may grow
-            std::uint64_t m = 0;
-            if (prethinned) {
-                // Thinning ran before the clamp (on the shard streams);
-                // clamp the post-thin demand. Thin-before-clamp vs
-                // clamp-before-thin differs only at the τ-leaping
-                // approximation level — both clamp rare over-draws — and is
-                // covered by the cross-thread KS agreement harness.
-                const std::uint64_t thinned = thinned_mult_[group];
-                m = std::min(thinned, avail);
-                dropped += thinned - m;
-            } else {
-                m = std::min(mult, avail);
-                dropped += mult - m;
-                if constexpr (RatedProtocol<P>) {
-                    // Rate thinning: only m' ~ Binomial(m, rate/max_rate) of
-                    // the scheduled pairs react; the rest met without
-                    // reacting.
-                    if (m > 0 && tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
-                        m = binomial(rng_, m, static_cast<double>(tr.fire_weight));
-                    }
+            std::uint64_t m = std::min(mult, avail);
+            dropped += mult - m;
+            if constexpr (RatedProtocol<P>) {
+                // Rate thinning: only m' ~ Binomial(m, rate/max_rate) of the
+                // scheduled pairs react; the rest met without reacting.
+                if (m > 0 && tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
+                    m = binomial(rng_, m, static_cast<double>(tr.fire_weight));
                 }
             }
-            ++group;
             applied_mult_.push_back(static_cast<std::uint32_t>(m));
             if (m == 0) return;
             if (a == b) {
@@ -745,11 +686,6 @@ private:
     /// out-array cannot express. Mirror changes across both chains.
     void sample_leap_multiset(std::uint64_t len, StateMultiset& out) {
         out.clear();
-        if (shard_ctx_ && len >= shard_ctx_->threads() &&
-            store_.live_ids().size() >= shard_ctx_->threads() * shard_min_states) {
-            sample_leap_multiset_sharded(len, out);
-            return;
-        }
         const std::vector<std::uint64_t>& counts = store_.counts();
         std::uint64_t pool = n_;
         std::uint64_t remaining = len;
@@ -768,103 +704,6 @@ private:
         if (remaining != 0) [[unlikely]] {  // cheap check: no string temporary
             ensure(false, "multinomial chain under-drew the leap multiset");
         }
-    }
-
-    /// The sequential fallback engages below this many live states per shard
-    /// (and below `shard_min_groups` cells per shard for rated pre-thinning):
-    /// under that, the per-round bookkeeping costs more than the draws it
-    /// parallelises. Mirrors the batched engine's thresholds (see the
-    /// rationale there: the guarded per-item work is a ~10²-ns variate
-    /// draw, and live-state profiles concentrate on a few dozen states).
-    static constexpr std::size_t shard_min_states = 8;
-    static constexpr std::size_t shard_min_groups = 8;
-
-    /// Sharded form of the with-replacement chain, exact by the grouping
-    /// property of the multinomial: the per-shard subtotals (how many of the
-    /// len slots land in each shard's contiguous live-id slice) form a
-    /// binomial chain over the slice count sums — drawn sequentially from
-    /// the main rng_ — and conditioned on its subtotal each shard's
-    /// within-slice chain is independent of every other shard's, so it runs
-    /// on the shard's private stream. Concatenating the slices in shard
-    /// order reproduces the sequential live_ids visit order with a different
-    /// (but fixed per (seed, threads)) draw stream.
-    void sample_leap_multiset_sharded(std::uint64_t len, StateMultiset& out) {
-        const std::vector<StateId>& live_ids = store_.live_ids();
-        const std::vector<std::uint64_t>& counts = store_.counts();
-        const std::size_t shards = shard_ctx_->threads();
-
-        std::uint64_t pool = n_;
-        std::uint64_t remaining = len;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const ShardRange r = shard_range(live_ids.size(), shards, s);
-            std::uint64_t total = 0;
-            for (std::size_t i = r.first; i < r.last; ++i) total += counts[live_ids[i]];
-            std::uint64_t x = 0;
-            if (remaining > 0 && total > 0) {
-                x = total == pool ? remaining : binomial(rng_, remaining, total, pool);
-            }
-            shard_totals_[s] = total;
-            shard_draws_[s] = x;
-            pool -= total;
-            remaining -= x;
-        }
-        ensure(remaining == 0, "sharded multinomial subtotal chain under-drew");
-
-        shard_ctx_->run([&](std::size_t s) {
-            StateMultiset& mine = shard_outs_[s];
-            mine.clear();
-            const ShardRange r = shard_range(live_ids.size(), shards, s);
-            Rng& rng = shard_ctx_->rng(s);
-            std::uint64_t pool_s = shard_totals_[s];
-            std::uint64_t rem = shard_draws_[s];
-            for (std::size_t i = r.first; i < r.last && rem > 0; ++i) {
-                const StateId id = live_ids[i];
-                const std::uint64_t c = counts[id];
-                if (c == 0) continue;
-                const std::uint64_t x = c == pool_s ? rem : binomial(rng, rem, c, pool_s);
-                pool_s -= c;
-                if (x > 0) {
-                    mine.emplace_back(id, x);
-                    rem -= x;
-                }
-            }
-            ensure(rem == 0, "sharded multinomial slice chain under-drew");
-        });
-
-        for (std::size_t s = 0; s < shards; ++s) {
-            out.insert(out.end(), shard_outs_[s].begin(), shard_outs_[s].end());
-        }
-    }
-
-    /// Rated τ-leap pre-thinning, sharded: a sequential warm pass populates
-    /// the transition cache for every cell, then each shard thins its
-    /// contiguous cell slice Binomial(mult, fire_weight) on its private
-    /// stream into `thinned_mult_` by group index. The clamp-and-apply walk
-    /// stays sequential (see leap_round).
-    void prethin_cells_sharded(std::size_t groups) {
-        // A dense-matrix growth mid-pass drops previously warmed entries,
-        // so re-warm once when the dimension moved.
-        const StateId dim_before = cache_.dense_dimension();
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t) { transition(a, b); });
-        if (cache_.dense_dimension() != dim_before) {
-            pairs_.for_each([&](StateId a, StateId b, std::uint64_t) { transition(a, b); });
-        }
-        thinned_mult_.assign(groups, 0);
-        const std::size_t shards = shard_ctx_->threads();
-        shard_ctx_->run([&](std::size_t s) {
-            const ShardRange r = shard_range(groups, shards, s);
-            Rng& rng = shard_ctx_->rng(s);
-            pairs_.for_each_range(
-                r.first, r.last,
-                [&](std::size_t g, StateId a, StateId b, std::uint64_t mult) {
-                    const CachedTransition* tr = cache_.find(a, b);
-                    std::uint64_t m = mult;
-                    if (tr->fire_weight < 1.0F && (tr->out_a != a || tr->out_b != b)) {
-                        m = binomial(rng, mult, static_cast<double>(tr->fire_weight));
-                    }
-                    thinned_mult_[g] = m;
-                });
-        });
     }
 
     /// Locates the crossing interaction inside a leap that reached a single
@@ -914,11 +753,6 @@ private:
     BatchPairs pairs_;
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
     std::vector<std::int8_t> scratch_deltas_;
-    std::unique_ptr<ShardContext> shard_ctx_;  ///< null unless threads > 1
-    std::vector<StateMultiset> shard_outs_;    ///< per-shard multiset slices
-    std::vector<std::uint64_t> shard_totals_;  ///< per-shard slice count sums
-    std::vector<std::uint64_t> shard_draws_;   ///< per-shard subtotal draws
-    std::vector<std::uint64_t> thinned_mult_;  ///< per-cell pre-thinned demand (rated)
     StepCount steps_ = 0;
     std::size_t leader_count_ = 0;
     std::optional<StepCount> first_single_leader_step_;
@@ -935,9 +769,8 @@ template <typename P>
     requires InternableProtocol<P>
 [[nodiscard]] RunResult gillespie_simulate_to_single_leader(P proto, std::size_t n,
                                                             std::uint64_t seed,
-                                                            StepCount max_steps,
-                                                            std::size_t threads = 1) {
-    GillespieEngine<P> engine(std::move(proto), n, seed, threads);
+                                                            StepCount max_steps) {
+    GillespieEngine<P> engine(std::move(proto), n, seed);
     return engine.run_until_one_leader(max_steps);
 }
 

@@ -22,8 +22,8 @@
 ///     predicted_ns(mode) = wide(n)^(1−z) · narrow(n)^z
 ///
 /// The anchors and their power-law exponents b are measured once per
-/// (protocol, machine, threads) by short probe runs at two population
-/// buckets (`probe_calibration`) and cached on disk (calibration.hpp); the
+/// (protocol, machine) by short probe runs at two population buckets
+/// (`probe_calibration`) and cached on disk (calibration.hpp); the
 /// exponents matter because per-interaction cost is strongly
 /// population-dependent — the count engines amortise per-round work over
 /// batches that grow with n while the agent engine's cost is flat, so
@@ -40,12 +40,12 @@
 /// when the predicted win over the current mode is at least
 /// `hybrid_hysteresis` (2×), so near-ties never thrash.
 ///
-/// **Stream-split contract extension.** Each contiguous run segment k
-/// (starting at k = 0) runs a fresh inner engine seeded
+/// **Segment streams.** Each contiguous run segment k (starting at k = 0)
+/// runs a fresh inner engine seeded
 /// `derive_seed(root_seed, hybrid_segment_tag + k)` — the same SplitMix64
-/// discipline as the fault/thinning/shard streams (shard.hpp), so no hybrid
-/// stream ever collides with a fixed engine's streams and a segment's draws
-/// are independent of how previous segments were produced. A switch hands
+/// discipline as the fault and thinning streams, so no hybrid stream ever
+/// collides with a fixed engine's streams and a segment's draws are
+/// independent of how previous segments were produced. A switch hands
 /// over the exact census, step counter and stabilisation step via
 /// `adopt_census`; observers attached at the Simulation layer see one
 /// continuous run. Evaluation happens at *step thresholds* the engine
@@ -82,8 +82,8 @@ namespace ppsim {
 
 /// PRNG stream tag of the hybrid segment split ("hybr"): segment k of a
 /// hybrid run is seeded `derive_seed(root_seed, hybrid_segment_tag + k)`.
-/// Distinct from the fault ("faul"), thinning ("thin") and shard ("shdr")
-/// tags, so hybrid segment streams can never collide with them.
+/// Distinct from the fault ("faul") and thinning ("thin") tags, so hybrid
+/// segment streams can never collide with them.
 inline constexpr std::uint64_t hybrid_segment_tag = 0x68796272ULL;
 
 /// Switch only when the predicted win over the current mode is at least
@@ -184,7 +184,7 @@ namespace detail {
 /// O(n_p) regardless of the protocol's stabilisation time).
 template <typename P>
 [[nodiscard]] std::array<ModeCost, hybrid_mode_count> probe_anchors_at(
-    const P& proto, std::size_t n_p, std::size_t threads) {
+    const P& proto, std::size_t n_p) {
     using State = typename P::State;
     const auto probe_steps = static_cast<StepCount>(8 * n_p);
     constexpr std::uint64_t probe_seed = 0x70726f62ULL;  // "prob"
@@ -202,16 +202,16 @@ template <typename P>
         cost_slot(HybridMode::agent).wide_ns = probe_ns_per_step(e, probe_steps);
     }
     {
-        BatchedEngine<P> e(proto, n_p, probe_seed, BatchMode::pairwise, threads);
+        BatchedEngine<P> e(proto, n_p, probe_seed, BatchMode::pairwise);
         cost_slot(HybridMode::batched_pairwise).wide_ns =
             probe_ns_per_step(e, probe_steps);
     }
     {
-        BatchedEngine<P> e(proto, n_p, probe_seed, BatchMode::bulk, threads);
+        BatchedEngine<P> e(proto, n_p, probe_seed, BatchMode::bulk);
         cost_slot(HybridMode::batched_bulk).wide_ns = probe_ns_per_step(e, probe_steps);
     }
     {
-        GillespieEngine<P> e(proto, n_p, probe_seed, threads);
+        GillespieEngine<P> e(proto, n_p, probe_seed);
         cost_slot(HybridMode::gillespie).wide_ns = probe_ns_per_step(e, probe_steps);
     }
 
@@ -221,7 +221,7 @@ template <typename P>
     // engine's null-skipping is built for.
     std::vector<std::pair<State, std::uint64_t>> census;
     {
-        BatchedEngine<P> pre(proto, n_p, probe_seed + 1, BatchMode::automatic, threads);
+        BatchedEngine<P> pre(proto, n_p, probe_seed + 1, BatchMode::automatic);
         (void)pre.run_for(static_cast<StepCount>(32 * n_p));
         pre.visit_counts([&census](const State& s, std::uint64_t c, Role) {
             census.emplace_back(s, c);
@@ -233,19 +233,19 @@ template <typename P>
         cost_slot(HybridMode::agent).narrow_ns = probe_ns_per_step(e, probe_steps);
     }
     {
-        BatchedEngine<P> e(proto, n_p, probe_seed + 2, BatchMode::pairwise, threads);
+        BatchedEngine<P> e(proto, n_p, probe_seed + 2, BatchMode::pairwise);
         e.adopt_census(census, 0, std::nullopt);
         cost_slot(HybridMode::batched_pairwise).narrow_ns =
             probe_ns_per_step(e, probe_steps);
     }
     {
-        BatchedEngine<P> e(proto, n_p, probe_seed + 2, BatchMode::bulk, threads);
+        BatchedEngine<P> e(proto, n_p, probe_seed + 2, BatchMode::bulk);
         e.adopt_census(census, 0, std::nullopt);
         cost_slot(HybridMode::batched_bulk).narrow_ns =
             probe_ns_per_step(e, probe_steps);
     }
     {
-        GillespieEngine<P> e(proto, n_p, probe_seed + 2, threads);
+        GillespieEngine<P> e(proto, n_p, probe_seed + 2);
         e.adopt_census(census, 0, std::nullopt);
         cost_slot(HybridMode::gillespie).narrow_ns = probe_ns_per_step(e, probe_steps);
     }
@@ -261,21 +261,19 @@ template <typename P>
 /// When the bucket *is* the smallest one the exponents stay 0 — there is no
 /// span to fit and nothing to extrapolate (n is within 2× of the bucket).
 /// Total cost: sixteen runs of 8·n_p interactions plus two pre-runs, some
-/// tens of milliseconds — paid once per (protocol, machine, threads) and
+/// tens of milliseconds — paid once per (protocol, machine) and
 /// cached on disk.
 template <typename P>
     requires InternableProtocol<P>
-[[nodiscard]] CalibrationTable probe_calibration(const P& proto, std::size_t n,
-                                                 std::size_t threads) {
+[[nodiscard]] CalibrationTable probe_calibration(const P& proto, std::size_t n) {
     constexpr std::size_t n_lo = 4096;
     const std::size_t n_p = probe_population_for(n);
 
     CalibrationTable table;
     table.probe_population = n_p;
-    table.threads = threads;
-    table.costs = detail::probe_anchors_at(proto, n_p, threads);
+    table.costs = detail::probe_anchors_at(proto, n_p);
     if (n_p > n_lo) {
-        const auto lo = detail::probe_anchors_at(proto, n_lo, threads);
+        const auto lo = detail::probe_anchors_at(proto, n_lo);
         const double span = std::log(static_cast<double>(n_p) / n_lo);
         for (std::size_t m = 0; m < hybrid_mode_count; ++m) {
             const auto fit = [span](double hi_ns, double lo_ns) {
@@ -310,21 +308,13 @@ public:
     /// precisely when z matters).
     static constexpr std::size_t null_mass_state_cap = 64;
 
-    /// \param threads  forwarded to the count engines (1 = sequential,
-    /// 0 = hardware concurrency); the agent mode ignores it.
-    HybridEngine(P protocol, std::size_t n, std::uint64_t seed,
-                 std::size_t threads = 1)
+    HybridEngine(P protocol, std::size_t n, std::uint64_t seed)
         : protocol_(std::move(protocol)), n_(n), root_seed_(seed) {
         require(n >= 2, "population must contain at least two agents");
         require(n <= (std::uint64_t{1} << 32U),
                 "hybrid engine supports populations up to 2^32 agents");
-        if (threads == 0) {
-            threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        }
-        threads_ = threads;
-        table_ = calibration_for(
-            std::string(protocol_.name()), threads_, probe_population_for(n_),
-            [this] { return probe_calibration(protocol_, n_, threads_); });
+        table_ = calibration_for(std::string(protocol_.name()), probe_population_for(n_),
+                                 [this] { return probe_calibration(protocol_, n_); });
         Census initial;
         initial.emplace_back(protocol_.initial_state(), n_);
         // The initial pick is hysteresis-free (there is no incumbent).
@@ -351,7 +341,6 @@ public:
     [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept {
         return with_engine([](const auto& e) { return e.stabilization_step(); });
     }
-    [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
     /// The mode currently executing.
     [[nodiscard]] HybridMode mode() const noexcept { return mode_; }
@@ -561,7 +550,6 @@ public:
         w.u64(eval_interval_);
         w.u64(next_eval_step_);
         w.boolean(forced_);
-        w.u64(table_.threads);
         w.u64(table_.probe_population);
         for (const ModeCost& cost : table_.costs) {
             w.f64(cost.wide_ns);
@@ -573,7 +561,7 @@ public:
     }
 
     /// Restores a `save_state` payload into an engine built with the same
-    /// protocol, root seed and thread count. The checkpointed table replaces
+    /// protocol and root seed. The checkpointed table replaces
     /// whatever the constructor probed (or read from the cache), and the
     /// active inner engine is rebuilt on its original segment stream before
     /// its own state is restored into it.
@@ -590,7 +578,6 @@ public:
         eval_interval_ = r.u64();
         next_eval_step_ = r.u64();
         forced_ = r.boolean();
-        table_.threads = r.u64();
         table_.probe_population = r.u64();
         for (ModeCost& cost : table_.costs) {
             cost.wide_ns = r.f64();
@@ -753,16 +740,15 @@ private:
                 agent_ = std::make_unique<Engine<P>>(protocol_, n_, seed);
                 break;
             case HybridMode::batched_pairwise:
-                batched_ = std::make_unique<BatchedEngine<P>>(
-                    protocol_, n_, seed, BatchMode::pairwise, threads_);
+                batched_ = std::make_unique<BatchedEngine<P>>(protocol_, n_, seed,
+                                                              BatchMode::pairwise);
                 break;
             case HybridMode::batched_bulk:
-                batched_ = std::make_unique<BatchedEngine<P>>(
-                    protocol_, n_, seed, BatchMode::bulk, threads_);
+                batched_ =
+                    std::make_unique<BatchedEngine<P>>(protocol_, n_, seed, BatchMode::bulk);
                 break;
             case HybridMode::gillespie:
-                gillespie_ =
-                    std::make_unique<GillespieEngine<P>>(protocol_, n_, seed, threads_);
+                gillespie_ = std::make_unique<GillespieEngine<P>>(protocol_, n_, seed);
                 break;
         }
         mode_ = m;
@@ -781,7 +767,6 @@ private:
     P protocol_;
     std::size_t n_;
     std::uint64_t root_seed_;
-    std::size_t threads_ = 1;
     CalibrationTable table_;
     HybridMode mode_ = HybridMode::batched_bulk;
     std::unique_ptr<Engine<P>> agent_;            ///< active iff mode_ == agent

@@ -16,7 +16,7 @@ constexpr std::uint32_t schedule_magic = 0x50505343;    // "PPSC"
 constexpr std::uint32_t config_magic = 0x50504346;      // "PPCF"
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
 constexpr std::uint32_t format_version = 1;
-constexpr std::uint32_t checkpoint_format_version = 1;
+constexpr std::uint32_t checkpoint_format_version = 2;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -160,7 +160,6 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
         write_string(out, header.batch_mode);
         write_u64(out, header.population);
         write_u64(out, header.seed);
-        write_u64(out, header.threads);
         write_u64(out, header.step);
         write_u64(out, payload.size());
         out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
@@ -192,7 +191,6 @@ CheckpointHeader load_checkpoint(const std::string& path, std::string& payload) 
     header.batch_mode = read_string(in);
     header.population = read_u64(in);
     header.seed = read_u64(in);
-    header.threads = read_u64(in);
     header.step = read_u64(in);
     const std::uint64_t payload_size = read_u64(in);
     payload.resize(payload_size);

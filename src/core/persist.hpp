@@ -81,7 +81,6 @@ struct CheckpointHeader {
     std::string batch_mode;        ///< batch_mode_table name ("auto", ...)
     std::uint64_t population = 0;  ///< n the simulation was constructed with
     std::uint64_t seed = 0;        ///< root seed
-    std::uint64_t threads = 1;     ///< count-engine worker threads
     std::uint64_t step = 0;        ///< step the checkpoint was taken at (informational)
 };
 
@@ -101,9 +100,9 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
 /// (stale = silently re-probe), a checkpoint the user asked to resume from
 /// must either load exactly or fail with a clear error: wrong magic,
 /// unsupported format version, another library version, another CPU
-/// signature (thread scheduling and libm differences void the bit-identical
-/// resume contract across machines), truncation, or a payload checksum
-/// mismatch all throw InvalidArgument. No partial state escapes.
+/// signature (libm differences void the bit-identical resume contract
+/// across machines), truncation, or a payload checksum mismatch all throw
+/// InvalidArgument. No partial state escapes.
 [[nodiscard]] CheckpointHeader load_checkpoint(const std::string& path,
                                                std::string& payload);
 

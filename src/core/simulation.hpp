@@ -295,7 +295,7 @@ public:
     }
 
     /// Restores a `save_checkpoint` payload into a simulation constructed
-    /// with the same protocol, engine, batch mode, seed and thread count,
+    /// with the same protocol, engine, batch mode and seed,
     /// with the same observers attached in the same order. Deliberately
     /// bypasses `set_fault_plan`'s pre-run precondition: a resumed plan
     /// continues mid-flight, cursor and silence window included.
@@ -355,7 +355,6 @@ public:
         header.batch_mode = std::string(to_string(batch_mode()));
         header.population = population_size();
         header.seed = run_seed_;
-        header.threads = run_threads_;
         header.step = steps();
         ppsim::save_checkpoint(path, header, w.buffer());
     }
@@ -376,24 +375,20 @@ public:
 
     /// Enables periodic mid-run checkpointing: driven runs slice their
     /// chunks at every multiple of `every` steps and rewrite `path` there.
-    /// The cadence is part of the replay contract exactly like `--threads`:
-    /// pausing at a step moves where the count engines' rounds end, so the
-    /// resume-equivalence reference run must checkpoint on the same cadence.
+    /// The cadence is part of the replay contract: pausing at a step moves
+    /// where the count engines' rounds end, so the resume-equivalence
+    /// reference run must checkpoint on the same cadence.
     void set_checkpoint(std::string path, StepCount every) {
         require(every >= 1, "checkpoint cadence must be at least one step");
         checkpoint_path_ = std::move(path);
         checkpoint_every_ = every;
     }
 
-    /// Records the (seed, threads) the simulation was built with, for
-    /// checkpoint headers. `make_simulation` sets it; adapters constructed
-    /// directly default to (0, 1).
-    void set_run_identity(std::uint64_t seed, std::size_t threads) noexcept {
-        run_seed_ = seed;
-        run_threads_ = threads;
-    }
+    /// Records the seed the simulation was built with, for checkpoint
+    /// headers. `make_simulation` sets it; adapters constructed directly
+    /// default to 0.
+    void set_run_identity(std::uint64_t seed) noexcept { run_seed_ = seed; }
     [[nodiscard]] std::uint64_t run_seed() const noexcept { return run_seed_; }
-    [[nodiscard]] std::size_t run_threads() const noexcept { return run_threads_; }
 
 protected:
     virtual RunResult run_for_impl(StepCount count) = 0;
@@ -525,7 +520,6 @@ private:
     StepCount checkpoint_every_ = 0; ///< cadence in steps (0 = disabled)
     StepCount last_checkpoint_step_ = 0;  ///< last cadence multiple written
     std::uint64_t run_seed_ = 0;     ///< root seed, for checkpoint headers
-    std::size_t run_threads_ = 1;    ///< configured threads, for headers
 };
 
 /// Runs `sim` to a single leader within `max_steps`, then (optionally)
@@ -730,26 +724,23 @@ using HybridSimulation = CountSimulation<P, HybridEngine<P>, EngineKind::hybrid>
 /// adding an engine means adding a row to `engine_table` and a case here.
 /// `batch_mode` selects the batched engine's pairing strategy
 /// (batch_pairing.hpp) and is ignored by the other engines (the gillespie
-/// engine's τ-leap path always chooses its pairing per leap). `threads`
-/// sets the count engines' intra-run worker count (1 = the sequential
-/// engines, 0 = hardware concurrency; see shard.hpp for the stream-split
-/// contract) and is ignored by the agent engine.
+/// engine's τ-leap path always chooses its pairing per leap).
 template <typename Factory>
 [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
     const Factory& factory, std::size_t n, std::uint64_t seed, EngineKind kind,
-    BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1) {
+    BatchMode batch_mode = BatchMode::automatic) {
     using P = std::decay_t<decltype(factory(std::size_t{2}))>;
     static_assert(Protocol<P>, "factory must produce a Protocol");
     // Record the run identity on whatever we hand out, so checkpoint headers
-    // can name the seed and thread count the run was built with.
-    const auto with_identity = [seed, threads](std::unique_ptr<Simulation> sim) {
-        sim->set_run_identity(seed, threads);
+    // can name the seed the run was built with.
+    const auto with_identity = [seed](std::unique_ptr<Simulation> sim) {
+        sim->set_run_identity(seed);
         return sim;
     };
     if (kind == EngineKind::batched) {
         if constexpr (InternableProtocol<P>) {
             return with_identity(std::make_unique<detail::BatchedSimulation<P>>(
-                factory(n), n, seed, batch_mode, threads));
+                factory(n), n, seed, batch_mode));
         } else {
             throw InvalidArgument(
                 "protocol has no injective state key: batched engine unavailable");
@@ -758,7 +749,7 @@ template <typename Factory>
     if (kind == EngineKind::gillespie) {
         if constexpr (InternableProtocol<P>) {
             return with_identity(std::make_unique<detail::GillespieSimulation<P>>(
-                factory(n), n, seed, threads));
+                factory(n), n, seed));
         } else {
             throw InvalidArgument(
                 "protocol has no injective state key: gillespie engine unavailable");
@@ -767,7 +758,7 @@ template <typename Factory>
     if (kind == EngineKind::hybrid) {
         if constexpr (InternableProtocol<P>) {
             return with_identity(std::make_unique<detail::HybridSimulation<P>>(
-                factory(n), n, seed, threads));
+                factory(n), n, seed));
         } else {
             throw InvalidArgument(
                 "protocol has no injective state key: hybrid engine unavailable");

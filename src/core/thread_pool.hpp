@@ -1,7 +1,7 @@
 /// \file thread_pool.hpp
-/// \brief A small fixed-size thread pool shared by the parallelism layers:
-/// independent simulation repetitions (one PRNG stream per task via
-/// derive_seed) and the count engines' intra-run sharding (shard.hpp).
+/// \brief A small fixed-size thread pool for the library's one parallel
+/// layer: independent simulation repetitions (one PRNG stream per task via
+/// derive_seed). Every run itself is sequential.
 #pragma once
 
 #include <condition_variable>
@@ -76,8 +76,7 @@ private:
 /// The process-wide pool used by the sweep/estimator layers. Sized to
 /// hardware_concurrency − 1 workers (min 1): for_each callers participate as
 /// runners, so total concurrency tops out at the hardware thread count and
-/// nested parallel layers (a sweep over repetitions whose engines shard
-/// internally) cannot multiply thread teams — they share this one.
+/// nested fan-outs share this one team instead of multiplying thread teams.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace ppsim

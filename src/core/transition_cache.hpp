@@ -76,25 +76,6 @@ public:
         return *overflow_cache_.insert(key, compute(a, b));
     }
 
-    /// Read-only lookup: the cached transition for ordered pair (a, b), or
-    /// nullptr when absent (including when the dense matrix would need to
-    /// grow to hold it). Never mutates, so it is safe to call concurrently
-    /// from the engines' sharded read phase after a sequential warm pass has
-    /// populated every pair the round will visit.
-    [[nodiscard]] const CachedTransition* find(StateId a, StateId b) const noexcept {
-        if (a < dense_dim_ && b < dense_dim_) {
-            const CachedTransition& slot = dense_cache_[a * dense_dim_ + b];
-            return slot.out_a == CachedTransition::invalid_state ? nullptr : &slot;
-        }
-        if (a < dense_cap && b < dense_cap) return nullptr;  // needs grow_dense
-        const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32U) | b;
-        return overflow_cache_.find(key);
-    }
-
-    /// Current dense-matrix dimension. A warm pass that sees this move has
-    /// had earlier entries dropped by `grow_dense` and should re-warm.
-    [[nodiscard]] StateId dense_dimension() const noexcept { return dense_dim_; }
-
 private:
     /// Minimal open-addressing hash table for transitions between high ids.
     /// Linear probing over a power-of-two slot array: one cache line per hit
@@ -105,15 +86,6 @@ private:
             if (slots_.empty()) return nullptr;
             for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
                 Slot& slot = slots_[i];
-                if (slot.value.out_a == CachedTransition::invalid_state) return nullptr;
-                if (slot.key == key) return &slot.value;
-            }
-        }
-
-        [[nodiscard]] const CachedTransition* find(std::uint64_t key) const noexcept {
-            if (slots_.empty()) return nullptr;
-            for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
-                const Slot& slot = slots_[i];
                 if (slot.value.out_a == CachedTransition::invalid_state) return nullptr;
                 if (slot.key == key) return &slot.value;
             }

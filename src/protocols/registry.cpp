@@ -82,8 +82,8 @@ const ProtocolInfo& ProtocolRegistry::info(const std::string& name) const {
 
 std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
     const std::string& name, std::size_t n, std::uint64_t seed, EngineKind engine,
-    BatchMode batch_mode, std::size_t threads) const {
-    return entry(name).simulate(n, seed, engine, batch_mode, threads);
+    BatchMode batch_mode) const {
+    return entry(name).simulate(n, seed, engine, batch_mode);
 }
 
 std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
@@ -93,8 +93,7 @@ std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
     const auto n = static_cast<std::size_t>(std::max<std::uint64_t>(header.population, 2));
     return make_simulation(header.protocol, n, header.seed,
                            parse_engine_kind(header.engine),
-                           parse_batch_mode(header.batch_mode),
-                           static_cast<std::size_t>(header.threads));
+                           parse_batch_mode(header.batch_mode));
 }
 
 std::unique_ptr<Simulation> ProtocolRegistry::resume_simulation(
@@ -111,9 +110,8 @@ std::unique_ptr<Simulation> ProtocolRegistry::resume_simulation(
 RunResult ProtocolRegistry::run_election(const std::string& name, std::size_t n,
                                          std::uint64_t seed, StepCount max_steps,
                                          EngineKind engine, BatchMode batch_mode,
-                                         const FaultPlan& faults,
-                                         std::size_t threads) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode, threads);
+                                         const FaultPlan& faults) const {
+    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
     if (!faults.empty()) sim->set_fault_plan(faults);
     return run_to_single_leader(*sim, max_steps);
 }
@@ -121,17 +119,16 @@ RunResult ProtocolRegistry::run_election(const std::string& name, std::size_t n,
 RunResult ProtocolRegistry::run_election_verified(const std::string& name, std::size_t n,
                                                   std::uint64_t seed, StepCount max_steps,
                                                   StepCount verify_steps,
-                                                  EngineKind engine, BatchMode batch_mode,
-                                                  std::size_t threads) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode, threads);
+                                                  EngineKind engine,
+                                                  BatchMode batch_mode) const {
+    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
     return run_to_single_leader(*sim, max_steps, verify_steps);
 }
 
 RunResult ProtocolRegistry::run_for(const std::string& name, std::size_t n,
                                     std::uint64_t seed, StepCount steps,
-                                    EngineKind engine, BatchMode batch_mode,
-                                    std::size_t threads) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode, threads);
+                                    EngineKind engine, BatchMode batch_mode) const {
+    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
     return sim->run_for(steps);
 }
 

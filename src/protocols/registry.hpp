@@ -46,24 +46,20 @@ public:
     /// type-erased consumer (sweeps, CLI, benches) goes through. Attach
     /// observers (core/observer.hpp) before running to record trajectories.
     /// `batch_mode` selects the batched engine's pairing strategy
-    /// (core/batch_pairing.hpp); the agent engine ignores it. `threads`
-    /// sets the count engines' intra-run worker count (1 = sequential,
-    /// 0 = hardware concurrency; core/shard.hpp documents the stream-split
-    /// contract); the agent engine ignores it. `EngineKind::hybrid` builds
-    /// the adaptive meta-engine (core/hybrid_engine.hpp), which reads the
-    /// process-wide calibration options of core/calibration.hpp — no extra
-    /// parameters here by design.
+    /// (core/batch_pairing.hpp); the agent engine ignores it.
+    /// `EngineKind::hybrid` builds the adaptive meta-engine
+    /// (core/hybrid_engine.hpp), which reads the process-wide calibration
+    /// options of core/calibration.hpp — no extra parameters here by design.
     [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
         const std::string& name, std::size_t n, std::uint64_t seed,
         EngineKind engine = EngineKind::agent,
-        BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1) const;
+        BatchMode batch_mode = BatchMode::automatic) const;
 
     /// Rebuilds the simulation a checkpoint header describes: protocol by
-    /// registry name, engine and batch mode by their table names, seed and
-    /// threads from the header. The construction half of `--resume` — attach
-    /// the run's observers, then call `restore_checkpoint_file` on the
-    /// result. Throws on protocols, engines or batch modes this registry
-    /// does not know.
+    /// registry name, engine and batch mode by their table names, seed from
+    /// the header. The construction half of `--resume` — attach the run's
+    /// observers, then call `restore_checkpoint_file` on the result. Throws
+    /// on protocols, engines or batch modes this registry does not know.
     [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
         const CheckpointHeader& header) const;
 
@@ -85,8 +81,7 @@ public:
                                          std::uint64_t seed, StepCount max_steps,
                                          EngineKind engine = EngineKind::agent,
                                          BatchMode batch_mode = BatchMode::automatic,
-                                         const FaultPlan& faults = {},
-                                         std::size_t threads = 1) const;
+                                         const FaultPlan& faults = {}) const;
 
     /// As run_election, but additionally verifies output stability over
     /// `verify_steps` extra interactions; sets `converged = false` if any
@@ -94,7 +89,7 @@ public:
     [[nodiscard]] RunResult run_election_verified(
         const std::string& name, std::size_t n, std::uint64_t seed, StepCount max_steps,
         StepCount verify_steps, EngineKind engine = EngineKind::agent,
-        BatchMode batch_mode = BatchMode::automatic, std::size_t threads = 1) const;
+        BatchMode batch_mode = BatchMode::automatic) const;
 
     /// Runs exactly `steps` interactions regardless of convergence — the
     /// fixed-work entry point for throughput benchmarking (both engines
@@ -102,8 +97,7 @@ public:
     [[nodiscard]] RunResult run_for(const std::string& name, std::size_t n,
                                     std::uint64_t seed, StepCount steps,
                                     EngineKind engine = EngineKind::agent,
-                                    BatchMode batch_mode = BatchMode::automatic,
-                                    std::size_t threads = 1) const;
+                                    BatchMode batch_mode = BatchMode::automatic) const;
 
     /// Type-erased instance for population size n (state-space counting).
     [[nodiscard]] std::unique_ptr<AnyProtocol> make(const std::string& name,
@@ -118,8 +112,8 @@ public:
         Entry entry;
         entry.info = std::move(info);
         entry.simulate = [factory](std::size_t n, std::uint64_t seed, EngineKind kind,
-                                   BatchMode batch_mode, std::size_t threads) {
-            return ppsim::make_simulation(factory, n, seed, kind, batch_mode, threads);
+                                   BatchMode batch_mode) {
+            return ppsim::make_simulation(factory, n, seed, kind, batch_mode);
         };
         entry.make = [factory](std::size_t n) { return erase_protocol(factory(n)); };
         entries_.push_back(std::move(entry));
@@ -130,12 +124,12 @@ public:
 private:
     struct Entry {
         ProtocolInfo info;
-        /// (n, seed, engine, batch mode, threads) → ready-to-run
-        /// Simulation. All election and fixed-work runs are built on this
-        /// one factory; the run/verify logic itself lives in
-        /// core/simulation.hpp (run_to_single_leader).
+        /// (n, seed, engine, batch mode) → ready-to-run Simulation. All
+        /// election and fixed-work runs are built on this one factory; the
+        /// run/verify logic itself lives in core/simulation.hpp
+        /// (run_to_single_leader).
         std::function<std::unique_ptr<Simulation>(std::size_t, std::uint64_t, EngineKind,
-                                                  BatchMode, std::size_t)>
+                                                  BatchMode)>
             simulate;
         std::function<std::unique_ptr<AnyProtocol>(std::size_t)> make;
     };

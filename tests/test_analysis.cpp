@@ -2,7 +2,12 @@
 // estimators and report rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "analysis/estimators.hpp"
 #include "analysis/experiment.hpp"
@@ -35,16 +40,54 @@ TEST(Experiment, SweepProducesAggregatedPoints) {
     EXPECT_TRUE(std::isfinite(fit.slope));
 }
 
+/// Writes its repetition's stabilisation step into a slot of its own when
+/// the run finishes: a per-repetition record that merge order cannot shuffle.
+class StabilizationSlot final : public SimulationObserver {
+public:
+    explicit StabilizationSlot(std::optional<StepCount>& slot) : slot_(slot) {}
+    [[nodiscard]] StepCount next_due() const noexcept override { return no_deadline; }
+    void observe(const Simulation&) override {}
+    void finish(const Simulation& sim) override { slot_ = sim.stabilization_step(); }
+
+private:
+    std::optional<StepCount>& slot_;
+};
+
 TEST(Experiment, SweepIsDeterministicForEqualSeeds) {
+    // Each repetition is one sequential run seeded from (seed, n, rep), so
+    // the repetition concurrency must not change any run. Samples merge in
+    // completion order and are compared sorted; the slots pin every
+    // repetition's stabilisation step individually.
     SweepConfig config;
     config.protocol = "angluin06";
     config.sizes = {24};
-    config.repetitions = 6;
+    config.repetitions = 12;
     config.seed = 7;
     config.budget = [](std::size_t n) { return StepBudget::n_squared(n); };
-    const SweepResult a = run_sweep(config);
-    const SweepResult b = run_sweep(config);
-    EXPECT_DOUBLE_EQ(a.points[0].parallel_time.mean(), b.points[0].parallel_time.mean());
+    using Steps = std::vector<std::optional<StepCount>>;
+    const auto run_at = [&config](std::size_t threads, Steps& steps) {
+        steps.assign(config.repetitions, std::nullopt);
+        SweepConfig at = config;
+        at.threads = threads;
+        at.make_observer = [&steps](std::size_t, std::size_t rep) {
+            return std::make_unique<StabilizationSlot>(steps[rep]);
+        };
+        const SweepResult result = run_sweep(at);
+        const std::span<const double> samples = result.points[0].samples.samples();
+        std::vector<double> sorted(samples.begin(), samples.end());
+        std::sort(sorted.begin(), sorted.end());
+        return sorted;
+    };
+
+    Steps reference_steps;
+    const std::vector<double> reference = run_at(1, reference_steps);
+    ASSERT_EQ(reference.size(), config.repetitions);  // every repetition converged
+    for (const std::optional<StepCount>& step : reference_steps) ASSERT_TRUE(step);
+    for (const std::size_t threads : {std::size_t{3}, std::size_t{0}}) {
+        Steps steps;
+        EXPECT_EQ(run_at(threads, steps), reference) << "threads = " << threads;
+        EXPECT_EQ(steps, reference_steps) << "threads = " << threads;
+    }
 }
 
 TEST(Experiment, SweepValidatesConfig) {

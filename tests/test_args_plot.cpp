@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "core/args.hpp"
 #include "core/plot.hpp"
@@ -61,6 +64,31 @@ TEST(ArgParser, TypedAccessorsValidate) {
     args.parse(static_cast<int>(argv.size()), argv.data());
     EXPECT_THROW((void)args.get_u64("n", 0), InvalidArgument);
     EXPECT_THROW((void)args.get_double("n", 0.0), InvalidArgument);
+
+    // The whole value must parse: no partial parses, no sign wrap-around.
+    const auto value_of = [](const char* value) {
+        ArgParser parsed = declared_parser();
+        const std::array<const char*, 3> flag{"prog", "--n", value};
+        parsed.parse(static_cast<int>(flag.size()), flag.data());
+        return parsed;
+    };
+    for (const char* bad : {"-1", "64x", "2.5", "+7", " 8", "", "18446744073709551616"}) {
+        EXPECT_THROW((void)value_of(bad).get_u64("n", 0), InvalidArgument)
+            << "'" << bad << "'";
+    }
+    for (const char* bad : {"2.5x", "1e", "nan", "inf", ""}) {
+        EXPECT_THROW((void)value_of(bad).get_double("n", 0.0), InvalidArgument)
+            << "'" << bad << "'";
+    }
+    try {
+        (void)value_of("-1").get_u64("n", 0);
+        ADD_FAILURE() << "a negative unsigned value was accepted";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(value_of("18446744073709551615").get_u64("n", 0),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_DOUBLE_EQ(value_of("-2.5e1").get_double("n", 0.0), -25.0);
 }
 
 TEST(ArgParser, UsageListsDeclaredFlags) {

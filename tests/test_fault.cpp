@@ -72,6 +72,12 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
     EXPECT_THROW((void)parse_fault_spec("t=1:rejoin=0.5"), InvalidArgument);
     EXPECT_THROW((void)parse_fault_spec("t=1:rejoin=0"), InvalidArgument);
     EXPECT_THROW((void)parse_fault_spec("t=1:silence=0"), InvalidArgument);
+    // Partial parses and sign wrap-around must fail, not run a different plan.
+    EXPECT_THROW((void)parse_fault_spec("t=1:crash=3x"), InvalidArgument);
+    EXPECT_THROW((void)parse_fault_spec("t=1x:crash=0.5"), InvalidArgument);
+    EXPECT_THROW((void)parse_fault_spec("t=1:rejoin=-5"), InvalidArgument);
+    EXPECT_THROW((void)parse_fault_spec("t=1:crash=0.5e"), InvalidArgument);
+    EXPECT_THROW((void)parse_fault_spec("t=nan:crash=0.5"), InvalidArgument);
 }
 
 TEST(FaultSpec, ResolvesCountsAgainstThePopulation) {

@@ -67,7 +67,6 @@ CalibrationTable golden_hybrid_table() {
     set(HybridMode::batched_bulk, 8.0, 25.0);
     set(HybridMode::gillespie, 30.0, 2.0);
     table.probe_population = 0;  // raw anchors: no population rescaling
-    table.threads = 1;
     return table;
 }
 

@@ -48,7 +48,6 @@ CalibrationTable table_of(std::array<double, hybrid_mode_count> wide,
         table.costs[m].narrow_ns = narrow[m];
     }
     table.probe_population = 4096;
-    table.threads = 1;
     return table;
 }
 
@@ -188,9 +187,9 @@ TEST(HybridEngine, AdoptCensusConservesOnEveryEngine) {
 
     Engine<Pll> agent(proto, n, 1);
     expect_adoption_holds(agent, n, census, leaders);
-    BatchedEngine<Pll> batched(proto, n, 1, BatchMode::automatic, 1);
+    BatchedEngine<Pll> batched(proto, n, 1, BatchMode::automatic);
     expect_adoption_holds(batched, n, census, leaders);
-    GillespieEngine<Pll> gillespie(proto, n, 1, 1);
+    GillespieEngine<Pll> gillespie(proto, n, 1);
     expect_adoption_holds(gillespie, n, census, leaders);
 }
 
@@ -201,9 +200,9 @@ TEST(HybridEngine, AdoptCensusRejectsNonConservingCensus) {
     short_census.emplace_back(proto.initial_state(), n - 1);
     Engine<Pll> agent(proto, n, 1);
     EXPECT_THROW(agent.adopt_census(short_census, 0, std::nullopt), InvalidArgument);
-    BatchedEngine<Pll> batched(proto, n, 1, BatchMode::automatic, 1);
+    BatchedEngine<Pll> batched(proto, n, 1, BatchMode::automatic);
     EXPECT_THROW(batched.adopt_census(short_census, 0, std::nullopt), InvalidArgument);
-    GillespieEngine<Pll> gillespie(proto, n, 1, 1);
+    GillespieEngine<Pll> gillespie(proto, n, 1);
     EXPECT_THROW(gillespie.adopt_census(short_census, 0, std::nullopt),
                  InvalidArgument);
 }
@@ -273,7 +272,7 @@ TEST(HybridEngine, DeadlineObserverFiresExactlyOnceAcrossForcedSwitch) {
     inject(table_of({100.0, 100.0, 1.0, 100.0}, {100.0, 100.0, 1.0, 100.0}));
 
     const std::size_t n = 256;
-    detail::HybridSimulation<Pll> sim(Pll::for_population(n), n, 5, /*threads=*/1);
+    detail::HybridSimulation<Pll> sim(Pll::for_population(n), n, 5);
     DeadlineObserver deadline(/*model_time=*/4.0, n);
     sim.add_observer(deadline);
 

@@ -148,7 +148,6 @@ CalibrationTable sample_table(double base) {
         table.costs[m].narrow_exponent = 0.1 * static_cast<double>(m);
     }
     table.probe_population = 4096;
-    table.threads = 2;
     return table;
 }
 
@@ -159,7 +158,6 @@ TEST(CalibrationPersistence, SaveLoadRoundTrips) {
     const std::optional<CalibrationTable> loaded = load_calibration(path, "pll");
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->probe_population, table.probe_population);
-    EXPECT_EQ(loaded->threads, table.threads);
     for (std::size_t m = 0; m < hybrid_mode_count; ++m) {
         EXPECT_DOUBLE_EQ(loaded->costs[m].wide_ns, table.costs[m].wide_ns);
         EXPECT_DOUBLE_EQ(loaded->costs[m].narrow_ns, table.costs[m].narrow_ns);
@@ -197,18 +195,20 @@ TEST(CalibrationPersistence, TruncatedFileFallsBackToNullopt) {
 
 TEST(CalibrationPersistence, StaleVersionFallsBackToNullopt) {
     const std::string path = temp_path("ppsim_calibration_stale.ppcl");
-    save_calibration(path, "pll", sample_table(3.0));
-    ASSERT_TRUE(load_calibration(path, "pll").has_value());
-    {
-        // The container version is the u32 after the 4-byte magic; a bumped
-        // format number must invalidate every existing cache file.
-        std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-        file.seekp(4);
-        const std::uint32_t wrong_version = 0xFFFF'FFFF;
-        file.write(reinterpret_cast<const char*>(&wrong_version),
-                   sizeof(wrong_version));
+    // The container version is the u32 after the 4-byte magic; a bumped
+    // format number must invalidate every existing cache file — including
+    // version 2, whose tables still carried a per-run thread count.
+    for (const std::uint32_t wrong_version : {0xFFFF'FFFFU, 2U}) {
+        save_calibration(path, "pll", sample_table(3.0));
+        ASSERT_TRUE(load_calibration(path, "pll").has_value());
+        {
+            std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+            file.seekp(4);
+            file.write(reinterpret_cast<const char*>(&wrong_version),
+                       sizeof(wrong_version));
+        }
+        EXPECT_FALSE(load_calibration(path, "pll")) << "version " << wrong_version;
     }
-    EXPECT_FALSE(load_calibration(path, "pll"));
     std::filesystem::remove(path);
 }
 
@@ -220,10 +220,9 @@ TEST(CalibrationPersistence, WrongProtocolFallsBackToNullopt) {
 }
 
 TEST(CalibrationPersistence, CachePathSeparatesKeys) {
-    const std::string a = calibration_cache_path("pll", 1, 4096, "/cache");
-    EXPECT_NE(a, calibration_cache_path("pll", 2, 4096, "/cache"));
-    EXPECT_NE(a, calibration_cache_path("pll", 1, 8192, "/cache"));
-    EXPECT_NE(a, calibration_cache_path("lottery", 1, 4096, "/cache"));
+    const std::string a = calibration_cache_path("pll", 4096, "/cache");
+    EXPECT_NE(a, calibration_cache_path("pll", 8192, "/cache"));
+    EXPECT_NE(a, calibration_cache_path("lottery", 4096, "/cache"));
 }
 
 TEST(CalibrationPersistence, CalibrationForProbesOncePerProcessAndReloads) {
@@ -240,16 +239,16 @@ TEST(CalibrationPersistence, CalibrationForProbesOncePerProcessAndReloads) {
     HybridOptions options;
     options.cache_dir = dir;
     set_hybrid_options(options);
-    (void)calibration_for("pll", 2, 4096, probe);
+    (void)calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 1);
     // Memoised: a second simulation in the same process re-uses the table.
-    (void)calibration_for("pll", 2, 4096, probe);
+    (void)calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 1);
 
     // Fresh process simulated by clearing the memo (set_hybrid_options):
     // the persisted file satisfies the lookup, still no second probe.
     set_hybrid_options(options);
-    const CalibrationTable reloaded = calibration_for("pll", 2, 4096, probe);
+    const CalibrationTable reloaded = calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 1);
     EXPECT_DOUBLE_EQ(reloaded.costs[0].wide_ns, 11.0);
 
@@ -270,20 +269,20 @@ TEST(CalibrationPersistence, RecalibrateOverwritesTheCache) {
     HybridOptions options;
     options.cache_dir = dir;
     set_hybrid_options(options);
-    (void)calibration_for("pll", 1, 4096, probe);
+    (void)calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 1);
 
     // --recalibrate: ignore the valid cache file, probe again, overwrite.
     options.recalibrate = true;
     set_hybrid_options(options);
-    const CalibrationTable fresh = calibration_for("pll", 1, 4096, probe);
+    const CalibrationTable fresh = calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 2);
     EXPECT_DOUBLE_EQ(fresh.costs[0].wide_ns, 12.0);
 
     // The overwritten file is what a later non-recalibrating process loads.
     options.recalibrate = false;
     set_hybrid_options(options);
-    const CalibrationTable reloaded = calibration_for("pll", 1, 4096, probe);
+    const CalibrationTable reloaded = calibration_for("pll", 4096, probe);
     EXPECT_EQ(probes, 2);
     EXPECT_DOUBLE_EQ(reloaded.costs[0].wide_ns, 12.0);
 
@@ -302,7 +301,7 @@ TEST(CalibrationPersistence, RecalibrateOverwritesTheCache) {
 /// it (still live, for no-partial-restore checks).
 std::unique_ptr<Simulation> write_sample_checkpoint(const std::string& path) {
     auto sim = ProtocolRegistry::instance().make_simulation(
-        "pll", 64, /*seed=*/11, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", 64, /*seed=*/11, EngineKind::batched, BatchMode::pairwise);
     (void)sim->run_for(300);
     sim->write_checkpoint(path);
     return sim;
@@ -384,15 +383,19 @@ TEST(CheckpointContainer, RejectsBitFlippedPayload) {
 
 TEST(CheckpointContainer, RejectsWrongFormatVersion) {
     const std::string path = temp_path("ppsim_ppck_version.ppck");
-    (void)write_sample_checkpoint(path);
-    corrupt_file(path, [](std::string& bytes) {
-        // The container version is the u32 after the 4-byte magic.
-        ASSERT_GE(bytes.size(), 8U);
-        const std::uint32_t wrong = 0xFFFF'FFFF;
-        std::memcpy(bytes.data() + 4, &wrong, sizeof wrong);
-    });
-    EXPECT_NE(load_error(path).find("unsupported checkpoint format version"),
-              std::string::npos);
+    // Version 1 is the earlier layout whose header and engine payloads
+    // carried a per-run thread count: it must fail loudly, not misparse.
+    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U}) {
+        (void)write_sample_checkpoint(path);
+        corrupt_file(path, [wrong](std::string& bytes) {
+            // The container version is the u32 after the 4-byte magic.
+            ASSERT_GE(bytes.size(), 8U);
+            std::memcpy(bytes.data() + 4, &wrong, sizeof wrong);
+        });
+        EXPECT_NE(load_error(path).find("unsupported checkpoint format version"),
+                  std::string::npos)
+            << "version " << wrong;
+    }
     std::filesystem::remove(path);
 }
 
@@ -428,7 +431,7 @@ TEST(CheckpointContainer, FailedResumeLeavesTheSimulationUntouched) {
     });
 
     auto victim = ProtocolRegistry::instance().make_simulation(
-        "pll", 64, /*seed=*/23, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", 64, /*seed=*/23, EngineKind::batched, BatchMode::pairwise);
     (void)victim->run_for(100);
     CheckpointWriter before;
     victim->save_checkpoint(before);
@@ -446,7 +449,7 @@ TEST(CalibrationPersistence, InjectedTableBypassesProbeAndDisk) {
     options.injected = sample_table(99.0);
     set_hybrid_options(options);
     int probes = 0;
-    const CalibrationTable table = calibration_for("pll", 1, 4096, [&probes] {
+    const CalibrationTable table = calibration_for("pll", 4096, [&probes] {
         ++probes;
         return sample_table(1.0);
     });

@@ -3,20 +3,20 @@
 //
 // The contract: checkpoint a run at step k, rebuild the simulation from the
 // checkpoint, and the continued run is *bit-identical* to the uninterrupted
-// run at the same seed and thread count — same census, same counters, and
+// run at the same seed — same census, same counters, and
 // (the strongest form checked here) the same serialised run state byte for
 // byte, which pins every PRNG stream position, the interned state-id order,
 // the fault-plan progress and every observer's recorded history.
 //
-// Pausing is part of the stream contract exactly like --threads: stopping a
-// count engine at step k clamps a round there, so the "uninterrupted"
-// reference below is the *same* simulation object pausing at the same k
-// (write_checkpoint is const — taking the checkpoint never perturbs the
-// run) and then continuing in-process, while the resumed run continues from
-// a freshly constructed simulation restored from the file.
+// Pausing is part of the stream contract: stopping a count engine at step k
+// clamps a round there, so the "uninterrupted" reference below is the *same*
+// simulation object pausing at the same k (write_checkpoint is const —
+// taking the checkpoint never perturbs the run) and then continuing
+// in-process, while the resumed run continues from a freshly constructed
+// simulation restored from the file.
 //
-// Grid cells run every engine (agent, batched, gillespie, hybrid), every
-// batched pairing mode, and threads 1 and 4; dedicated cases cover hybrid
+// Grid cells run every engine (agent, batched, gillespie, hybrid) and every
+// batched pairing mode; dedicated cases cover hybrid
 // mid-switch checkpoints (a forced engine handoff before the checkpoint),
 // checkpoints taken mid-fault-plan (inside a silence window, with faults
 // both applied and pending), periodic-cadence checkpoints, observer
@@ -75,7 +75,6 @@ CalibrationTable injected_table() {
     set(HybridMode::batched_bulk, 8.0, 25.0);
     set(HybridMode::gillespie, 30.0, 2.0);
     table.probe_population = 0;  // raw anchors: no population rescaling
-    table.threads = 1;
     return table;
 }
 
@@ -114,35 +113,32 @@ void expect_same_run_state(const Simulation& resumed, const Simulation& referenc
            "diverged after resume";
 }
 
-// --- the protocol × engine × batch-mode × threads grid ----------------------
+// --- the protocol × engine × batch-mode grid --------------------------------
 
+// gtest prints a parameter that has no printer as its raw bytes, and that
+// text is part of each discovered test id, so the cell's 24-byte size is part
+// of every id in this grid.
 struct ResumeCell {
     const char* protocol;
     EngineKind engine;
     BatchMode batch_mode;
-    std::size_t threads;
+    StepCount pause;  // the step the checkpoint is taken at
 };
 
 // All cells: n = 128, seed = 2019, pause at step 500, budget 50·n².
 constexpr ResumeCell resume_cells[] = {
-    {"pll", EngineKind::agent, BatchMode::automatic, 1},
-    {"pll", EngineKind::batched, BatchMode::automatic, 1},
-    {"pll", EngineKind::batched, BatchMode::pairwise, 1},
-    {"pll", EngineKind::batched, BatchMode::bulk, 1},
-    {"pll", EngineKind::gillespie, BatchMode::automatic, 1},
-    {"pll", EngineKind::hybrid, BatchMode::automatic, 1},
-    {"pll", EngineKind::batched, BatchMode::pairwise, 4},
-    {"pll", EngineKind::batched, BatchMode::bulk, 4},
-    {"pll", EngineKind::gillespie, BatchMode::automatic, 4},
-    {"pll", EngineKind::hybrid, BatchMode::automatic, 4},
-    {"lottery", EngineKind::agent, BatchMode::automatic, 1},
-    {"lottery", EngineKind::batched, BatchMode::automatic, 1},
-    {"lottery", EngineKind::gillespie, BatchMode::automatic, 1},
-    {"lottery", EngineKind::hybrid, BatchMode::automatic, 1},
-    {"lottery", EngineKind::batched, BatchMode::automatic, 4},
-    {"angluin06", EngineKind::agent, BatchMode::automatic, 1},
-    {"angluin06", EngineKind::batched, BatchMode::bulk, 1},
-    {"angluin06", EngineKind::gillespie, BatchMode::automatic, 4},
+    {"pll", EngineKind::agent, BatchMode::automatic, 500},
+    {"pll", EngineKind::batched, BatchMode::automatic, 500},
+    {"pll", EngineKind::batched, BatchMode::pairwise, 500},
+    {"pll", EngineKind::batched, BatchMode::bulk, 500},
+    {"pll", EngineKind::gillespie, BatchMode::automatic, 500},
+    {"pll", EngineKind::hybrid, BatchMode::automatic, 500},
+    {"lottery", EngineKind::agent, BatchMode::automatic, 500},
+    {"lottery", EngineKind::batched, BatchMode::automatic, 500},
+    {"lottery", EngineKind::gillespie, BatchMode::automatic, 500},
+    {"lottery", EngineKind::hybrid, BatchMode::automatic, 500},
+    {"angluin06", EngineKind::agent, BatchMode::automatic, 500},
+    {"angluin06", EngineKind::batched, BatchMode::bulk, 500},
 };
 
 class ResumeEquivalence : public ::testing::TestWithParam<ResumeCell> {};
@@ -154,19 +150,18 @@ TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
 
     const std::size_t n = 128;
     const std::uint64_t seed = 2019;
-    const StepCount pause = 500;
+    const StepCount pause = cell.pause;
     const auto budget = static_cast<StepCount>(n) * n * 50;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference = registry.make_simulation(
-        cell.protocol, n, seed, cell.engine, cell.batch_mode, cell.threads);
+    const auto reference =
+        registry.make_simulation(cell.protocol, n, seed, cell.engine, cell.batch_mode);
     (void)reference->run_for(pause);
 
     const std::string path = temp_path(
         std::string("ppsim_resume_") + cell.protocol + "_" +
         std::string(to_string(cell.engine)) + "_" +
-        std::string(to_string(cell.batch_mode)) + "_t" +
-        std::to_string(cell.threads) + ".ppck");
+        std::string(to_string(cell.batch_mode)) + ".ppck");
     reference->write_checkpoint(path);
 
     const auto resumed = registry.resume_simulation(path);
@@ -179,11 +174,12 @@ TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
     std::filesystem::remove(path);
 }
 
+// The "_t1" suffix keeps the cell ids stable: the grid used to span a
+// per-run thread count, and every run is now sequential.
 std::string cell_name(const ::testing::TestParamInfo<ResumeCell>& info) {
     return std::string(info.param.protocol) + "_" +
            std::string(to_string(info.param.engine)) + "_" +
-           std::string(to_string(info.param.batch_mode)) + "_t" +
-           std::to_string(info.param.threads);
+           std::string(to_string(info.param.batch_mode)) + "_t1";
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_cells),
@@ -200,7 +196,7 @@ TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) 
 
     // Reference: run in the initial mode, force a mid-run engine handoff
     // (segment 1, a fresh stream split), run further, checkpoint.
-    Sim reference(Pll::for_population(n), n, seed, /*threads=*/1);
+    Sim reference(Pll::for_population(n), n, seed);
     (void)reference.run_for(300);
     reference.engine().force_mode(HybridMode::gillespie);
     ASSERT_EQ(reference.engine().switches(), 1U);
@@ -209,10 +205,10 @@ TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) 
     const std::string path = temp_path("ppsim_resume_hybrid_midswitch.ppck");
     reference.write_checkpoint(path);
 
-    // Resumed: a fresh hybrid simulation (same protocol, seed, threads)
+    // Resumed: a fresh hybrid simulation (same protocol and seed)
     // restored from the file must come back in the post-switch mode, on the
     // post-switch segment stream, and continue bit-identically.
-    Sim resumed(Pll::for_population(n), n, seed, /*threads=*/1);
+    Sim resumed(Pll::for_population(n), n, seed);
     resumed.restore_checkpoint_file(path);
     EXPECT_EQ(resumed.engine().mode(), HybridMode::gillespie);
     EXPECT_EQ(resumed.engine().switches(), 1U);
@@ -233,7 +229,7 @@ TEST(ResumeEquivalenceHybrid, CheckpointCarriesTheCalibrationTable) {
     inject_hybrid_table();
     const std::size_t n = 128;
     using Sim = detail::HybridSimulation<Pll>;
-    Sim original(Pll::for_population(n), n, /*seed=*/3, /*threads=*/1);
+    Sim original(Pll::for_population(n), n, /*seed=*/3);
     (void)original.run_for(400);
     const std::string path = temp_path("ppsim_resume_hybrid_table.ppck");
     original.write_checkpoint(path);
@@ -245,7 +241,7 @@ TEST(ResumeEquivalenceHybrid, CheckpointCarriesTheCalibrationTable) {
     skewed.costs[0].wide_ns = 12345.0;
     other.injected = skewed;
     set_hybrid_options(other);
-    Sim resumed(Pll::for_population(n), n, /*seed=*/3, /*threads=*/1);
+    Sim resumed(Pll::for_population(n), n, /*seed=*/3);
     resumed.restore_checkpoint_file(path);
     const CalibrationTable& restored = resumed.engine().calibration_table();
     const CalibrationTable expected = injected_table();
@@ -277,8 +273,7 @@ TEST(ResumeEquivalenceFaults, MidPlanCheckpointResumesRemainingFaults) {
                                   EngineKind::gillespie, EngineKind::hybrid};
     for (const EngineKind engine : engines) {
         const ProtocolRegistry& registry = ProtocolRegistry::instance();
-        const auto reference = registry.make_simulation(
-            "pll", n, seed, engine, BatchMode::automatic, /*threads=*/1);
+        const auto reference = registry.make_simulation("pll", n, seed, engine);
         reference->set_fault_plan(plan);
         (void)reference->run_for(600);  // mid-silence: crash + silence applied
         ASSERT_EQ(reference->faults_applied(), 2U)
@@ -318,7 +313,7 @@ TEST(ResumeEquivalencePeriodic, CadenceCheckpointResumesBitIdentically) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
     const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/4242, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", n, /*seed=*/4242, EngineKind::batched, BatchMode::pairwise);
     reference->set_checkpoint(path, cadence);
     (void)reference->run_for(1024);  // writes at 256, 512, 768, 1024
     ASSERT_TRUE(std::filesystem::exists(path));
@@ -346,7 +341,7 @@ TEST(ResumeEquivalenceObservers, PendingDeadlineFiresOnceAtTheExactStep) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
     const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/9, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", n, /*seed=*/9, EngineKind::batched, BatchMode::pairwise);
     DeadlineObserver reference_obs(deadline_time, n);
     reference->add_observer(reference_obs);
     (void)reference->run_for(600);
@@ -387,7 +382,7 @@ TEST(ResumeEquivalenceObservers, FiredDeadlineDoesNotFireAgainAfterResume) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
     const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/9, EngineKind::agent, BatchMode::automatic, 1);
+        "pll", n, /*seed=*/9, EngineKind::agent, BatchMode::automatic);
     DeadlineObserver reference_obs(deadline_time, n);
     reference->add_observer(reference_obs);
     (void)reference->run_for(600);
@@ -426,7 +421,7 @@ TEST(ResumeEquivalenceObservers, RecoveryObserverResolvesIdenticallyAcrossResume
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
     const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/31, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", n, /*seed=*/31, EngineKind::batched, BatchMode::pairwise);
     reference->set_fault_plan(plan);
     RecoveryObserver reference_obs(n);
     reference->add_observer(reference_obs);
@@ -467,29 +462,29 @@ TEST(ResumeEquivalenceRejects, MismatchedSimulationOrObserversAreRejected) {
     const std::size_t n = 64;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     const auto original = registry.make_simulation(
-        "pll", n, /*seed=*/1, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", n, /*seed=*/1, EngineKind::batched, BatchMode::pairwise);
     (void)original->run_for(200);
     const std::string path = temp_path("ppsim_resume_mismatch.ppck");
     original->write_checkpoint(path);
 
     // Wrong protocol.
     const auto wrong_protocol = registry.make_simulation(
-        "lottery", n, 1, EngineKind::batched, BatchMode::pairwise, 1);
+        "lottery", n, 1, EngineKind::batched, BatchMode::pairwise);
     EXPECT_THROW(wrong_protocol->restore_checkpoint_file(path), InvalidArgument);
 
     // Wrong engine.
     const auto wrong_engine = registry.make_simulation(
-        "pll", n, 1, EngineKind::gillespie, BatchMode::automatic, 1);
+        "pll", n, 1, EngineKind::gillespie, BatchMode::automatic);
     EXPECT_THROW(wrong_engine->restore_checkpoint_file(path), InvalidArgument);
 
     // Wrong batch mode.
     const auto wrong_mode = registry.make_simulation(
-        "pll", n, 1, EngineKind::batched, BatchMode::bulk, 1);
+        "pll", n, 1, EngineKind::batched, BatchMode::bulk);
     EXPECT_THROW(wrong_mode->restore_checkpoint_file(path), InvalidArgument);
 
     // Observer-count mismatch: the checkpoint has none attached.
     const auto extra_observer = registry.make_simulation(
-        "pll", n, 1, EngineKind::batched, BatchMode::pairwise, 1);
+        "pll", n, 1, EngineKind::batched, BatchMode::pairwise);
     DeadlineObserver obs(1.0, n);
     extra_observer->add_observer(obs);
     EXPECT_THROW(extra_observer->restore_checkpoint_file(path), InvalidArgument);

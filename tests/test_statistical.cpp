@@ -32,18 +32,15 @@ namespace ppsim {
 namespace {
 
 /// Stabilisation times (parallel-time units) of `reps` seeded elections.
-/// `threads` is the count engines' intra-run worker count (shard.hpp).
 std::vector<double> stabilization_times(const std::string& protocol, std::size_t n,
                                         EngineKind engine, int reps,
-                                        std::uint64_t seed_root, StepCount budget,
-                                        std::size_t threads = 1) {
+                                        std::uint64_t seed_root, StepCount budget) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     std::vector<double> out;
     out.reserve(static_cast<std::size_t>(reps));
     for (int i = 0; i < reps; ++i) {
         const RunResult r = registry.run_election(protocol, n, derive_seed(seed_root, i),
-                                                  budget, engine, BatchMode::automatic,
-                                                  /*faults=*/{}, threads);
+                                                  budget, engine);
         if (!r.converged || !r.stabilization_step) {
             ADD_FAILURE() << protocol << " rep " << i << " on " << to_string(engine)
                           << " missed the budget";
@@ -163,84 +160,6 @@ TEST(LeapRegimeAgreement, RatedElectionGillespieMatchesBatchedAt8192) {
     const std::size_t n = 8192;
     expect_agreement("rated_election", n, 120, static_cast<StepCount>(n) * n * 8,
                      EngineKind::gillespie, EngineKind::batched, 101, 202);
-}
-
-// --- intra-run sharding: thread count must not shift the sampled chain ------
-//
-// An engine built with threads > 1 draws its sharded rounds from fresh
-// per-(seed, round, shard) streams, so individual realisations differ from
-// the sequential run whenever a round shards — but the sampled
-// stabilisation-time distribution must not. Thread counts are chosen per
-// cell so the sharded paths genuinely engage at n = 8192: pll crosses the
-// sampling threshold (threads × 8 live states) at threads = 4 but not 8
-// (its live profile tops out around 56 states), and rated_election's
-// pairwise batches cross the group threshold at either, exercising the
-// rated thinning on shard streams. A mis-partitioned subtotal chain, a
-// re-used shard stream or a lost delta merge shifts the distribution and KS
-// rejects. The gillespie cell loop additionally pre-thins *before* the
-// availability clamp when sharded (the sequential loop thins after), an
-// approximation-level reordering this suite bounds statistically.
-
-void expect_thread_agreement(const std::string& protocol, std::size_t n, int reps,
-                             StepCount budget, EngineKind engine, std::size_t threads_hi,
-                             std::uint64_t root_lhs, std::uint64_t root_rhs) {
-    std::vector<double> a =
-        stabilization_times(protocol, n, engine, reps, root_lhs, budget, /*threads=*/1);
-    std::vector<double> b =
-        stabilization_times(protocol, n, engine, reps, root_rhs, budget, threads_hi);
-    if (a.empty() || b.empty()) return;  // helper already failed the test
-    const KsTestResult ks = ks_two_sample(a, b);
-    EXPECT_GE(ks.p_value, ks_alpha)
-        << protocol << " @ n=" << n << " on " << to_string(engine)
-        << ": threads=1 vs threads=" << threads_hi << " disagree (D=" << ks.statistic
-        << ", p=" << ks.p_value << ")";
-}
-
-TEST(ThreadShardingAgreement, PllBatchedAt8192) {
-    const std::size_t n = 8192;
-    expect_thread_agreement("pll", n, 150, static_cast<StepCount>(n) * n * 4,
-                            EngineKind::batched, 4, 601, 602);
-}
-
-TEST(ThreadShardingAgreement, PllGillespieAt8192) {
-    const std::size_t n = 8192;
-    expect_thread_agreement("pll", n, 150, static_cast<StepCount>(n) * n * 4,
-                            EngineKind::gillespie, 4, 601, 602);
-}
-
-TEST(ThreadShardingAgreement, RatedElectionBatchedAt8192) {
-    const std::size_t n = 8192;
-    expect_thread_agreement("rated_election", n, 120, static_cast<StepCount>(n) * n * 8,
-                            EngineKind::batched, 4, 631, 632);
-}
-
-TEST(ThreadShardingAgreement, RatedElectionGillespieAt8192) {
-    const std::size_t n = 8192;
-    expect_thread_agreement("rated_election", n, 120, static_cast<StepCount>(n) * n * 8,
-                            EngineKind::gillespie, 8, 631, 632);
-}
-
-TEST(ThreadShardingAgreement, RatedEpidemicBatchedAt8192) {
-    // Narrow state profile (three states) but a heavy Θ(n²) endgame, so the
-    // budget is wide and the rep count modest. Under automatic pairing the
-    // 3-state contingency table keeps group counts in single digits, so most
-    // rounds fall back — this cell guards exactly that boundary, where
-    // sharded and sequential rounds interleave within one run.
-    const std::size_t n = 8192;
-    expect_thread_agreement("rated_epidemic", n, 60, static_cast<StepCount>(n) * n * 16,
-                            EngineKind::batched, 8, 611, 612);
-}
-
-TEST(ThreadShardingAgreement, Angluin06BatchedAt8192) {
-    // Narrowest profile of all (two to three live states): with matching
-    // seed roots both sides sample byte-identical realisations whenever no
-    // round shards, and KS accepts trivially. This is the distribution-level
-    // restatement of the bit-identity contract pinned in
-    // test_parallel_engines.cpp, kept here so the fallback path stays in the
-    // agreement matrix. Fewer reps: angluin06 needs Θ(n²) interactions.
-    const std::size_t n = 8192;
-    expect_thread_agreement("angluin06", n, 40, static_cast<StepCount>(n) * n * 50,
-                            EngineKind::batched, 8, 621, 621);
 }
 
 // --- post-fault recovery agreement ------------------------------------------

@@ -2,9 +2,8 @@
 // wait_idle really waits for every submitted task (including tasks submitted
 // while others run), for_each / parallel_for cover every index exactly once
 // for any thread/count shape, submit's terminate-on-throw contract holds, and
-// destruction drains the queue rather than dropping work. run_sweep,
-// run_repeated and the engines' intra-run sharding (shard.hpp) build directly
-// on these guarantees.
+// destruction drains the queue rather than dropping work. run_sweep and
+// run_repeated build directly on these guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,10 +148,10 @@ TEST(ThreadPoolForEach, MaxConcurrencyOneRunsInlineOnTheCaller) {
 }
 
 TEST(ThreadPoolForEach, NestedCallsFromInsideTasksComplete) {
-    // The engines' sharded rounds run inside sweep repetitions that already
-    // occupy pool workers: for_each from within a pool task must complete
-    // even when every worker is busy, because the caller participates as a
-    // runner. A tiny pool maximises the chance all workers are occupied.
+    // A fan-out started from inside a pool task (a sweep driven from another
+    // pooled job) finds the workers already occupied: for_each from within a
+    // pool task must complete even when every worker is busy, because the
+    // caller participates as a runner. A tiny pool maximises the chance all workers are occupied.
     ThreadPool pool(2);
     std::atomic<int> inner_total{0};
     pool.for_each(8, [&](std::size_t) {

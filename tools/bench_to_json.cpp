@@ -5,27 +5,24 @@
 // perf trajectory to BENCH_engine.json so future PRs can regress against it.
 // The batched engine is measured once per pairing strategy (pairwise | bulk |
 // auto — see src/core/batch_pairing.hpp), so the JSON carries a `batch_mode`
-// dimension alongside protocol and n; the gillespie and hybrid engines
-// contribute one row per (protocol, n, threads) like the batched engine.
-// `--threads` sweeps the count engines' intra-run worker count
-// (src/core/shard.hpp); the agent engine has no sharded path, so it is
-// measured once per (protocol, n) and its rows always carry threads = 1.
-// `--protocols` and `--engines` filter the grid, so a single engine (or a
-// single protocol × engine cell) can be re-measured without redoing the whole
-// sweep. The hybrid engine's calibration probes are warmed outside the timed
-// region (and cached across runs — see src/core/calibration.hpp), so its rows
+// dimension alongside protocol and n; the agent, gillespie and hybrid
+// engines contribute one row per (protocol, n). `--protocols` and
+// `--engines` filter the grid, so a single engine (or a single protocol ×
+// engine cell) can be re-measured without redoing the whole sweep. The
+// hybrid engine's calibration probes are warmed outside the timed region
+// (and cached across runs — see src/core/calibration.hpp), so its rows
 // measure steady-state throughput, not probe cost.
 //
 //   bench_to_json                         # default grid, writes BENCH_engine.json
-//   bench_to_json --protocols pll --sizes 1048576 --threads 1,2,4 --json out.json
+//   bench_to_json --protocols pll --sizes 1048576 --json out.json
 //   bench_to_json --engines hybrid --protocols pll,loose_sud12   # one engine only
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/args.hpp"
@@ -62,15 +59,13 @@ struct Measurement {
 };
 
 Measurement measure(const std::string& protocol, EngineKind engine, BatchMode batch_mode,
-                    std::size_t n, StepCount steps_per_run, double min_seconds,
-                    std::size_t threads = 1) {
+                    std::size_t n, StepCount steps_per_run, double min_seconds) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     if (engine == EngineKind::hybrid) {
         // Warm the calibration memo outside the timed region: the first
-        // hybrid construction per (protocol, threads, probe bucket) may run
-        // probe elections, which are setup cost, not throughput.
-        (void)registry.make_simulation(protocol, n, 0xBEEF, engine, batch_mode,
-                                       threads);
+        // hybrid construction per (protocol, probe bucket) may run probe
+        // elections, which are setup cost, not throughput.
+        (void)registry.make_simulation(protocol, n, 0xBEEF, engine, batch_mode);
     }
     Measurement m;
     std::uint64_t seed = 0xBEEF;
@@ -81,8 +76,7 @@ Measurement measure(const std::string& protocol, EngineKind engine, BatchMode ba
         // engine construction. Built through the type-erased Simulation
         // layer — the virtual dispatch is per run, not per interaction, so
         // this measures the same hot loops as the templated benches.
-        const auto sim =
-            registry.make_simulation(protocol, n, seed++, engine, batch_mode, threads);
+        const auto sim = registry.make_simulation(protocol, n, seed++, engine, batch_mode);
         const RunResult run = sim->run_for(steps_per_run);
         const auto stop = std::chrono::steady_clock::now();
         m.steps += run.steps;
@@ -111,7 +105,9 @@ int run(const ArgParser& args) {
     std::vector<std::size_t> sizes;
     for (const std::string& s :
          split_csv(args.get_string("sizes", "1024,16384,1048576,16777216"))) {
-        sizes.push_back(static_cast<std::size_t>(std::stoull(s)));
+        const std::optional<std::uint64_t> n = parse_u64(s);
+        if (!n) throw InvalidArgument("--sizes expects population sizes, got '" + s + "'");
+        sizes.push_back(static_cast<std::size_t>(*n));
     }
     // --engines filters which back-ends are measured; names are validated
     // against the engine table, so a typo gets the full valid-name listing.
@@ -126,18 +122,10 @@ int run(const ArgParser& args) {
     const bool want_hybrid = want[static_cast<std::size_t>(EngineKind::hybrid)];
     const double min_seconds = args.get_double("min-seconds", 0.3);
     const double parallel_time_cap = args.get_double("parallel-time", 16.0);
-    std::vector<std::size_t> thread_counts;
-    for (const std::string& t : split_csv(args.get_string("threads", "1"))) {
-        std::size_t threads = static_cast<std::size_t>(std::stoull(t));
-        if (threads == 0) threads = std::max<unsigned>(1, std::thread::hardware_concurrency());
-        thread_counts.push_back(threads);
-    }
-    if (thread_counts.empty()) thread_counts.push_back(1);
 
     TextTable table;
     table.add_column("protocol", Align::left);
     table.add_column("n");
-    table.add_column("threads");
     if (want_agent) table.add_column("agent int/s");
     if (want_batched) {
         for (const BatchModeDescriptor& d : batch_mode_table) {
@@ -160,9 +148,6 @@ int run(const ArgParser& args) {
         for (const std::size_t n : sizes) {
             const auto steps_per_run = static_cast<StepCount>(
                 parallel_time_cap * static_cast<double>(n));
-            // The agent engine has no sharded path: measure once per
-            // (protocol, n) and reuse the rate as the baseline of every
-            // threads row.
             Measurement agent;
             if (want_agent) {
                 agent = measure(protocol, EngineKind::agent, BatchMode::automatic, n,
@@ -171,116 +156,98 @@ int run(const ArgParser& args) {
                 JsonValue agent_row = JsonValue::object();
                 agent_row.set("protocol", protocol);
                 agent_row.set("n", static_cast<std::uint64_t>(n));
-                agent_row.set("threads", std::uint64_t{1});
                 agent_row.set("steps_per_run", steps_per_run);
                 agent_row.set("engine", std::string(to_string(EngineKind::agent)));
                 agent_row.set("interactions_per_sec", agent.rate());
                 rows.push_back(std::move(agent_row));
             }
 
-            for (const std::size_t threads : thread_counts) {
-                std::vector<std::string> cells = {protocol, std::to_string(n),
-                                                  std::to_string(threads)};
-                if (want_agent) cells.push_back(scientific(agent.rate()));
-                double auto_rate = 0.0;
-                double pairwise_rate = 0.0;
-                double bulk_rate = 0.0;
-                // Best fixed-engine rate among the engines actually measured
-                // in this cell — the hybrid row's comparison baseline.
-                double best_fixed_rate = agent.rate();
-                if (want_batched) {
-                    for (const BatchModeDescriptor& d : batch_mode_table) {
-                        const Measurement batched =
-                            measure(protocol, EngineKind::batched, d.mode, n,
-                                    steps_per_run, min_seconds, threads);
-                        const double speedup =
-                            agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0;
-                        if (d.mode == BatchMode::automatic) auto_rate = batched.rate();
-                        if (d.mode == BatchMode::pairwise) pairwise_rate = batched.rate();
-                        if (d.mode == BatchMode::bulk) bulk_rate = batched.rate();
-                        best_fixed_rate = std::max(best_fixed_rate, batched.rate());
-                        cells.push_back(scientific(batched.rate()));
+            std::vector<std::string> cells = {protocol, std::to_string(n)};
+            if (want_agent) cells.push_back(scientific(agent.rate()));
+            double auto_rate = 0.0;
+            double pairwise_rate = 0.0;
+            double bulk_rate = 0.0;
+            // Best fixed-engine rate among the engines actually measured in
+            // this cell — the hybrid row's comparison baseline.
+            double best_fixed_rate = agent.rate();
+            if (want_batched) {
+                for (const BatchModeDescriptor& d : batch_mode_table) {
+                    const Measurement batched = measure(protocol, EngineKind::batched, d.mode,
+                                                        n, steps_per_run, min_seconds);
+                    const double speedup =
+                        agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0;
+                    if (d.mode == BatchMode::automatic) auto_rate = batched.rate();
+                    if (d.mode == BatchMode::pairwise) pairwise_rate = batched.rate();
+                    if (d.mode == BatchMode::bulk) bulk_rate = batched.rate();
+                    best_fixed_rate = std::max(best_fixed_rate, batched.rate());
+                    cells.push_back(scientific(batched.rate()));
 
-                        JsonValue row = JsonValue::object();
-                        row.set("protocol", protocol);
-                        row.set("n", static_cast<std::uint64_t>(n));
-                        row.set("threads", static_cast<std::uint64_t>(threads));
-                        row.set("steps_per_run", steps_per_run);
-                        row.set("engine", std::string(to_string(EngineKind::batched)));
-                        row.set("batch_mode", std::string(d.name));
-                        row.set("interactions_per_sec", batched.rate());
-                        row.set("speedup_vs_agent", speedup);
-                        rows.push_back(std::move(row));
-                    }
+                    JsonValue row = JsonValue::object();
+                    row.set("protocol", protocol);
+                    row.set("n", static_cast<std::uint64_t>(n));
+                    row.set("steps_per_run", steps_per_run);
+                    row.set("engine", std::string(to_string(EngineKind::batched)));
+                    row.set("batch_mode", std::string(d.name));
+                    row.set("interactions_per_sec", batched.rate());
+                    row.set("speedup_vs_agent", speedup);
+                    rows.push_back(std::move(row));
                 }
-                Measurement gillespie;
-                if (want_gillespie) {
-                    gillespie = measure(protocol, EngineKind::gillespie,
-                                        BatchMode::automatic, n, steps_per_run,
-                                        min_seconds, threads);
-                    best_fixed_rate = std::max(best_fixed_rate, gillespie.rate());
-                    cells.push_back(scientific(gillespie.rate()));
-
-                    JsonValue gillespie_row = JsonValue::object();
-                    gillespie_row.set("protocol", protocol);
-                    gillespie_row.set("n", static_cast<std::uint64_t>(n));
-                    gillespie_row.set("threads", static_cast<std::uint64_t>(threads));
-                    gillespie_row.set("steps_per_run", steps_per_run);
-                    gillespie_row.set("engine",
-                                      std::string(to_string(EngineKind::gillespie)));
-                    gillespie_row.set("interactions_per_sec", gillespie.rate());
-                    gillespie_row.set("speedup_vs_agent",
-                                      agent.rate() > 0.0
-                                          ? gillespie.rate() / agent.rate()
-                                          : 0.0);
-                    gillespie_row.set("speedup_vs_batched_pairwise",
-                                      pairwise_rate > 0.0
-                                          ? gillespie.rate() / pairwise_rate
-                                          : 0.0);
-                    rows.push_back(std::move(gillespie_row));
-                }
-                Measurement hybrid;
-                if (want_hybrid) {
-                    hybrid = measure(protocol, EngineKind::hybrid, BatchMode::automatic,
-                                     n, steps_per_run, min_seconds, threads);
-                    cells.push_back(scientific(hybrid.rate()));
-
-                    JsonValue hybrid_row = JsonValue::object();
-                    hybrid_row.set("protocol", protocol);
-                    hybrid_row.set("n", static_cast<std::uint64_t>(n));
-                    hybrid_row.set("threads", static_cast<std::uint64_t>(threads));
-                    hybrid_row.set("steps_per_run", steps_per_run);
-                    hybrid_row.set("engine", std::string(to_string(EngineKind::hybrid)));
-                    hybrid_row.set("interactions_per_sec", hybrid.rate());
-                    hybrid_row.set("speedup_vs_agent",
-                                   agent.rate() > 0.0 ? hybrid.rate() / agent.rate()
-                                                      : 0.0);
-                    hybrid_row.set("speedup_vs_best_fixed",
-                                   best_fixed_rate > 0.0
-                                       ? hybrid.rate() / best_fixed_rate
-                                       : 0.0);
-                    rows.push_back(std::move(hybrid_row));
-                }
-
-                if (want_agent && want_batched) {
-                    cells.push_back(
-                        ratio(agent.rate() > 0.0 ? auto_rate / agent.rate() : 0.0));
-                }
-                if (want_batched) {
-                    cells.push_back(
-                        ratio(pairwise_rate > 0.0 ? bulk_rate / pairwise_rate : 0.0));
-                }
-                if (want_gillespie && want_batched) {
-                    cells.push_back(ratio(
-                        pairwise_rate > 0.0 ? gillespie.rate() / pairwise_rate : 0.0));
-                }
-                if (want_hybrid) {
-                    cells.push_back(ratio(best_fixed_rate > 0.0
-                                              ? hybrid.rate() / best_fixed_rate
-                                              : 0.0));
-                }
-                table.add_row(cells);
             }
+            Measurement gillespie;
+            if (want_gillespie) {
+                gillespie = measure(protocol, EngineKind::gillespie, BatchMode::automatic, n,
+                                    steps_per_run, min_seconds);
+                best_fixed_rate = std::max(best_fixed_rate, gillespie.rate());
+                cells.push_back(scientific(gillespie.rate()));
+
+                JsonValue gillespie_row = JsonValue::object();
+                gillespie_row.set("protocol", protocol);
+                gillespie_row.set("n", static_cast<std::uint64_t>(n));
+                gillespie_row.set("steps_per_run", steps_per_run);
+                gillespie_row.set("engine", std::string(to_string(EngineKind::gillespie)));
+                gillespie_row.set("interactions_per_sec", gillespie.rate());
+                gillespie_row.set("speedup_vs_agent",
+                                  agent.rate() > 0.0 ? gillespie.rate() / agent.rate() : 0.0);
+                gillespie_row.set("speedup_vs_batched_pairwise",
+                                  pairwise_rate > 0.0 ? gillespie.rate() / pairwise_rate
+                                                      : 0.0);
+                rows.push_back(std::move(gillespie_row));
+            }
+            Measurement hybrid;
+            if (want_hybrid) {
+                hybrid = measure(protocol, EngineKind::hybrid, BatchMode::automatic, n,
+                                 steps_per_run, min_seconds);
+                cells.push_back(scientific(hybrid.rate()));
+
+                JsonValue hybrid_row = JsonValue::object();
+                hybrid_row.set("protocol", protocol);
+                hybrid_row.set("n", static_cast<std::uint64_t>(n));
+                hybrid_row.set("steps_per_run", steps_per_run);
+                hybrid_row.set("engine", std::string(to_string(EngineKind::hybrid)));
+                hybrid_row.set("interactions_per_sec", hybrid.rate());
+                hybrid_row.set("speedup_vs_agent",
+                               agent.rate() > 0.0 ? hybrid.rate() / agent.rate() : 0.0);
+                hybrid_row.set("speedup_vs_best_fixed",
+                               best_fixed_rate > 0.0 ? hybrid.rate() / best_fixed_rate
+                                                     : 0.0);
+                rows.push_back(std::move(hybrid_row));
+            }
+
+            if (want_agent && want_batched) {
+                cells.push_back(ratio(agent.rate() > 0.0 ? auto_rate / agent.rate() : 0.0));
+            }
+            if (want_batched) {
+                cells.push_back(ratio(pairwise_rate > 0.0 ? bulk_rate / pairwise_rate : 0.0));
+            }
+            if (want_gillespie && want_batched) {
+                cells.push_back(
+                    ratio(pairwise_rate > 0.0 ? gillespie.rate() / pairwise_rate : 0.0));
+            }
+            if (want_hybrid) {
+                cells.push_back(
+                    ratio(best_fixed_rate > 0.0 ? hybrid.rate() / best_fixed_rate : 0.0));
+            }
+            table.add_row(cells);
         }
     }
     root.set("measurements", std::move(rows));
@@ -304,10 +271,6 @@ int main(int argc, char** argv) {
                  "agent,batched,gillespie,hybrid");
     args.declare("sizes", "comma-separated population sizes",
                  "1024,16384,1048576,16777216");
-    args.declare("threads",
-                 "comma-separated intra-run worker counts for the count engines "
-                 "(0 = all hardware threads)",
-                 "1");
     args.declare("min-seconds", "minimum wall time per measurement", "0.3");
     args.declare("parallel-time", "interactions per run, as a multiple of n", "16");
     args.declare("json", "output JSON path (empty = skip)", "BENCH_engine.json");

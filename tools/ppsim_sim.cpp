@@ -10,6 +10,7 @@
 //   ppsim_sim --list
 #include <algorithm>
 #include <iostream>
+#include <optional>
 
 #include "analysis/experiment.hpp"
 #include "analysis/model_checker.hpp"
@@ -43,10 +44,6 @@ ArgParser make_parser() {
     args.declare("recalibrate",
                  "ignore any cached hybrid calibration and re-probe (the fresh "
                  "table overwrites the cache)");
-    args.declare("threads",
-                 "intra-run worker count of the count engines (1 = sequential, "
-                 "0 = all hardware threads); replay is exact per (seed, threads)",
-                 "1");
     args.declare("n", "population size", "1024");
     args.declare("seed", "root PRNG seed", "2019");
     args.declare("reps", "seeded repetitions", "20");
@@ -79,13 +76,12 @@ ArgParser make_parser() {
     args.declare("checkpoint-every",
                  "mid-run checkpoint cadence in interactions for --checkpoint "
                  "(0 = final state only); the cadence is part of the seeded "
-                 "replay contract, exactly like --threads",
+                 "replay contract",
                  "0");
     args.declare("resume",
                  "resume a run from a PPCK checkpoint file and continue it to "
-                 "a single leader (protocol, engine, seed and threads come "
-                 "from the file; combine with --checkpoint to keep "
-                 "checkpointing)",
+                 "a single leader (protocol, engine and seed come from the "
+                 "file; combine with --checkpoint to keep checkpointing)",
                  "");
     args.declare("inject",
                  "inject a fault at a model-time point; repeatable; spec "
@@ -116,12 +112,12 @@ std::vector<double> parse_time_points(const std::string& csv) {
         const std::string item =
             csv.substr(start, comma == std::string::npos ? comma : comma - start);
         if (!item.empty()) {
-            try {
-                out.push_back(std::stod(item));
-            } catch (const std::exception&) {
-                throw InvalidArgument("--snapshot-at: not a model-time point: '" +
-                                      item + "'");
+            const std::optional<double> time = parse_double(item);
+            if (!time) {
+                throw InvalidArgument("--snapshot-at: not a model-time point: '" + item +
+                                      "'");
             }
+            out.push_back(*time);
         }
         if (comma == std::string::npos) break;
         start = comma + 1;
@@ -138,11 +134,11 @@ std::vector<double> parse_time_points(const std::string& csv) {
 /// not conserve the population), so the smoke tests catch it.
 bool write_timed_snapshots(const std::string& protocol, std::size_t n,
                            std::uint64_t seed, EngineKind engine, BatchMode batch_mode,
-                           std::size_t threads, StepCount max_steps,
+                           StepCount max_steps,
                            const std::vector<double>& times, const std::string& path,
                            const FaultPlan& fault_plan) {
-    const auto sim = ProtocolRegistry::instance().make_simulation(
-        protocol, n, seed, engine, batch_mode, threads);
+    const auto sim =
+        ProtocolRegistry::instance().make_simulation(protocol, n, seed, engine, batch_mode);
     if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
     TimedSnapshotRecorder recorder(times, n);
     sim->add_observer(recorder);
@@ -174,12 +170,11 @@ bool write_timed_snapshots(const std::string& protocol, std::size_t n,
 /// the series as CSV. Returns false when the recording is unusable (empty
 /// or non-monotone), so the tool exits non-zero and the smoke tests catch it.
 bool write_trajectory(const std::string& protocol, std::size_t n, std::uint64_t seed,
-                      EngineKind engine, BatchMode batch_mode, std::size_t threads,
-                      StepCount max_steps, StepCount stride, bool live_states,
-                      const std::string& path, const FaultPlan& fault_plan) {
+                      EngineKind engine, BatchMode batch_mode, StepCount max_steps,
+                      StepCount stride, bool live_states, const std::string& path,
+                      const FaultPlan& fault_plan) {
     const TrajectoryRun run = record_trajectory(protocol, n, seed, max_steps, stride,
-                                                engine, live_states, batch_mode,
-                                                fault_plan, threads);
+                                                engine, live_states, batch_mode, fault_plan);
     write_trajectory_csv(path, run.points);
     std::cout << "wrote " << path << " (" << run.points.size() << " samples, engine "
               << to_string(engine) << ", "
@@ -278,7 +273,6 @@ int run(const ArgParser& args) {
 
     const EngineKind engine = parse_engine_kind(args.get_string("engine", "agent"));
     const BatchMode batch_mode = parse_batch_mode(args.get_string("batch-mode", "auto"));
-    const auto engine_threads = static_cast<std::size_t>(args.get_u64("threads", 1));
     const double factor = args.get_double(
         "budget-factor", scenario != nullptr ? scenario->budget_factor : 3000.0);
     const double deadline_time = args.get_double("deadline", 0.0);
@@ -302,7 +296,7 @@ int run(const ArgParser& args) {
     if (const std::string path = args.get_string("trajectory", ""); !path.empty()) {
         StepCount stride = args.get_u64("trajectory-every", 0);
         if (stride == 0) stride = std::max<StepCount>(1, n / 4);
-        return write_trajectory(protocol, n, seed, engine, batch_mode, engine_threads,
+        return write_trajectory(protocol, n, seed, engine, batch_mode,
                                 StepBudget::n_log_n(n, factor), stride,
                                 args.get_bool("trajectory-live-states", true), path,
                                 fault_plan)
@@ -333,8 +327,7 @@ int run(const ArgParser& args) {
     }
 
     if (!checkpoint_path.empty()) {
-        const auto sim = registry.make_simulation(protocol, n, seed, engine,
-                                                  batch_mode, engine_threads);
+        const auto sim = registry.make_simulation(protocol, n, seed, engine, batch_mode);
         if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
         if (checkpoint_every > 0) sim->set_checkpoint(checkpoint_path, checkpoint_every);
         const RunResult result =
@@ -349,7 +342,7 @@ int run(const ArgParser& args) {
 
     if (const std::string at = args.get_string("snapshot-at", ""); !at.empty()) {
         return write_timed_snapshots(protocol, n, seed, engine, batch_mode,
-                                     engine_threads, StepBudget::n_log_n(n, factor),
+                                     StepBudget::n_log_n(n, factor),
                                      parse_time_points(at),
                                      args.get_string("snapshot-csv", "snapshots.csv"),
                                      fault_plan)
@@ -361,7 +354,6 @@ int run(const ArgParser& args) {
     config.protocol = protocol;
     config.engine = engine;
     config.batch_mode = batch_mode;
-    config.engine_threads = engine_threads;
     config.sizes = {n};
     config.repetitions = static_cast<std::size_t>(args.get_u64("reps", 20));
     config.seed = seed;
