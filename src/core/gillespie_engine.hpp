@@ -633,7 +633,12 @@ private:
         std::int64_t delta_total = 0;
         bool role_changed = false;
         std::uint64_t dropped = 0;
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+        // Forced inline: left to the heuristics, whether this body is inlined
+        // into the per-pair loop of BatchPairs::for_each depends on how much
+        // inlining budget the instantiating translation unit has left, so
+        // unrelated code there could slow every pairwise leap.
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
+                            __attribute__((always_inline)) {
             // Clamp to what the running counts can supply: with-replacement
             // sampling may over-draw a state past its count; the excess
             // pairs are dropped as nulls (counted, and rare by the leap
@@ -713,7 +718,12 @@ private:
     [[nodiscard]] std::uint64_t leap_crossing_offset() {
         scratch_deltas_.clear();
         std::size_t group = 0;
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+        // Forced inline: left to the heuristics, whether this body is inlined
+        // into the per-pair loop of BatchPairs::for_each depends on how much
+        // inlining budget the instantiating translation unit has left, so
+        // unrelated code there could slow every pairwise leap.
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
+                            __attribute__((always_inline)) {
             const std::uint64_t m = applied_mult_[group++];
             scratch_deltas_.insert(scratch_deltas_.end(), m,
                                    transition(a, b).leader_delta);

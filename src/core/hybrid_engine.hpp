@@ -65,7 +65,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -352,7 +351,7 @@ public:
     }
 
     /// Number of distinct states with a non-zero count. O(#states) on the
-    /// count modes, O(n) in agent mode.
+    /// count modes, one hashed O(n) pass (`census_of`) in agent mode.
     [[nodiscard]] std::size_t live_state_count() const {
         if (mode_ == HybridMode::agent) return collect_census().size();
         return with_engine([](const auto& e) {
@@ -448,6 +447,12 @@ public:
         forced_ = true;
         next_eval_step_ = std::numeric_limits<StepCount>::max();
         if (m != mode_) switch_to(m, collect_census());
+    }
+
+    /// The agent-mode engine's population (tests); requires agent mode.
+    [[nodiscard]] const Population<State>& agent_population() const {
+        require(mode_ == HybridMode::agent, "the hybrid engine is not in agent mode");
+        return agent_->population();
     }
 
     /// Per-evaluation census sample size in agent mode: features come from
@@ -604,21 +609,8 @@ private:
     /// Census of the first `limit` agents of the agent engine's population
     /// (the whole population when limit ≥ n), key-sorted.
     [[nodiscard]] Census census_of_agents(std::size_t limit) const {
-        Census census;
-        std::unordered_map<std::uint64_t, std::size_t> slot_of;
-        const auto& states = agent_->population().states();
-        limit = std::min(limit, states.size());
-        for (std::size_t i = 0; i < limit; ++i) {
-            const std::uint64_t key = state_key_of(protocol_, states[i]);
-            const auto [it, fresh] = slot_of.try_emplace(key, census.size());
-            if (fresh) {
-                census.emplace_back(states[i], 1);
-            } else {
-                ++census[it->second].second;
-            }
-        }
-        sort_census(census);
-        return census;
+        const auto states = agent_->population().states();
+        return census_of(protocol_, states.first(std::min(limit, states.size())));
     }
 
     /// The census evaluations read features from: exact on the count modes

@@ -63,10 +63,14 @@ TrajectoryRecorder::TrajectoryRecorder(StepCount stride, bool record_live_states
 
 TrajectoryRecorder TrajectoryRecorder::every_parallel_time(double units, std::size_t n,
                                                            bool record_live_states) {
-    require(units > 0.0, "trajectory cadence must be positive");
+    require(std::isfinite(units) && units > 0.0,
+            "trajectory cadence must be positive and finite");
+    // Saturate like model_time_to_step: casting a double ≥ 2^64 is undefined.
     const double steps = units * static_cast<double>(n);
-    return TrajectoryRecorder(steps < 1.0 ? 1 : static_cast<StepCount>(steps),
-                              record_live_states);
+    const StepCount stride = steps < 1.0      ? 1
+                             : steps >= 1.8e19 ? std::numeric_limits<StepCount>::max()
+                                               : static_cast<StepCount>(steps);
+    return TrajectoryRecorder(stride, record_live_states);
 }
 
 void TrajectoryRecorder::record(const Simulation& sim) {

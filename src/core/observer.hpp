@@ -36,9 +36,10 @@ struct TrajectoryPoint {
 
 /// Records a (step, leader count, live-state count) time series every
 /// `stride` interactions, plus the initial and final configurations of each
-/// run. On the batched engine a sample costs O(#states); recording the
-/// live-state census on the agent engine costs O(n) per sample, so it can
-/// be disabled for large-n agent runs.
+/// run. On the count engines a sample costs O(#states); recording the
+/// live-state census on the agent engine costs one hashed O(n) pass over the
+/// raw agent states plus one state key per distinct state (`census_of`), so
+/// it can be disabled for large-n agent runs.
 class TrajectoryRecorder final : public SimulationObserver {
 public:
     /// `stride` = distance between samples in interactions (≥ 1);
@@ -46,6 +47,8 @@ public:
     explicit TrajectoryRecorder(StepCount stride, bool record_live_states = true);
 
     /// Recorder sampling every `units` of parallel time for population `n`.
+    /// `units` must be positive and finite; a stride past the StepCount
+    /// range saturates at its maximum.
     [[nodiscard]] static TrajectoryRecorder every_parallel_time(
         double units, std::size_t n, bool record_live_states = true);
 
@@ -85,8 +88,9 @@ void write_trajectory_csv(const std::string& path,
                           const std::vector<TrajectoryPoint>& points);
 
 /// Records a full configuration snapshot (state-count census) every
-/// `stride` interactions. Each snapshot is O(#states) on the batched engine
-/// and O(n) on the agent engine — prefer the batched engine at large n.
+/// `stride` interactions. Each snapshot is O(#states) on the count engines
+/// and one hashed O(n) pass (`census_of`) on the agent engine — prefer a
+/// count engine at large n.
 class SnapshotRecorder final : public SimulationObserver {
 public:
     explicit SnapshotRecorder(StepCount stride);

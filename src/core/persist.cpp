@@ -16,7 +16,7 @@ constexpr std::uint32_t schedule_magic = 0x50505343;    // "PPSC"
 constexpr std::uint32_t config_magic = 0x50504346;      // "PPCF"
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
 constexpr std::uint32_t format_version = 1;
-constexpr std::uint32_t checkpoint_format_version = 2;
+constexpr std::uint32_t checkpoint_format_version = 3;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -40,6 +40,18 @@ std::uint64_t read_u64(std::ifstream& in) {
     return v;
 }
 
+/// Bytes between the read position and the end of the file: every length
+/// field is checked against it before anything is allocated, so a corrupt
+/// length fails as a truncated file instead of a giant allocation.
+std::uint64_t bytes_left(std::ifstream& in) {
+    const std::streampos here = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    require(here >= 0 && end >= here, "cannot determine the remaining file size");
+    return static_cast<std::uint64_t>(end - here);
+}
+
 void write_string(std::ofstream& out, std::string_view s) {
     write_u64(out, s.size());
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -48,6 +60,7 @@ void write_string(std::ofstream& out, std::string_view s) {
 std::string read_string(std::ifstream& in) {
     const std::uint64_t len = read_u64(in);
     require(len < 4096, "implausible string length");
+    require(len <= bytes_left(in), "truncated string payload");
     std::string s(len, '\0');
     in.read(s.data(), static_cast<std::streamsize>(len));
     require(in.good(), "truncated string payload");
@@ -117,11 +130,15 @@ ConfigurationDump load_configuration(const std::string& path) {
     ConfigurationDump dump;
     const std::uint64_t name_len = read_u64(in);
     require(name_len < 4096, "implausible protocol name length");
+    require(name_len <= bytes_left(in), "truncated configuration header");
     dump.protocol_name.resize(name_len);
     in.read(dump.protocol_name.data(), static_cast<std::streamsize>(name_len));
     dump.state_size = read_u64(in);
     dump.agents = read_u64(in);
     require(dump.state_size > 0 && dump.state_size <= 4096, "implausible state size");
+    // Dividing instead of multiplying: agents × state_size may overflow.
+    require(dump.agents <= bytes_left(in) / dump.state_size,
+            "truncated configuration payload");
     dump.states.resize(dump.agents * dump.state_size);
     in.read(reinterpret_cast<char*>(dump.states.data()),
             static_cast<std::streamsize>(dump.states.size()));
@@ -130,10 +147,16 @@ ConfigurationDump load_configuration(const std::string& path) {
 }
 
 std::uint64_t checkpoint_checksum(std::string_view payload) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64-bit offset basis
-    for (const char c : payload) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ULL;  // FNV prime
+    constexpr std::uint64_t prime = 0x100000001b3ULL;  // FNV prime
+    std::uint64_t h = 0xcbf29ce484222325ULL;           // FNV-1a 64-bit offset basis
+    std::size_t i = 0;
+    for (; i + 8 <= payload.size(); i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, payload.data() + i, sizeof word);  // host byte order
+        h = (h ^ word) * prime;
+    }
+    for (; i < payload.size(); ++i) {
+        h = (h ^ static_cast<std::uint8_t>(payload[i])) * prime;
     }
     return h;
 }
@@ -193,6 +216,7 @@ CheckpointHeader load_checkpoint(const std::string& path, std::string& payload) 
     header.seed = read_u64(in);
     header.step = read_u64(in);
     const std::uint64_t payload_size = read_u64(in);
+    require(payload_size <= bytes_left(in), "truncated checkpoint payload in " + path);
     payload.resize(payload_size);
     in.read(payload.data(), static_cast<std::streamsize>(payload_size));
     require(in.good() && static_cast<std::uint64_t>(in.gcount()) == payload_size,

@@ -65,7 +65,10 @@ void restore_configuration(const ConfigurationDump& dump, Population<State>& pop
 /// Writes a configuration dump to `path`.
 void save_configuration(const std::string& path, const ConfigurationDump& dump);
 
-/// Reads a configuration dump written by save_configuration.
+/// Reads a configuration dump written by save_configuration. A length
+/// field that does not fit in the rest of the file (truncation, corruption,
+/// or an agents × state_size product that would overflow) throws
+/// InvalidArgument before anything is allocated.
 [[nodiscard]] ConfigurationDump load_configuration(const std::string& path);
 
 // --- checkpoints ("PPCK") ---------------------------------------------------
@@ -84,7 +87,13 @@ struct CheckpointHeader {
     std::uint64_t step = 0;        ///< step the checkpoint was taken at (informational)
 };
 
-/// FNV-1a 64-bit hash — the checkpoint payload checksum.
+/// The checkpoint payload checksum: FNV-1a 64-bit with its xor-multiply
+/// step applied to 8-byte words read in host byte order, byte by byte only
+/// for the tail (PPCK format 3; format 2 hashed every byte). Each step is a
+/// bijection of the running hash (xor, then multiplication by an odd
+/// prime), so any corruption confined to one word or tail byte changes the
+/// result. Host byte order is safe because a PPCK file never loads on
+/// another CPU signature.
 [[nodiscard]] std::uint64_t checkpoint_checksum(std::string_view payload) noexcept;
 
 /// Writes a checkpoint container: validated header (magic "PPCK", format
@@ -101,8 +110,9 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
 /// must either load exactly or fail with a clear error: wrong magic,
 /// unsupported format version, another library version, another CPU
 /// signature (libm differences void the bit-identical resume contract
-/// across machines), truncation, or a payload checksum mismatch all throw
-/// InvalidArgument. No partial state escapes.
+/// across machines), truncation (a length field larger than the rest of
+/// the file included, checked before allocating), or a payload checksum
+/// mismatch all throw InvalidArgument. No partial state escapes.
 [[nodiscard]] CheckpointHeader load_checkpoint(const std::string& path,
                                                std::string& payload);
 

@@ -25,8 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -52,7 +50,9 @@ struct StateCount {
 };
 
 /// A point-in-time census of the population by state. Obtaining one costs
-/// O(#live states) on the batched engine and O(n) on the agent engine.
+/// O(#live states) on the count engines and, on the agent engine, one hashed
+/// O(n) pass that computes one state key per distinct state (`census_of`,
+/// population.hpp).
 struct ConfigurationSnapshot {
     StepCount step = 0;              ///< interactions executed when taken
     std::vector<StateCount> counts;  ///< non-zero entries, sorted by key
@@ -146,10 +146,11 @@ public:
     /// Display name of the protocol being simulated.
     [[nodiscard]] virtual std::string protocol_name() const = 0;
     /// Number of distinct states with at least one agent. O(#states) on the
-    /// batched engine, O(n) on the agent engine.
+    /// count engines; on the agent engine one hashed O(n) pass with one
+    /// state key per distinct state (`census_of`).
     [[nodiscard]] virtual std::size_t live_state_count() const = 0;
-    /// Census of the configuration by state. O(#states) on the batched
-    /// engine, O(n) on the agent engine. NOTE: for the loosely-stabilising
+    /// Census of the configuration by state, at the same cost as
+    /// `live_state_count`. NOTE: for the loosely-stabilising
     /// baseline the batched engine only reaches snapshot boundaries at batch
     /// granularity, so transient configurations inside a batch are not
     /// observable there (see README "Choosing an engine").
@@ -540,17 +541,6 @@ private:
 
 namespace detail {
 
-/// Shared snapshot assembly: histogram (key → count/role) to sorted vector.
-inline ConfigurationSnapshot finalize_snapshot(
-    StepCount step, std::vector<StateCount>&& counts) {
-    ConfigurationSnapshot snapshot;
-    snapshot.step = step;
-    snapshot.counts = std::move(counts);
-    std::sort(snapshot.counts.begin(), snapshot.counts.end(),
-              [](const StateCount& a, const StateCount& b) { return a.key < b.key; });
-    return snapshot;
-}
-
 /// Simulation adapter over the per-interaction agent engine.
 template <Protocol P>
 class AgentSimulation final : public Simulation {
@@ -575,29 +565,19 @@ public:
         return std::string(engine_.protocol().name());
     }
     [[nodiscard]] std::size_t live_state_count() const override {
-        std::unordered_set<std::uint64_t> keys;
-        const P& proto = engine_.protocol();
-        for (const auto& state : engine_.population().states()) {
-            keys.insert(state_key_of(proto, state));
-        }
-        return keys.size();
+        return census_of(engine_.protocol(), engine_.population().states()).size();
     }
     [[nodiscard]] ConfigurationSnapshot state_counts() const override {
-        std::unordered_map<std::uint64_t, StateCount> histogram;
         const P& proto = engine_.protocol();
-        for (const auto& state : engine_.population().states()) {
-            const std::uint64_t key = state_key_of(proto, state);
-            StateCount& entry = histogram[key];
-            if (entry.count == 0) {
-                entry.key = key;
-                entry.role = proto.output(state);
-            }
-            ++entry.count;
+        const auto census = census_of(proto, engine_.population().states());
+        ConfigurationSnapshot snapshot;
+        snapshot.step = engine_.steps();
+        snapshot.counts.reserve(census.size());
+        for (const auto& [state, count] : census) {  // key-sorted already
+            snapshot.counts.push_back(
+                StateCount{state_key_of(proto, state), count, proto.output(state)});
         }
-        std::vector<StateCount> counts;
-        counts.reserve(histogram.size());
-        for (auto& [key, entry] : histogram) counts.push_back(entry);
-        return finalize_snapshot(engine_.steps(), std::move(counts));
+        return snapshot;
     }
 
     /// The wrapped engine, for typed access in tests and examples.
@@ -668,12 +648,15 @@ public:
         return engine_.live_state_count();
     }
     [[nodiscard]] ConfigurationSnapshot state_counts() const override {
-        std::vector<StateCount> counts;
         const P& proto = engine_.protocol();
+        ConfigurationSnapshot snapshot;
+        snapshot.step = engine_.steps();
         engine_.visit_counts([&](const auto& state, std::uint64_t count, Role role) {
-            counts.push_back(StateCount{state_key_of(proto, state), count, role});
+            snapshot.counts.push_back(StateCount{state_key_of(proto, state), count, role});
         });
-        return finalize_snapshot(engine_.steps(), std::move(counts));
+        std::sort(snapshot.counts.begin(), snapshot.counts.end(),
+                  [](const StateCount& a, const StateCount& b) { return a.key < b.key; });
+        return snapshot;
     }
 
     /// The wrapped engine, for typed access in tests and examples.

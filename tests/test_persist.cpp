@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "core/engine.hpp"
@@ -80,6 +81,36 @@ TEST(Persist, ConfigurationRoundTrips) {
         EXPECT_EQ(restored.population()[static_cast<AgentId>(i)],
                   engine.population()[static_cast<AgentId>(i)]);
     }
+    std::filesystem::remove(path);
+}
+
+TEST(Persist, RejectsAnOverflowingAgentCount) {
+    // agents × state_size wraps to a small number when agents is 2^63; the
+    // loader must refuse the dump, not return one whose `states` is short.
+    const std::size_t n = 16;
+    Engine<Pll> engine(Pll::for_population(n), n, 5);
+    const std::string path = temp_path("ppsim_config_overflow.bin");
+    save_configuration(path, dump_configuration(engine.population(), "pll"));
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        bytes = buffer.str();
+    }
+    // Layout: magic u32, version u32, name (u64 length + bytes), state size
+    // u64, then the agent count u64.
+    const std::size_t agents_at = 8 + 8 + std::string("pll").size() + 8;
+    std::uint64_t agents = 0;
+    std::memcpy(&agents, bytes.data() + agents_at, sizeof agents);
+    ASSERT_EQ(agents, n);
+    agents = std::uint64_t{1} << 63U;
+    std::memcpy(bytes.data() + agents_at, &agents, sizeof agents);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_THROW((void)load_configuration(path), InvalidArgument);
     std::filesystem::remove(path);
 }
 
@@ -372,20 +403,60 @@ TEST(CheckpointContainer, RejectsTruncatedFile) {
 TEST(CheckpointContainer, RejectsBitFlippedPayload) {
     const std::string path = temp_path("ppsim_ppck_bitflip.ppck");
     (void)write_sample_checkpoint(path);
-    // The last 8 bytes are the checksum; the byte before them is payload.
-    corrupt_file(path, [](std::string& bytes) {
-        ASSERT_GT(bytes.size(), 9U);
-        bytes[bytes.size() - 9] = static_cast<char>(bytes[bytes.size() - 9] ^ 0x01);
-    });
-    EXPECT_NE(load_error(path).find("checksum mismatch"), std::string::npos);
+    std::string payload;
+    (void)load_checkpoint(path, payload);
+    ASSERT_GT(payload.size(), 16U);
+    ASSERT_NE(payload.size() % 8, 0U)
+        << "the sample payload must end in a partial word, or the flips below "
+           "never reach the checksum's byte tail";
+    // Payload offsets to corrupt: the first word, a middle word, and each of
+    // the last 8 bytes — which span the checksum's word loop and byte tail.
+    std::vector<std::size_t> offsets{0, payload.size() / 2};
+    for (std::size_t k = 8; k >= 1; --k) offsets.push_back(payload.size() - k);
+    for (const std::size_t offset : offsets) {
+        (void)write_sample_checkpoint(path);
+        corrupt_file(path, [&](std::string& bytes) {
+            // The payload ends 8 bytes (the checksum) before the file does.
+            const std::size_t at = bytes.size() - 8 - payload.size() + offset;
+            bytes[at] = static_cast<char>(bytes[at] ^ 0x10);
+        });
+        EXPECT_NE(load_error(path).find("checksum mismatch"), std::string::npos)
+            << "payload offset " << offset;
+    }
+    std::filesystem::remove(path);
+}
+
+TEST(CheckpointContainer, RejectsAPayloadLengthPastTheEndOfTheFile) {
+    // A corrupt length must fail as a truncated file before anything is
+    // allocated — not as std::bad_alloc from a 2^40- or 2^62-byte buffer.
+    const std::string path = temp_path("ppsim_ppck_length.ppck");
+    (void)write_sample_checkpoint(path);
+    std::string payload;
+    (void)load_checkpoint(path, payload);
+    for (const unsigned bit : {40U, 62U}) {
+        (void)write_sample_checkpoint(path);
+        corrupt_file(path, [&](std::string& bytes) {
+            // The u64 payload length sits right before the payload.
+            const std::size_t at = bytes.size() - 8 - payload.size() - 8;
+            std::uint64_t length = 0;
+            std::memcpy(&length, bytes.data() + at, sizeof length);
+            ASSERT_EQ(length, payload.size());
+            length ^= std::uint64_t{1} << bit;
+            std::memcpy(bytes.data() + at, &length, sizeof length);
+        });
+        std::string ignored;
+        EXPECT_THROW((void)load_checkpoint(path, ignored), InvalidArgument) << "bit " << bit;
+    }
     std::filesystem::remove(path);
 }
 
 TEST(CheckpointContainer, RejectsWrongFormatVersion) {
     const std::string path = temp_path("ppsim_ppck_version.ppck");
     // Version 1 is the earlier layout whose header and engine payloads
-    // carried a per-run thread count: it must fail loudly, not misparse.
-    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U}) {
+    // carried a per-run thread count, and version 2 checksummed the payload
+    // byte by byte: both must fail loudly, not misparse or fail as a
+    // checksum mismatch.
+    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U}) {
         (void)write_sample_checkpoint(path);
         corrupt_file(path, [wrong](std::string& bytes) {
             // The container version is the u32 after the 4-byte magic.

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -158,6 +159,14 @@ TEST(TrajectoryRecorder, SamplesAtTheRequestedCadence) {
             EXPECT_GT(points[i].live_states, 0U) << d.name;
         }
     }
+    // A cadence in parallel time: non-finite units are refused, and a
+    // stride past the StepCount range saturates instead of overflowing.
+    EXPECT_EQ(TrajectoryRecorder::every_parallel_time(1.5, 64).stride(), 96U);
+    EXPECT_THROW((void)TrajectoryRecorder::every_parallel_time(
+                     std::numeric_limits<double>::infinity(), 64),
+                 InvalidArgument);
+    EXPECT_EQ(TrajectoryRecorder::every_parallel_time(1e300, 64).stride(),
+              std::numeric_limits<StepCount>::max());
 }
 
 TEST(TrajectoryRecorder, StepwiseDrivingHonoursTheStride) {
