@@ -38,17 +38,12 @@ struct SweepConfig {
     /// Worker cap for the repetition fan-out (0 = hardware concurrency).
     /// Repetitions run on the process-wide shared pool (core/thread_pool.hpp);
     /// each repetition is one sequential run, so its result depends on its
-    /// seed (and, for hybrid, the shared calibration table), never on this
-    /// cap or on scheduling.
+    /// seed, never on this cap or on scheduling.
     std::size_t threads = 0;
     /// Simulation back-end: per-interaction agent engine, count-based
     /// batched engine, reaction-rate gillespie engine, or the adaptive
     /// hybrid meta-engine (see README "Choosing an engine" for
-    /// distribution and speed trade-offs). A hybrid sweep reads the
-    /// process-wide calibration options (core/calibration.hpp) — set them
-    /// before run_sweep when a non-default cache dir or an injected cost
-    /// table is wanted; all repetitions then share one memoised table, so
-    /// the sweep stays seeded-deterministic.
+    /// distribution and speed trade-offs).
     EngineKind engine = EngineKind::agent;
     /// Batch-pairing strategy of the batched engine (core/batch_pairing.hpp):
     /// auto (per-batch choice), pairwise shuffle, or bulk contingency-table

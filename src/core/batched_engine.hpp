@@ -157,28 +157,12 @@ public:
         return leader_count_;
     }
 
-    /// Read-only view of the shared count store (hybrid-engine feature
-    /// extraction, tests).
+    /// Read-only view of the shared count store (introspection).
     [[nodiscard]] const InternedCountStore<P>& store() const noexcept { return store_; }
 
     /// Read-only view of the memoised transition cache (introspection).
     [[nodiscard]] const TransitionCache& transition_cache() const noexcept {
         return cache_;
-    }
-
-    /// Adopts a configuration handed over by another engine (the hybrid
-    /// meta-engine's mid-run switch, hybrid_engine.hpp): replaces the count
-    /// vector with the census and carries the step counter and
-    /// stabilisation step across. The census must conserve this engine's
-    /// population size. The batch / fault streams keep the seed this engine
-    /// was built with — each hybrid segment owns its stream.
-    void adopt_census(const std::vector<std::pair<State, std::uint64_t>>& census,
-                      StepCount steps, std::optional<StepCount> stabilization_step) {
-        const std::uint64_t total = store_.adopt_census(protocol_, census);
-        require(total == n_, "census does not conserve the population");
-        steps_ = steps;
-        first_single_leader_step_ = stabilization_step;
-        leader_count_ = store_.recount_leaders();
     }
 
     // --- execution --------------------------------------------------------

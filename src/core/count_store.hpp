@@ -176,8 +176,8 @@ public:
 
     /// Replaces the configuration wholesale with `census` (state, count)
     /// pairs: zero every count, intern and set the census entries, rebuild
-    /// the live list. The count engines' adoption primitive for the hybrid
-    /// engine's mid-run handoff (hybrid_engine.hpp). Only legal between
+    /// the live list. The gillespie engine's adoption primitive for the
+    /// hybrid engine's mid-run handoff (hybrid_engine.hpp). Only legal between
     /// rounds (touched multiset empty). Returns the census total for the
     /// caller's conservation check.
     std::uint64_t adopt_census(const P& proto,

@@ -69,7 +69,7 @@ inline constexpr std::array<EngineDescriptor, 4> engine_table{{
     {EngineKind::gillespie, "gillespie",
      "reaction-rate SSA with null-reaction skipping and tau-leaping at large n"},
     {EngineKind::hybrid, "hybrid",
-     "adaptive meta-engine: switches mode per phase from a measured cost model"},
+     "adaptive meta-engine: switches between agent and gillespie per phase"},
 }};
 
 /// Registry/CLI name of an engine kind.

@@ -228,8 +228,7 @@ public:
         return leader_count_;
     }
 
-    /// Read-only view of the shared count store (hybrid-engine feature
-    /// extraction, tests).
+    /// Read-only view of the shared count store (layer tracing).
     [[nodiscard]] const InternedCountStore<P>& store() const noexcept { return store_; }
 
     /// Read-only view of the memoised transition cache (introspection).

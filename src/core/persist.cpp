@@ -5,8 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-
-#include "calibration.hpp"  // cpu_signature()
+#include <thread>
 
 namespace ppsim {
 
@@ -16,7 +15,7 @@ constexpr std::uint32_t schedule_magic = 0x50505343;    // "PPSC"
 constexpr std::uint32_t config_magic = 0x50504346;      // "PPCF"
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
 constexpr std::uint32_t format_version = 1;
-constexpr std::uint32_t checkpoint_format_version = 3;
+constexpr std::uint32_t checkpoint_format_version = 4;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -65,6 +64,26 @@ std::string read_string(std::ifstream& in) {
     in.read(s.data(), static_cast<std::streamsize>(len));
     require(in.good(), "truncated string payload");
     return s;
+}
+
+/// A short signature of the CPU a checkpoint was written on (model name +
+/// hardware thread count): bit-identical resume is only defined there.
+std::string cpu_signature() {
+    std::string model = "unknown-cpu";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos) {
+                model = line.substr(colon + 1);
+                const std::size_t first = model.find_first_not_of(' ');
+                if (first != std::string::npos) model.erase(0, first);
+            }
+            break;
+        }
+    }
+    return model + " x" + std::to_string(std::thread::hardware_concurrency());
 }
 
 std::ofstream open_for_write(const std::string& path) {

@@ -105,10 +105,9 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
                      const std::string& payload);
 
 /// Reads a checkpoint written by `save_checkpoint`, returning the header
-/// and filling `payload`. Strict by design — unlike the calibration cache
-/// (stale = silently re-probe), a checkpoint the user asked to resume from
-/// must either load exactly or fail with a clear error: wrong magic,
-/// unsupported format version, another library version, another CPU
+/// and filling `payload`. Strict by design — a checkpoint the user asked
+/// to resume from must either load exactly or fail with a clear error:
+/// wrong magic, unsupported format version, another library version, another CPU
 /// signature (libm differences void the bit-identical resume contract
 /// across machines), truncation (a length field larger than the rest of
 /// the file included, checked before allocating), or a payload checksum

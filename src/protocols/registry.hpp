@@ -48,8 +48,7 @@ public:
     /// `batch_mode` selects the batched engine's pairing strategy
     /// (core/batch_pairing.hpp); the agent engine ignores it.
     /// `EngineKind::hybrid` builds the adaptive meta-engine
-    /// (core/hybrid_engine.hpp), which reads the process-wide calibration
-    /// options of core/calibration.hpp — no extra parameters here by design.
+    /// (core/hybrid_engine.hpp).
     [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
         const std::string& name, std::size_t n, std::uint64_t seed,
         EngineKind engine = EngineKind::agent,

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/calibration.hpp"
 #include "core/hybrid_engine.hpp"
 #include "core/population.hpp"
 #include "core/simulation.hpp"
@@ -159,33 +158,17 @@ TEST(AgentCensus, PaddingBytesDoNotSplitAState) {
     expect_padding_does_not_split_a_state<TailPadState>();
 }
 
-/// Restores the ambient hybrid options on scope exit.
-class ScopedHybridOptions {
-public:
-    ScopedHybridOptions() : saved_(hybrid_options()) {}
-    ~ScopedHybridOptions() { set_hybrid_options(saved_); }
-
-private:
-    HybridOptions saved_;
-};
-
 TEST(AgentCensus, HybridAgentModeCollectsCensusOfItsPopulation) {
-    ScopedHybridOptions restore;
-    HybridOptions options;
-    CalibrationTable table;  // agent mode is the cheapest: the initial pick
-    for (ModeCost& cost : table.costs) cost.wide_ns = cost.narrow_ns = 100.0;
-    table.costs[static_cast<std::size_t>(HybridMode::agent)] = ModeCost{1.0, 1.0, 0.0, 0.0};
-    options.injected = table;
-    set_hybrid_options(options);
-
+    // pll's all-initial census is one state with no null mass, so the rule
+    // starts the hybrid engine in agent mode at this n.
     constexpr std::size_t n = 512;
     HybridEngine<Pll> engine(Pll::for_population(n), n, /*seed=*/5);
-    ASSERT_EQ(engine.mode(), HybridMode::agent);
+    ASSERT_EQ(engine.mode(), EngineKind::agent);
     (void)engine.run_for(4 * n);
     // A handoff into agent mode lays a count engine's census out again.
-    engine.force_mode(HybridMode::gillespie);
+    engine.force_mode(EngineKind::gillespie);
     (void)engine.run_for(4 * n);
-    engine.force_mode(HybridMode::agent);
+    engine.force_mode(EngineKind::agent);
     (void)engine.run_for(4 * n);
 
     const auto expected = census_of(engine.protocol(), engine.agent_population().states());

@@ -1,9 +1,7 @@
 // Tests for execution persistence (core/persist.hpp): schedule and
 // configuration round-trips, validation, and the full repro-bundle workflow
-// (save a run, reload it elsewhere, continue identically). Also covers the
-// hybrid engine's calibration cache (core/calibration.hpp): save→load
-// round-trips, corrupt/stale files falling back to nullopt (re-probe), and
-// --recalibrate overwriting the cached table.
+// (save a run, reload it elsewhere, continue identically), and the
+// checkpoint container's rejection of every corruption it guards against.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +12,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/calibration.hpp"
 #include "core/engine.hpp"
 #include "core/persist.hpp"
 #include "protocols/pll.hpp"
@@ -156,175 +153,10 @@ TEST(Persist, FullReproBundleWorkflow) {
     std::filesystem::remove(config_path);
 }
 
-// --- calibration cache (core/calibration.hpp) ------------------------------
-
-/// Restores the ambient hybrid options on scope exit so a test can never
-/// leak a temp cache dir / recalibrate flag into later suites (every test
-/// in this binary shares one process).
-class ScopedHybridOptions {
-public:
-    ScopedHybridOptions() : saved_(hybrid_options()) {}
-    ~ScopedHybridOptions() { set_hybrid_options(saved_); }
-
-private:
-    HybridOptions saved_;
-};
-
-CalibrationTable sample_table(double base) {
-    CalibrationTable table;
-    for (std::size_t m = 0; m < hybrid_mode_count; ++m) {
-        table.costs[m].wide_ns = base + static_cast<double>(m);
-        table.costs[m].narrow_ns = base * 2.0 + static_cast<double>(m);
-        table.costs[m].wide_exponent = -0.25 * static_cast<double>(m);
-        table.costs[m].narrow_exponent = 0.1 * static_cast<double>(m);
-    }
-    table.probe_population = 4096;
-    return table;
-}
-
-TEST(CalibrationPersistence, SaveLoadRoundTrips) {
-    const std::string path = temp_path("ppsim_calibration_rt.ppcl");
-    const CalibrationTable table = sample_table(12.5);
-    save_calibration(path, "pll", table);
-    const std::optional<CalibrationTable> loaded = load_calibration(path, "pll");
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->probe_population, table.probe_population);
-    for (std::size_t m = 0; m < hybrid_mode_count; ++m) {
-        EXPECT_DOUBLE_EQ(loaded->costs[m].wide_ns, table.costs[m].wide_ns);
-        EXPECT_DOUBLE_EQ(loaded->costs[m].narrow_ns, table.costs[m].narrow_ns);
-        EXPECT_DOUBLE_EQ(loaded->costs[m].wide_exponent, table.costs[m].wide_exponent);
-        EXPECT_DOUBLE_EQ(loaded->costs[m].narrow_exponent,
-                         table.costs[m].narrow_exponent);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, MissingFileIsNullopt) {
-    EXPECT_FALSE(
-        load_calibration(temp_path("ppsim_calibration_missing.ppcl"), "pll"));
-}
-
-TEST(CalibrationPersistence, CorruptFileFallsBackToNullopt) {
-    const std::string path = temp_path("ppsim_calibration_corrupt.ppcl");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "definitely not a calibration table";
-    }
-    // Cache corruption is a re-probe, never an error.
-    EXPECT_FALSE(load_calibration(path, "pll"));
-    std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, TruncatedFileFallsBackToNullopt) {
-    const std::string path = temp_path("ppsim_calibration_trunc.ppcl");
-    save_calibration(path, "pll", sample_table(3.0));
-    const auto size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, size / 2);
-    EXPECT_FALSE(load_calibration(path, "pll"));
-    std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, StaleVersionFallsBackToNullopt) {
-    const std::string path = temp_path("ppsim_calibration_stale.ppcl");
-    // The container version is the u32 after the 4-byte magic; a bumped
-    // format number must invalidate every existing cache file — including
-    // version 2, whose tables still carried a per-run thread count.
-    for (const std::uint32_t wrong_version : {0xFFFF'FFFFU, 2U}) {
-        save_calibration(path, "pll", sample_table(3.0));
-        ASSERT_TRUE(load_calibration(path, "pll").has_value());
-        {
-            std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-            file.seekp(4);
-            file.write(reinterpret_cast<const char*>(&wrong_version),
-                       sizeof(wrong_version));
-        }
-        EXPECT_FALSE(load_calibration(path, "pll")) << "version " << wrong_version;
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, WrongProtocolFallsBackToNullopt) {
-    const std::string path = temp_path("ppsim_calibration_proto.ppcl");
-    save_calibration(path, "pll", sample_table(3.0));
-    EXPECT_FALSE(load_calibration(path, "lottery"));
-    std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, CachePathSeparatesKeys) {
-    const std::string a = calibration_cache_path("pll", 4096, "/cache");
-    EXPECT_NE(a, calibration_cache_path("pll", 8192, "/cache"));
-    EXPECT_NE(a, calibration_cache_path("lottery", 4096, "/cache"));
-}
-
-TEST(CalibrationPersistence, CalibrationForProbesOncePerProcessAndReloads) {
-    ScopedHybridOptions restore;
-    const std::string dir = temp_path("ppsim_calibration_for_dir");
-    std::filesystem::remove_all(dir);
-
-    int probes = 0;
-    const auto probe = [&probes] {
-        ++probes;
-        return sample_table(10.0 + probes);
-    };
-
-    HybridOptions options;
-    options.cache_dir = dir;
-    set_hybrid_options(options);
-    (void)calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 1);
-    // Memoised: a second simulation in the same process re-uses the table.
-    (void)calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 1);
-
-    // Fresh process simulated by clearing the memo (set_hybrid_options):
-    // the persisted file satisfies the lookup, still no second probe.
-    set_hybrid_options(options);
-    const CalibrationTable reloaded = calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 1);
-    EXPECT_DOUBLE_EQ(reloaded.costs[0].wide_ns, 11.0);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(CalibrationPersistence, RecalibrateOverwritesTheCache) {
-    ScopedHybridOptions restore;
-    const std::string dir = temp_path("ppsim_calibration_recal_dir");
-    std::filesystem::remove_all(dir);
-
-    int probes = 0;
-    const auto probe = [&probes] {
-        ++probes;
-        return sample_table(10.0 + probes);
-    };
-
-    HybridOptions options;
-    options.cache_dir = dir;
-    set_hybrid_options(options);
-    (void)calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 1);
-
-    // --recalibrate: ignore the valid cache file, probe again, overwrite.
-    options.recalibrate = true;
-    set_hybrid_options(options);
-    const CalibrationTable fresh = calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 2);
-    EXPECT_DOUBLE_EQ(fresh.costs[0].wide_ns, 12.0);
-
-    // The overwritten file is what a later non-recalibrating process loads.
-    options.recalibrate = false;
-    set_hybrid_options(options);
-    const CalibrationTable reloaded = calibration_for("pll", 4096, probe);
-    EXPECT_EQ(probes, 2);
-    EXPECT_DOUBLE_EQ(reloaded.costs[0].wide_ns, 12.0);
-
-    std::filesystem::remove_all(dir);
-}
-
 // --- checkpoint containers ("PPCK", core/persist.hpp) -----------------------
 //
-// Unlike the calibration cache (corruption = silent re-probe), a checkpoint
-// the user asked to resume from must either load exactly or fail with a
-// clear error — and a failed load must never leave a half-restored
+// A checkpoint the user asked to resume from must either load exactly or
+// fail with a clear error — and a failed load must never leave a half-restored
 // simulation behind. These tests corrupt a valid container every way the
 // loader guards against and check both halves of that contract.
 
@@ -453,10 +285,11 @@ TEST(CheckpointContainer, RejectsAPayloadLengthPastTheEndOfTheFile) {
 TEST(CheckpointContainer, RejectsWrongFormatVersion) {
     const std::string path = temp_path("ppsim_ppck_version.ppck");
     // Version 1 is the earlier layout whose header and engine payloads
-    // carried a per-run thread count, and version 2 checksummed the payload
-    // byte by byte: both must fail loudly, not misparse or fail as a
-    // checksum mismatch.
-    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U}) {
+    // carried a per-run thread count, version 2 checksummed the payload
+    // byte by byte, and version 3 hybrid payloads carried a measured cost
+    // table: all must fail loudly, not misparse or fail as a checksum
+    // mismatch.
+    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U, 3U}) {
         (void)write_sample_checkpoint(path);
         corrupt_file(path, [wrong](std::string& bytes) {
             // The container version is the u32 after the 4-byte magic.
@@ -512,20 +345,6 @@ TEST(CheckpointContainer, FailedResumeLeavesTheSimulationUntouched) {
     EXPECT_EQ(before.buffer(), after.buffer());
     EXPECT_EQ(victim->steps(), 100U);
     std::filesystem::remove(path);
-}
-
-TEST(CalibrationPersistence, InjectedTableBypassesProbeAndDisk) {
-    ScopedHybridOptions restore;
-    HybridOptions options;
-    options.injected = sample_table(99.0);
-    set_hybrid_options(options);
-    int probes = 0;
-    const CalibrationTable table = calibration_for("pll", 4096, [&probes] {
-        ++probes;
-        return sample_table(1.0);
-    });
-    EXPECT_EQ(probes, 0);
-    EXPECT_DOUBLE_EQ(table.costs[0].wide_ns, 99.0);
 }
 
 }  // namespace

@@ -27,10 +27,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <ostream>
 #include <string>
 
 #include "core/batch_pairing.hpp"
-#include "core/calibration.hpp"
 #include "core/engine.hpp"
 #include "core/fault.hpp"
 #include "core/observer.hpp"
@@ -44,44 +44,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
     return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// Restores the ambient hybrid options on scope exit (the options are
-/// process-global and every test in this binary shares one process).
-class ScopedHybridOptions {
-public:
-    ScopedHybridOptions() : saved_(hybrid_options()) {}
-    ~ScopedHybridOptions() { set_hybrid_options(saved_); }
-
-private:
-    HybridOptions saved_;
-};
-
-/// A hand-built calibration table injected into every hybrid cell: no probe
-/// runs (probes time wall-clock and would make hybrid decisions
-/// machine-dependent), fully deterministic decisions. Shaped so the wide
-/// phase favours batched-bulk and a null-dominated tail favours gillespie.
-CalibrationTable injected_table() {
-    CalibrationTable table;
-    const auto set = [&table](HybridMode m, double wide, double narrow) {
-        ModeCost& cost = table.costs[static_cast<std::size_t>(m)];
-        cost.wide_ns = wide;
-        cost.narrow_ns = narrow;
-        cost.wide_exponent = 0.0;
-        cost.narrow_exponent = 0.0;
-    };
-    set(HybridMode::agent, 40.0, 40.0);
-    set(HybridMode::batched_pairwise, 10.0, 30.0);
-    set(HybridMode::batched_bulk, 8.0, 25.0);
-    set(HybridMode::gillespie, 30.0, 2.0);
-    table.probe_population = 0;  // raw anchors: no population rescaling
-    return table;
-}
-
-void inject_hybrid_table() {
-    HybridOptions options;
-    options.injected = injected_table();
-    set_hybrid_options(options);
 }
 
 /// The full serialised run state — every PRNG position, the census, the
@@ -115,15 +77,20 @@ void expect_same_run_state(const Simulation& resumed, const Simulation& referenc
 
 // --- the protocol × engine × batch-mode grid --------------------------------
 
-// gtest prints a parameter that has no printer as its raw bytes, and that
-// text is part of each discovered test id, so the cell's 24-byte size is part
-// of every id in this grid.
 struct ResumeCell {
     const char* protocol;
     EngineKind engine;
     BatchMode batch_mode;
     StepCount pause;  // the step the checkpoint is taken at
 };
+
+/// Prints a cell as "pll/agent/auto@500". gtest appends this text to each
+/// discovered test id; without a printer it would append the struct's raw
+/// bytes, which start with the run-time address of the protocol name.
+void PrintTo(const ResumeCell& cell, std::ostream* os) {
+    *os << cell.protocol << "/" << to_string(cell.engine) << "/"
+        << to_string(cell.batch_mode) << "@" << cell.pause;
+}
 
 // All cells: n = 128, seed = 2019, pause at step 500, budget 50·n².
 constexpr ResumeCell resume_cells[] = {
@@ -139,14 +106,15 @@ constexpr ResumeCell resume_cells[] = {
     {"lottery", EngineKind::hybrid, BatchMode::automatic, 500},
     {"angluin06", EngineKind::agent, BatchMode::automatic, 500},
     {"angluin06", EngineKind::batched, BatchMode::bulk, 500},
+    // Continues through the hybrid engine's first evaluation (step 16384),
+    // where the rule hands the run from agent to gillespie.
+    {"angluin06", EngineKind::hybrid, BatchMode::automatic, 500},
 };
 
 class ResumeEquivalence : public ::testing::TestWithParam<ResumeCell> {};
 
 TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
     const ResumeCell& cell = GetParam();
-    ScopedHybridOptions guard;
-    if (cell.engine == EngineKind::hybrid) inject_hybrid_table();
 
     const std::size_t n = 128;
     const std::uint64_t seed = 2019;
@@ -174,12 +142,10 @@ TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
     std::filesystem::remove(path);
 }
 
-// The "_t1" suffix keeps the cell ids stable: the grid used to span a
-// per-run thread count, and every run is now sequential.
 std::string cell_name(const ::testing::TestParamInfo<ResumeCell>& info) {
     return std::string(info.param.protocol) + "_" +
            std::string(to_string(info.param.engine)) + "_" +
-           std::string(to_string(info.param.batch_mode)) + "_t1";
+           std::string(to_string(info.param.batch_mode));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_cells),
@@ -188,8 +154,6 @@ INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_ce
 // --- hybrid mid-switch checkpoints ------------------------------------------
 
 TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) {
-    ScopedHybridOptions guard;
-    inject_hybrid_table();
     const std::size_t n = 128;
     const std::uint64_t seed = 77;
     using Sim = detail::HybridSimulation<Pll>;
@@ -198,7 +162,7 @@ TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) 
     // (segment 1, a fresh stream split), run further, checkpoint.
     Sim reference(Pll::for_population(n), n, seed);
     (void)reference.run_for(300);
-    reference.engine().force_mode(HybridMode::gillespie);
+    reference.engine().force_mode(EngineKind::gillespie);
     ASSERT_EQ(reference.engine().switches(), 1U);
     (void)reference.run_for(200);
 
@@ -210,7 +174,7 @@ TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) 
     // post-switch segment stream, and continue bit-identically.
     Sim resumed(Pll::for_population(n), n, seed);
     resumed.restore_checkpoint_file(path);
-    EXPECT_EQ(resumed.engine().mode(), HybridMode::gillespie);
+    EXPECT_EQ(resumed.engine().mode(), EngineKind::gillespie);
     EXPECT_EQ(resumed.engine().switches(), 1U);
     EXPECT_EQ(resumed.steps(), 500U);
     expect_same_run_state(resumed, reference);
@@ -221,45 +185,12 @@ TEST(ResumeEquivalenceHybrid, MidSwitchCheckpointResumesOnTheSameSegmentStream) 
     std::filesystem::remove(path);
 }
 
-TEST(ResumeEquivalenceHybrid, CheckpointCarriesTheCalibrationTable) {
-    // A resumed hybrid run must decide from the *checkpointed* table — the
-    // one that drove every decision so far — not from whatever the resuming
-    // process would probe or inject.
-    ScopedHybridOptions guard;
-    inject_hybrid_table();
-    const std::size_t n = 128;
-    using Sim = detail::HybridSimulation<Pll>;
-    Sim original(Pll::for_population(n), n, /*seed=*/3);
-    (void)original.run_for(400);
-    const std::string path = temp_path("ppsim_resume_hybrid_table.ppck");
-    original.write_checkpoint(path);
-
-    // Resume under a *different* ambient table: the restored engine must
-    // carry the original's.
-    HybridOptions other;
-    CalibrationTable skewed = injected_table();
-    skewed.costs[0].wide_ns = 12345.0;
-    other.injected = skewed;
-    set_hybrid_options(other);
-    Sim resumed(Pll::for_population(n), n, /*seed=*/3);
-    resumed.restore_checkpoint_file(path);
-    const CalibrationTable& restored = resumed.engine().calibration_table();
-    const CalibrationTable expected = injected_table();
-    for (std::size_t m = 0; m < hybrid_mode_count; ++m) {
-        EXPECT_DOUBLE_EQ(restored.costs[m].wide_ns, expected.costs[m].wide_ns);
-        EXPECT_DOUBLE_EQ(restored.costs[m].narrow_ns, expected.costs[m].narrow_ns);
-    }
-    std::filesystem::remove(path);
-}
-
 // --- checkpoints under a fault plan -----------------------------------------
 
 TEST(ResumeEquivalenceFaults, MidPlanCheckpointResumesRemainingFaults) {
     // Checkpoint *inside* a silence window, after a crash was applied, with
     // a rejoin and a reset still pending: the resumed run must hold the
     // silence to its end and fire the remaining faults at identical steps.
-    ScopedHybridOptions guard;
-    inject_hybrid_table();
     const std::size_t n = 128;
     const std::uint64_t seed = 5;
     const auto budget = static_cast<StepCount>(n) * n * 50;

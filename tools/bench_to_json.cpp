@@ -8,10 +8,7 @@
 // dimension alongside protocol and n; the agent, gillespie and hybrid
 // engines contribute one row per (protocol, n). `--protocols` and
 // `--engines` filter the grid, so a single engine (or a single protocol ×
-// engine cell) can be re-measured without redoing the whole sweep. The
-// hybrid engine's calibration probes are warmed outside the timed region
-// (and cached across runs — see src/core/calibration.hpp), so its rows
-// measure steady-state throughput, not probe cost.
+// engine cell) can be re-measured without redoing the whole sweep.
 //
 //   bench_to_json                         # default grid, writes BENCH_engine.json
 //   bench_to_json --protocols pll --sizes 1048576 --json out.json
@@ -61,12 +58,6 @@ struct Measurement {
 Measurement measure(const std::string& protocol, EngineKind engine, BatchMode batch_mode,
                     std::size_t n, StepCount steps_per_run, double min_seconds) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    if (engine == EngineKind::hybrid) {
-        // Warm the calibration memo outside the timed region: the first
-        // hybrid construction per (protocol, probe bucket) may run probe
-        // elections, which are setup cost, not throughput.
-        (void)registry.make_simulation(protocol, n, 0xBEEF, engine, batch_mode);
-    }
     Measurement m;
     std::uint64_t seed = 0xBEEF;
     while (m.seconds < min_seconds) {

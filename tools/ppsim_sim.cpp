@@ -18,7 +18,6 @@
 #include "analysis/scenario.hpp"
 #include "analysis/statespace.hpp"
 #include "core/args.hpp"
-#include "core/calibration.hpp"
 #include "core/fault.hpp"
 #include "core/json.hpp"
 #include "core/observer.hpp"
@@ -36,14 +35,6 @@ ArgParser make_parser() {
     args.declare("batch-mode",
                  "batched-engine pairing strategy: " + batch_mode_list(),
                  std::string(to_string(BatchMode::automatic)));
-    args.declare("calibration-dir",
-                 "directory for the hybrid engine's per-machine calibration "
-                 "cache (default: $PPSIM_CALIBRATION_DIR, else "
-                 "$XDG_CACHE_HOME/ppsim, else ~/.cache/ppsim)",
-                 "");
-    args.declare("recalibrate",
-                 "ignore any cached hybrid calibration and re-probe (the fresh "
-                 "table overwrites the cache)");
     args.declare("n", "population size", "1024");
     args.declare("seed", "root PRNG seed", "2019");
     args.declare("reps", "seeded repetitions", "20");
@@ -189,15 +180,6 @@ bool write_trajectory(const std::string& protocol, std::size_t n, std::uint64_t 
 
 int run(const ArgParser& args) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
-
-    // Ambient hybrid-engine configuration: applied before any simulation is
-    // built so --engine hybrid (and scenarios that use it) see the flags.
-    {
-        HybridOptions options = hybrid_options();
-        options.cache_dir = args.get_string("calibration-dir", "");
-        options.recalibrate = args.get_bool("recalibrate", false);
-        set_hybrid_options(options);
-    }
 
     if (args.get_bool("list", false)) {
         TextTable table;
