@@ -56,7 +56,6 @@ SweepResult run_sweep(const SweepConfig& config) {
     SweepResult result;
     result.protocol = config.protocol;
     result.engine = config.engine;
-    result.batch_mode = config.batch_mode;
     for (const std::size_t n : config.sizes) {
         SweepPoint point;
         point.n = n;
@@ -73,8 +72,8 @@ SweepResult run_sweep(const SweepConfig& config) {
             [&](std::size_t rep) {
                 const std::uint64_t seed =
                     derive_seed(config.seed, (static_cast<std::uint64_t>(n) << 20U) + rep);
-                const auto sim = registry.make_simulation(config.protocol, n, seed,
-                                                          config.engine, config.batch_mode);
+                const auto sim =
+                    registry.make_simulation(config.protocol, n, seed, config.engine);
                 if (!config.checkpoint_dir.empty()) {
                     const StepCount every =
                         config.checkpoint_every > 0
@@ -191,11 +190,10 @@ std::vector<RunResult> run_repeated(const std::string& protocol, std::size_t n,
 TrajectoryRun record_trajectory(const std::string& protocol, std::size_t n,
                                 std::uint64_t seed, StepCount max_steps,
                                 StepCount stride, EngineKind engine,
-                                bool record_live_states, BatchMode batch_mode,
-                                const FaultPlan& fault_plan) {
+                                bool record_live_states, const FaultPlan& fault_plan) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     require(registry.contains(protocol), "unknown protocol: " + protocol);
-    const auto sim = registry.make_simulation(protocol, n, seed, engine, batch_mode);
+    const auto sim = registry.make_simulation(protocol, n, seed, engine);
     if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
     TrajectoryRecorder recorder(stride, record_live_states);
     sim->add_observer(recorder);

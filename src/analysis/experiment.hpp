@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "../core/batch_pairing.hpp"
 #include "../core/common.hpp"
 #include "../core/engine.hpp"
 #include "../core/fault.hpp"
@@ -45,10 +44,6 @@ struct SweepConfig {
     /// hybrid meta-engine (see README "Choosing an engine" for
     /// distribution and speed trade-offs).
     EngineKind engine = EngineKind::agent;
-    /// Batch-pairing strategy of the batched engine (core/batch_pairing.hpp):
-    /// auto (per-batch choice), pairwise shuffle, or bulk contingency-table
-    /// sampling. Ignored by the agent engine.
-    BatchMode batch_mode = BatchMode::automatic;
     /// Step budget per n; defaults to StepBudget::n_log_n.
     std::function<StepCount(std::size_t)> budget;
     /// Extra steps of output-stability verification after convergence
@@ -148,7 +143,6 @@ struct SweepPoint {
 struct SweepResult {
     std::string protocol;
     EngineKind engine = EngineKind::agent;  ///< back-end the sweep ran on
-    BatchMode batch_mode = BatchMode::automatic;  ///< pairing strategy used
     std::vector<SweepPoint> points;
 
     /// Least-squares fit of mean stabilisation time against log2(n).
@@ -181,7 +175,6 @@ struct TrajectoryRun {
                                               StepCount stride,
                                               EngineKind engine = EngineKind::agent,
                                               bool record_live_states = true,
-                                              BatchMode batch_mode = BatchMode::automatic,
                                               const FaultPlan& fault_plan = {});
 
 }  // namespace ppsim

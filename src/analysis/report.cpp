@@ -63,7 +63,6 @@ JsonValue sweep_to_json(const SweepResult& sweep) {
     JsonValue root = JsonValue::object();
     root.set("protocol", sweep.protocol);
     root.set("engine", to_string(sweep.engine));
-    root.set("batch_mode", to_string(sweep.batch_mode));
     JsonValue points = JsonValue::array();
     for (const SweepPoint& p : sweep.points) {
         JsonValue point = JsonValue::object();

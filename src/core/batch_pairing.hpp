@@ -1,5 +1,5 @@
 /// \file batch_pairing.hpp
-/// \brief The pluggable pairing layer of the batched engine: strategies that
+/// \brief The pluggable pairing layer of the count engines: strategies that
 /// turn a batch's initiator and responder state multisets into the multiset
 /// of ordered (initiator-state, responder-state) pairs.
 ///
@@ -29,19 +29,14 @@
 ///    *independent of the batch size*, which removes the Θ(L)-per-batch
 ///    term that bounds multi-state protocols under the shuffle strategy.
 ///
-/// `BatchMode` selects the strategy per engine: `pairwise` and `bulk` force
-/// one, `auto` chooses per batch from the sampled state-count profile
-/// (distinct-initiator × distinct-responder counts vs the batch length, the
-/// cost crossover validated by `bench_pairing`). The descriptor table below
-/// is the single source of truth for names, parsing and CLI help, exactly
-/// like `engine_table` in engine.hpp.
+/// Both engines pick the strategy per batch from the sampled state-count
+/// profile (`use_bulk_pairing`): bulk when distinct initiators × distinct
+/// responders does not exceed the batch length, pairwise otherwise. The
+/// choice changes cost only; both strategies sample the same bijection.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,59 +46,13 @@
 
 namespace ppsim {
 
-/// Pairing strategy of the batched engine's batch rounds.
+/// Pairing strategy selector. The engines always pass `automatic`; the
+/// forced values let tests and replays run one strategy on its own.
 enum class BatchMode : std::uint8_t {
     automatic = 0,  ///< per-batch choice from the sampled state-count profile
     pairwise = 1,   ///< always the expanded-multiset Fisher–Yates shuffle
     bulk = 2,       ///< always contingency-table sampling
 };
-
-/// One row of the batch-mode table: the mode, its CLI name, and a one-line
-/// summary for help text.
-struct BatchModeDescriptor {
-    BatchMode mode;
-    std::string_view name;
-    std::string_view summary;
-};
-
-/// The single source of truth for the batch-mode list. `to_string`,
-/// `parse_batch_mode` and every CLI help string derive from this table, so
-/// adding a strategy is a one-row change that cannot desync them.
-inline constexpr std::array<BatchModeDescriptor, 3> batch_mode_table{{
-    {BatchMode::automatic, "auto",
-     "choose per batch from the sampled state-count profile"},
-    {BatchMode::pairwise, "pairwise",
-     "expanded-multiset Fisher-Yates shuffle, Theta(1) per pair"},
-    {BatchMode::bulk, "bulk",
-     "contingency-table sampling, O(#state pairs) per batch"},
-}};
-
-/// CLI name of a batch mode.
-[[nodiscard]] constexpr std::string_view to_string(BatchMode mode) noexcept {
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        if (d.mode == mode) return d.name;
-    }
-    return "unknown";
-}
-
-/// The batch-mode names joined as "auto | pairwise | bulk", for usage strings.
-[[nodiscard]] inline std::string batch_mode_list(std::string_view separator = " | ") {
-    std::string out;
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        if (!out.empty()) out += separator;
-        out += d.name;
-    }
-    return out;
-}
-
-/// Parses a batch-mode name from the table; throws on anything else.
-[[nodiscard]] inline BatchMode parse_batch_mode(std::string_view name) {
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        if (d.name == name) return d.mode;
-    }
-    throw InvalidArgument("unknown batch mode: '" + std::string(name) + "' (expected " +
-                          batch_mode_list(" or ") + ")");
-}
 
 /// One contingency-table cell: an ordered state pair and its multiplicity.
 struct PairCount {
@@ -207,8 +156,8 @@ struct ContingencyTablePairing {
     /// handful of ns) instead of the per-column hypergeometric chain (tens
     /// of ns per column visited). Sequential without-replacement picks are
     /// exactly a simple random sample, so the cut-over is free of bias; the
-    /// constant is a measured crossover (bench_pairing), not a tuning knob
-    /// that affects distribution.
+    /// constant is a measured cost crossover, not a tuning knob that affects
+    /// distribution.
     static constexpr std::uint64_t categorical_row_cap = 8;
 
     template <typename Generator>
@@ -281,12 +230,12 @@ struct ContingencyTablePairing {
     }
 };
 
-/// The `auto` heuristic: bulk pairing when the worst-case number of visited
+/// The per-batch rule: bulk pairing when the worst-case number of visited
 /// cells (distinct initiators × distinct responders) does not exceed the
 /// batch length — below that the table costs fewer sampler calls than the
 /// shuffle costs PRNG draws *and* the downstream transition loop shrinks
-/// from Θ(fresh) applications to the cell count. Crossover validated by
-/// `bench_pairing`; forced modes bypass the profile entirely.
+/// from Θ(fresh) applications to the cell count. Forced modes bypass the
+/// profile entirely.
 [[nodiscard]] constexpr bool use_bulk_pairing(BatchMode mode, std::size_t distinct_initiators,
                                               std::size_t distinct_responders,
                                               std::uint64_t fresh) noexcept {
@@ -296,7 +245,7 @@ struct ContingencyTablePairing {
 }
 
 /// Dispatches one batch's pairing to the strategy selected by `mode` (and,
-/// under `auto`, by the sampled profile). Returns true when the bulk
+/// under `automatic`, by the sampled profile). Returns true when the bulk
 /// (contingency-table) strategy ran. The responder multiset is scratch:
 /// bulk reorders and consumes it (counts drop to zero), pairwise leaves it
 /// untouched — callers must not rely on its contents afterwards.

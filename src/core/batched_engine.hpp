@@ -22,8 +22,8 @@
 ///     them is a uniform random bijection. The bijection is delegated to
 ///     the pluggable pairing layer (batch_pairing.hpp): contingency-table
 ///     sampling (O(#state pairs) per batch) or a Fisher–Yates shuffle of
-///     the expanded responder multiset (Θ(L)), selected by `BatchMode` —
-///     forced, or chosen per batch from the sampled state-count profile.
+///     the expanded responder multiset (Θ(L)), chosen per batch from the
+///     sampled state-count profile.
 ///  3. Each distinct ordered state pair (q_u, q_v) is applied through a
 ///     memoised transition table (dense matrix for low ids, hash map
 ///     beyond) and its count delta scaled by the pair's multiplicity —
@@ -89,14 +89,12 @@ class BatchedEngine {
 public:
     using State = typename P::State;
 
-    BatchedEngine(P protocol, std::size_t n, std::uint64_t seed,
-                  BatchMode batch_mode = BatchMode::automatic)
+    BatchedEngine(P protocol, std::size_t n, std::uint64_t seed)
         : protocol_(std::move(protocol)),
           n_(n),
           rng_(seed),
           fault_rng_(derive_seed(seed, fault_stream_tag)),
-          run_sampler_(n),
-          batch_mode_(batch_mode) {
+          run_sampler_(n) {
         require(n >= 2, "population must contain at least two agents");
         // The collision-step case weights t(t−1) and t(n−t) are computed in
         // 64 bits; with t = Θ(√n) they stay far below 2^64 for any n ≤ 2^32,
@@ -121,8 +119,6 @@ public:
     }
     [[nodiscard]] std::size_t leader_count() const noexcept { return leader_count_; }
     [[nodiscard]] const P& protocol() const noexcept { return protocol_; }
-    /// The pairing strategy this engine was configured with.
-    [[nodiscard]] BatchMode batch_mode() const noexcept { return batch_mode_; }
     [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept {
         return first_single_leader_step_;
     }
@@ -275,10 +271,10 @@ public:
     }
 
     /// Restores a `save_state` payload into an engine built with the same
-    /// protocol and batch mode. The transition cache is dropped (a pure memo,
-    /// but its entries may reference states interned after the checkpoint was
-    /// taken); recomputation re-interns outputs in the exact order the
-    /// original run did, so replay stays bit-identical.
+    /// protocol. The transition cache is dropped (a pure memo, but its
+    /// entries may reference states interned after the checkpoint was taken);
+    /// recomputation re-interns outputs in the exact order the original run
+    /// did, so replay stays bit-identical.
     void restore_state(CheckpointReader& r) {
         n_ = r.u64();
         rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
@@ -380,13 +376,13 @@ private:
     /// Samples the `fresh` ordered state pairs of the collision-free run:
     /// initiator multiset, responder multiset, then a uniform random
     /// bijection between them via the pairing layer (batch_pairing.hpp) —
-    /// contingency-table sampling or the expanded-multiset shuffle, per the
-    /// engine's BatchMode (the `auto` heuristic decides per batch from the
-    /// sampled state-count profile).
+    /// contingency-table sampling or the expanded-multiset shuffle, chosen
+    /// per batch from the sampled state-count profile (`use_bulk_pairing`).
     void sample_fresh_pairs(std::uint64_t fresh) {
         sample_multiset(fresh, initiators_, /*compact=*/true);
         sample_multiset(fresh, responders_, /*compact=*/false);
-        sample_batch_pairing(batch_mode_, rng_, initiators_, responders_, fresh, pairs_);
+        sample_batch_pairing(BatchMode::automatic, rng_, initiators_, responders_, fresh,
+                             pairs_);
     }
 
     /// Applies every pair group of the batch through the transition cache;
@@ -546,7 +542,6 @@ private:
     InternedCountStore<P> store_;  ///< counts + live list + touched multiset
     std::uint64_t untouched_ = 0;
     TransitionCache cache_;
-    BatchMode batch_mode_ = BatchMode::automatic;
     StateMultiset initiators_;
     StateMultiset responders_;
     BatchPairs pairs_;
@@ -561,10 +556,10 @@ private:
 /// Convenience mirror of simulate_to_single_leader for the batched engine.
 template <typename P>
     requires InternableProtocol<P>
-[[nodiscard]] RunResult batched_simulate_to_single_leader(
-    P proto, std::size_t n, std::uint64_t seed, StepCount max_steps,
-    BatchMode batch_mode = BatchMode::automatic) {
-    BatchedEngine<P> engine(std::move(proto), n, seed, batch_mode);
+[[nodiscard]] RunResult batched_simulate_to_single_leader(P proto, std::size_t n,
+                                                         std::uint64_t seed,
+                                                         StepCount max_steps) {
+    BatchedEngine<P> engine(std::move(proto), n, seed);
     return engine.run_until_one_leader(max_steps);
 }
 

@@ -15,7 +15,7 @@ constexpr std::uint32_t schedule_magic = 0x50505343;    // "PPSC"
 constexpr std::uint32_t config_magic = 0x50504346;      // "PPCF"
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
 constexpr std::uint32_t format_version = 1;
-constexpr std::uint32_t checkpoint_format_version = 4;
+constexpr std::uint32_t checkpoint_format_version = 5;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -199,7 +199,6 @@ void save_checkpoint(const std::string& path, const CheckpointHeader& header,
         write_string(out, cpu_signature());
         write_string(out, header.protocol);
         write_string(out, header.engine);
-        write_string(out, header.batch_mode);
         write_u64(out, header.population);
         write_u64(out, header.seed);
         write_u64(out, header.step);
@@ -230,7 +229,6 @@ CheckpointHeader load_checkpoint(const std::string& path, std::string& payload) 
     CheckpointHeader header;
     header.protocol = read_string(in);
     header.engine = read_string(in);
-    header.batch_mode = read_string(in);
     header.population = read_u64(in);
     header.seed = read_u64(in);
     header.step = read_u64(in);

@@ -75,13 +75,11 @@ void save_configuration(const std::string& path, const ConfigurationDump& dump);
 
 /// Identity of a checkpointed run: everything `--resume` needs to rebuild
 /// the simulation through the registry before handing the payload to
-/// `Simulation::restore_checkpoint`. Engine and batch mode are stored as
-/// their table names (engine.hpp / batch_pairing.hpp) so this header stays
-/// independent of the enum layouts.
+/// `Simulation::restore_checkpoint`. The engine is stored as its table name
+/// (engine.hpp) so this header stays independent of the enum layout.
 struct CheckpointHeader {
     std::string protocol;          ///< registry name
     std::string engine;            ///< engine_table name ("agent", "hybrid", ...)
-    std::string batch_mode;        ///< batch_mode_table name ("auto", ...)
     std::uint64_t population = 0;  ///< n the simulation was constructed with
     std::uint64_t seed = 0;        ///< root seed
     std::uint64_t step = 0;        ///< step the checkpoint was taken at (informational)

@@ -137,12 +137,6 @@ public:
     [[nodiscard]] virtual std::optional<StepCount> stabilization_step() const noexcept = 0;
     /// Which back-end this simulation runs on.
     [[nodiscard]] virtual EngineKind engine_kind() const noexcept = 0;
-    /// The batch-pairing strategy this simulation was configured with.
-    /// Meaningful on the batched engine; the agent engine has no batches and
-    /// reports the `auto` default.
-    [[nodiscard]] virtual BatchMode batch_mode() const noexcept {
-        return BatchMode::automatic;
-    }
     /// Display name of the protocol being simulated.
     [[nodiscard]] virtual std::string protocol_name() const = 0;
     /// Number of distinct states with at least one agent. O(#states) on the
@@ -265,7 +259,7 @@ public:
     // --- checkpointing ----------------------------------------------------
 
     /// Serialises the complete run state into `w`: a run-identity preamble
-    /// (protocol / engine / batch-mode names, so restoring into a mismatched
+    /// (protocol and engine names, so restoring into a mismatched
     /// simulation fails loudly instead of reading garbage), the engine
     /// (configuration, every PRNG stream position, counters), the fault-plan
     /// progress and the state of every attached observer. Legal between run
@@ -273,7 +267,6 @@ public:
     void save_checkpoint(CheckpointWriter& w) const {
         w.str(protocol_name());
         w.str(to_string(engine_kind()));
-        w.str(to_string(batch_mode()));
         save_engine_state(w);
         w.u64(fault_n0_);
         w.u64(silence_until_);
@@ -296,10 +289,10 @@ public:
     }
 
     /// Restores a `save_checkpoint` payload into a simulation constructed
-    /// with the same protocol, engine, batch mode and seed,
-    /// with the same observers attached in the same order. Deliberately
-    /// bypasses `set_fault_plan`'s pre-run precondition: a resumed plan
-    /// continues mid-flight, cursor and silence window included.
+    /// with the same protocol, engine and seed, with the same observers
+    /// attached in the same order. Deliberately bypasses `set_fault_plan`'s
+    /// pre-run precondition: a resumed plan continues mid-flight, cursor and
+    /// silence window included.
     void restore_checkpoint(CheckpointReader& r) {
         const std::string proto = r.str();
         require(proto == protocol_name(), "checkpoint was taken on protocol '" +
@@ -308,10 +301,6 @@ public:
         require(engine == to_string(engine_kind()),
                 "checkpoint was taken on the " + engine + " engine, not " +
                     std::string(to_string(engine_kind())));
-        const std::string batch = r.str();
-        require(batch == to_string(batch_mode()),
-                "checkpoint was taken with batch mode " + batch + ", not " +
-                    std::string(to_string(batch_mode())));
         restore_engine_state(r);
         fault_n0_ = r.u64();
         silence_until_ = r.u64();
@@ -353,7 +342,6 @@ public:
         CheckpointHeader header;
         header.protocol = protocol_name();
         header.engine = std::string(to_string(engine_kind()));
-        header.batch_mode = std::string(to_string(batch_mode()));
         header.population = population_size();
         header.seed = run_seed_;
         header.step = steps();
@@ -611,17 +599,13 @@ private:
 /// Simulation adapter over a count-based engine (BatchedEngine<P> /
 /// GillespieEngine<P>): the forwarding surface plus the visit_counts-based
 /// snapshot assembly, shared so a change to the adapter surface lands once
-/// for every count engine. `batch_mode()` is reported when the engine has
-/// one (the batched engine's pairing strategy); engines without the notion
-/// keep the base default.
+/// for every count engine.
 template <typename P, typename EngineT, EngineKind kind_v>
     requires InternableProtocol<P>
 class CountSimulation final : public Simulation {
 public:
-    template <typename... EngineArgs>
-    explicit CountSimulation(P proto, std::size_t n, std::uint64_t seed,
-                             EngineArgs&&... engine_args)
-        : engine_(std::move(proto), n, seed, std::forward<EngineArgs>(engine_args)...) {}
+    CountSimulation(P proto, std::size_t n, std::uint64_t seed)
+        : engine_(std::move(proto), n, seed) {}
 
     [[nodiscard]] std::size_t population_size() const noexcept override {
         return engine_.population_size();
@@ -634,13 +618,6 @@ public:
         return engine_.stabilization_step();
     }
     [[nodiscard]] EngineKind engine_kind() const noexcept override { return kind_v; }
-    [[nodiscard]] BatchMode batch_mode() const noexcept override {
-        if constexpr (requires { engine_.batch_mode(); }) {
-            return engine_.batch_mode();
-        } else {
-            return Simulation::batch_mode();
-        }
-    }
     [[nodiscard]] std::string protocol_name() const override {
         return std::string(engine_.protocol().name());
     }
@@ -705,13 +682,10 @@ using HybridSimulation = CountSimulation<P, HybridEngine<P>, EngineKind::hybrid>
 /// instance) on the selected back-end. The single place the
 /// agent/batched/gillespie choice is made for every type-erased consumer;
 /// adding an engine means adding a row to `engine_table` and a case here.
-/// `batch_mode` selects the batched engine's pairing strategy
-/// (batch_pairing.hpp) and is ignored by the other engines (the gillespie
-/// engine's τ-leap path always chooses its pairing per leap).
 template <typename Factory>
-[[nodiscard]] std::unique_ptr<Simulation> make_simulation(
-    const Factory& factory, std::size_t n, std::uint64_t seed, EngineKind kind,
-    BatchMode batch_mode = BatchMode::automatic) {
+[[nodiscard]] std::unique_ptr<Simulation> make_simulation(const Factory& factory,
+                                                          std::size_t n, std::uint64_t seed,
+                                                          EngineKind kind) {
     using P = std::decay_t<decltype(factory(std::size_t{2}))>;
     static_assert(Protocol<P>, "factory must produce a Protocol");
     // Record the run identity on whatever we hand out, so checkpoint headers
@@ -723,7 +697,7 @@ template <typename Factory>
     if (kind == EngineKind::batched) {
         if constexpr (InternableProtocol<P>) {
             return with_identity(std::make_unique<detail::BatchedSimulation<P>>(
-                factory(n), n, seed, batch_mode));
+                factory(n), n, seed));
         } else {
             throw InvalidArgument(
                 "protocol has no injective state key: batched engine unavailable");

@@ -80,10 +80,10 @@ const ProtocolInfo& ProtocolRegistry::info(const std::string& name) const {
     return entry(name).info;
 }
 
-std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
-    const std::string& name, std::size_t n, std::uint64_t seed, EngineKind engine,
-    BatchMode batch_mode) const {
-    return entry(name).simulate(n, seed, engine, batch_mode);
+std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(const std::string& name,
+                                                              std::size_t n, std::uint64_t seed,
+                                                              EngineKind engine) const {
+    return entry(name).simulate(n, seed, engine);
 }
 
 std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
@@ -91,9 +91,7 @@ std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
     // A crash fault can checkpoint a single survivor; engine constructors
     // demand two agents, and restore overwrites the population anyway.
     const auto n = static_cast<std::size_t>(std::max<std::uint64_t>(header.population, 2));
-    return make_simulation(header.protocol, n, header.seed,
-                           parse_engine_kind(header.engine),
-                           parse_batch_mode(header.batch_mode));
+    return make_simulation(header.protocol, n, header.seed, parse_engine_kind(header.engine));
 }
 
 std::unique_ptr<Simulation> ProtocolRegistry::resume_simulation(
@@ -109,9 +107,8 @@ std::unique_ptr<Simulation> ProtocolRegistry::resume_simulation(
 
 RunResult ProtocolRegistry::run_election(const std::string& name, std::size_t n,
                                          std::uint64_t seed, StepCount max_steps,
-                                         EngineKind engine, BatchMode batch_mode,
-                                         const FaultPlan& faults) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
+                                         EngineKind engine, const FaultPlan& faults) const {
+    const auto sim = make_simulation(name, n, seed, engine);
     if (!faults.empty()) sim->set_fault_plan(faults);
     return run_to_single_leader(*sim, max_steps);
 }
@@ -119,16 +116,15 @@ RunResult ProtocolRegistry::run_election(const std::string& name, std::size_t n,
 RunResult ProtocolRegistry::run_election_verified(const std::string& name, std::size_t n,
                                                   std::uint64_t seed, StepCount max_steps,
                                                   StepCount verify_steps,
-                                                  EngineKind engine,
-                                                  BatchMode batch_mode) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
+                                                  EngineKind engine) const {
+    const auto sim = make_simulation(name, n, seed, engine);
     return run_to_single_leader(*sim, max_steps, verify_steps);
 }
 
 RunResult ProtocolRegistry::run_for(const std::string& name, std::size_t n,
                                     std::uint64_t seed, StepCount steps,
-                                    EngineKind engine, BatchMode batch_mode) const {
-    const auto sim = make_simulation(name, n, seed, engine, batch_mode);
+                                    EngineKind engine) const {
+    const auto sim = make_simulation(name, n, seed, engine);
     return sim->run_for(steps);
 }
 

@@ -45,20 +45,17 @@ public:
     /// with the given seed and back-end — the single factory every
     /// type-erased consumer (sweeps, CLI, benches) goes through. Attach
     /// observers (core/observer.hpp) before running to record trajectories.
-    /// `batch_mode` selects the batched engine's pairing strategy
-    /// (core/batch_pairing.hpp); the agent engine ignores it.
     /// `EngineKind::hybrid` builds the adaptive meta-engine
     /// (core/hybrid_engine.hpp).
     [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
         const std::string& name, std::size_t n, std::uint64_t seed,
-        EngineKind engine = EngineKind::agent,
-        BatchMode batch_mode = BatchMode::automatic) const;
+        EngineKind engine = EngineKind::agent) const;
 
     /// Rebuilds the simulation a checkpoint header describes: protocol by
-    /// registry name, engine and batch mode by their table names, seed from
-    /// the header. The construction half of `--resume` — attach the run's
-    /// observers, then call `restore_checkpoint_file` on the result. Throws
-    /// on protocols, engines or batch modes this registry does not know.
+    /// registry name, engine by its table name, seed from the header. The
+    /// construction half of `--resume` — attach the run's observers, then
+    /// call `restore_checkpoint_file` on the result. Throws on protocols or
+    /// engines this registry does not know.
     [[nodiscard]] std::unique_ptr<Simulation> make_simulation(
         const CheckpointHeader& header) const;
 
@@ -79,7 +76,6 @@ public:
     [[nodiscard]] RunResult run_election(const std::string& name, std::size_t n,
                                          std::uint64_t seed, StepCount max_steps,
                                          EngineKind engine = EngineKind::agent,
-                                         BatchMode batch_mode = BatchMode::automatic,
                                          const FaultPlan& faults = {}) const;
 
     /// As run_election, but additionally verifies output stability over
@@ -87,16 +83,14 @@ public:
     /// output changed after the detected stabilisation point.
     [[nodiscard]] RunResult run_election_verified(
         const std::string& name, std::size_t n, std::uint64_t seed, StepCount max_steps,
-        StepCount verify_steps, EngineKind engine = EngineKind::agent,
-        BatchMode batch_mode = BatchMode::automatic) const;
+        StepCount verify_steps, EngineKind engine = EngineKind::agent) const;
 
     /// Runs exactly `steps` interactions regardless of convergence — the
     /// fixed-work entry point for throughput benchmarking (both engines
     /// clamp their final batch/step to the budget).
     [[nodiscard]] RunResult run_for(const std::string& name, std::size_t n,
                                     std::uint64_t seed, StepCount steps,
-                                    EngineKind engine = EngineKind::agent,
-                                    BatchMode batch_mode = BatchMode::automatic) const;
+                                    EngineKind engine = EngineKind::agent) const;
 
     /// Type-erased instance for population size n (state-space counting).
     [[nodiscard]] std::unique_ptr<AnyProtocol> make(const std::string& name,
@@ -110,9 +104,8 @@ public:
         static_assert(Protocol<P>, "factory must produce a Protocol");
         Entry entry;
         entry.info = std::move(info);
-        entry.simulate = [factory](std::size_t n, std::uint64_t seed, EngineKind kind,
-                                   BatchMode batch_mode) {
-            return ppsim::make_simulation(factory, n, seed, kind, batch_mode);
+        entry.simulate = [factory](std::size_t n, std::uint64_t seed, EngineKind kind) {
+            return ppsim::make_simulation(factory, n, seed, kind);
         };
         entry.make = [factory](std::size_t n) { return erase_protocol(factory(n)); };
         entries_.push_back(std::move(entry));
@@ -123,12 +116,10 @@ public:
 private:
     struct Entry {
         ProtocolInfo info;
-        /// (n, seed, engine, batch mode) → ready-to-run Simulation. All
-        /// election and fixed-work runs are built on this one factory; the
-        /// run/verify logic itself lives in core/simulation.hpp
-        /// (run_to_single_leader).
-        std::function<std::unique_ptr<Simulation>(std::size_t, std::uint64_t, EngineKind,
-                                                  BatchMode)>
+        /// (n, seed, engine) → ready-to-run Simulation. All election and
+        /// fixed-work runs are built on this one factory; the run/verify
+        /// logic itself lives in core/simulation.hpp (run_to_single_leader).
+        std::function<std::unique_ptr<Simulation>(std::size_t, std::uint64_t, EngineKind)>
             simulate;
         std::function<std::unique_ptr<AnyProtocol>(std::size_t)> make;
     };

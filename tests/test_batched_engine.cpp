@@ -8,9 +8,13 @@
 //  * the distribution of stabilisation times agrees with the agent-based
 //    Engine (mean/variance tolerance at small n — the two engines sample
 //    the same process through entirely different code paths);
+//  * both pairing strategies sample the exact contingency-table
+//    distribution, and the per-batch rule picks between them at its
+//    boundary;
 //  * the registry runs elections on either engine by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -175,15 +179,13 @@ TEST(BatchedEngine, VerifyDetectsOngoingChanges) {
 }
 
 // The acceptance test of the batched engine: stabilisation parallel-time
-// distribution agrees with the agent-based engine, under each pairing
-// strategy. Both means and variances must match within a generous multiple
-// of the standard error — the engines share no simulation code beyond the
-// protocol itself, so agreement here pins the whole batching pipeline (run
-// lengths, hypergeometric chains, pairing, collision handling, crossing
-// detection) per BatchMode.
+// distribution agrees with the agent-based engine. Both means and variances
+// must match within a generous multiple of the standard error — the engines
+// share no simulation code beyond the protocol itself, so agreement here
+// pins the whole batching pipeline (run lengths, hypergeometric chains,
+// pairing, collision handling, crossing detection).
 template <typename P>
-void expect_distribution_agreement(P proto, std::size_t n, int reps, StepCount budget,
-                                   BatchMode batch_mode = BatchMode::automatic) {
+void expect_distribution_agreement(P proto, std::size_t n, int reps, StepCount budget) {
     RunningStats agent_stats;
     RunningStats batched_stats;
     for (int i = 0; i < reps; ++i) {
@@ -192,9 +194,7 @@ void expect_distribution_agreement(P proto, std::size_t n, int reps, StepCount b
         ASSERT_TRUE(ra.converged && ra.stabilization_step);
         agent_stats.add(ra.stabilization_parallel_time(n));
 
-        BatchedEngine<P> batched(proto, n,
-                                 derive_seed(2000, static_cast<std::uint64_t>(i)),
-                                 batch_mode);
+        BatchedEngine<P> batched(proto, n, derive_seed(2000, static_cast<std::uint64_t>(i)));
         const RunResult rb = batched.run_until_one_leader(budget);
         ASSERT_TRUE(rb.converged && rb.stabilization_step);
         batched_stats.add(rb.stabilization_parallel_time(n));
@@ -202,13 +202,13 @@ void expect_distribution_agreement(P proto, std::size_t n, int reps, StepCount b
     const double se = std::sqrt(agent_stats.variance() / reps +
                                 batched_stats.variance() / reps);
     EXPECT_NEAR(agent_stats.mean(), batched_stats.mean(), 5.0 * se)
-        << "agent mean " << agent_stats.mean() << " vs batched ("
-        << to_string(batch_mode) << ") mean " << batched_stats.mean();
+        << "agent mean " << agent_stats.mean() << " vs batched mean "
+        << batched_stats.mean();
     // Variances agree loosely (ratio test; stabilisation times are skewed).
     const double var_ratio = (agent_stats.variance() + 1e-9) /
                              (batched_stats.variance() + 1e-9);
-    EXPECT_GT(var_ratio, 0.5) << to_string(batch_mode);
-    EXPECT_LT(var_ratio, 2.0) << to_string(batch_mode);
+    EXPECT_GT(var_ratio, 0.5);
+    EXPECT_LT(var_ratio, 2.0);
 }
 
 TEST(BatchedEngineAgreement, AngluinStabilizationTimes) {
@@ -224,81 +224,17 @@ TEST(BatchedEngineAgreement, PllStabilizationTimes) {
     expect_distribution_agreement(Pll::for_population(64), 64, 200, 10'000'000);
 }
 
-// Forced pairing strategies agree with the agent engine too — the pairwise
-// and bulk samplers draw the same uniform bijection through entirely
-// different code paths (Fisher–Yates vs contingency-table chains).
-TEST(BatchedEngineAgreement, AngluinForcedModesStabilizationTimes) {
-    expect_distribution_agreement(Angluin{}, 64, 300, 10'000'000, BatchMode::pairwise);
-    expect_distribution_agreement(Angluin{}, 64, 300, 10'000'000, BatchMode::bulk);
-}
+// The engines' only pairing behaviour is the per-batch rule: bulk exactly
+// when distinct initiators × distinct responders fits in the batch length.
+static_assert(use_bulk_pairing(BatchMode::automatic, 4, 6, 24));
+static_assert(!use_bulk_pairing(BatchMode::automatic, 5, 5, 24));
+// Forced modes bypass the rule, so the strategy tests below reach both
+// strategies even on tables the rule would send to bulk.
+static_assert(use_bulk_pairing(BatchMode::bulk, 5, 5, 24));
+static_assert(!use_bulk_pairing(BatchMode::pairwise, 4, 6, 24));
 
-TEST(BatchedEngineAgreement, LotteryForcedModesStabilizationTimes) {
-    expect_distribution_agreement(Lottery::for_population(128), 128, 250, 10'000'000,
-                                  BatchMode::pairwise);
-    expect_distribution_agreement(Lottery::for_population(128), 128, 250, 10'000'000,
-                                  BatchMode::bulk);
-}
-
-TEST(BatchedEngineAgreement, PllForcedModesStabilizationTimes) {
-    expect_distribution_agreement(Pll::for_population(64), 64, 150, 10'000'000,
-                                  BatchMode::pairwise);
-    expect_distribution_agreement(Pll::for_population(64), 64, 150, 10'000'000,
-                                  BatchMode::bulk);
-}
-
-TEST(BatchedEngineModes, SeededRunsAreDeterministicPerMode) {
-    const std::size_t n = 256;
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        BatchedEngine<Pll> a(Pll::for_population(n), n, 77, d.mode);
-        BatchedEngine<Pll> b(Pll::for_population(n), n, 77, d.mode);
-        EXPECT_EQ(a.batch_mode(), d.mode);
-        const RunResult ra = a.run_until_one_leader(1'000'000);
-        const RunResult rb = b.run_until_one_leader(1'000'000);
-        EXPECT_EQ(ra.steps, rb.steps) << d.name;
-        EXPECT_EQ(ra.stabilization_step, rb.stabilization_step) << d.name;
-        EXPECT_EQ(a.live_state_count(), b.live_state_count()) << d.name;
-    }
-}
-
-TEST(BatchedEngineModes, BulkPairingConservesCountsAndLeaderTally) {
-    // Forced contingency-table pairing on a multi-state protocol: counts
-    // and the incremental leader tally must survive heavy batching.
-    const std::size_t n = 2048;
-    BatchedEngine<Lottery> engine(Lottery::for_population(n), n, 42, BatchMode::bulk);
-    for (int chunk = 0; chunk < 40; ++chunk) {
-        (void)engine.run_for(500);
-        ASSERT_EQ(engine.total_count(), n) << "count conservation violated";
-        const std::size_t incremental = engine.leader_count();
-        ASSERT_EQ(engine.recount_leaders(), incremental)
-            << "incremental leader tally diverged from recount";
-    }
-}
-
-TEST(BatchedEngineModes, EveryModeElectsOneLeaderForAllRegisteredProtocols) {
-    const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    for (const std::string& name : registry.names()) {
-        for (const BatchModeDescriptor& d : batch_mode_table) {
-            const RunResult r = registry.run_election(name, 64, 3, 50'000'000,
-                                                      EngineKind::batched, d.mode);
-            EXPECT_TRUE(r.converged) << name << "/" << d.name;
-            EXPECT_EQ(r.leader_count, 1U) << name << "/" << d.name;
-            ASSERT_TRUE(r.stabilization_step.has_value()) << name << "/" << d.name;
-            EXPECT_LE(*r.stabilization_step, r.steps) << name << "/" << d.name;
-        }
-    }
-}
-
-TEST(BatchModeParsing, RoundTripsAndRejects) {
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        EXPECT_EQ(to_string(d.mode), d.name);
-        EXPECT_EQ(parse_batch_mode(d.name), d.mode);
-        EXPECT_NE(batch_mode_list().find(d.name), std::string::npos);
-        EXPECT_FALSE(d.summary.empty());
-    }
-    EXPECT_EQ(parse_batch_mode("auto"), BatchMode::automatic);
-    EXPECT_EQ(parse_batch_mode("pairwise"), BatchMode::pairwise);
-    EXPECT_EQ(parse_batch_mode("bulk"), BatchMode::bulk);
-    EXPECT_THROW((void)parse_batch_mode("warp-drive"), InvalidArgument);
+const char* strategy_name(BatchMode mode) {
+    return mode == BatchMode::bulk ? "bulk" : "pairwise";
 }
 
 TEST(BatchPairingStrategies, BothProduceExactBijectionsOfTheMultisets) {
@@ -314,7 +250,7 @@ TEST(BatchPairingStrategies, BothProduceExactBijectionsOfTheMultisets) {
             StateMultiset responders = responders_template;
             BatchPairs pairs;
             sample_batch_pairing(mode, rng, initiators, responders, fresh, pairs);
-            EXPECT_EQ(pairs.pair_total(), fresh) << to_string(mode);
+            EXPECT_EQ(pairs.pair_total(), fresh) << strategy_name(mode);
             std::map<StateId, std::uint64_t> a_hist;
             std::map<StateId, std::uint64_t> b_hist;
             pairs.for_each([&](StateId a, StateId b, std::uint64_t mult) {
@@ -322,46 +258,68 @@ TEST(BatchPairingStrategies, BothProduceExactBijectionsOfTheMultisets) {
                 b_hist[b] += mult;
             });
             for (const auto& [state, count] : initiators) {
-                EXPECT_EQ(a_hist[state], count) << to_string(mode);
+                EXPECT_EQ(a_hist[state], count) << strategy_name(mode);
             }
             for (const auto& [state, count] : responders_template) {
-                EXPECT_EQ(b_hist[state], count) << to_string(mode);
+                EXPECT_EQ(b_hist[state], count) << strategy_name(mode);
             }
         }
     }
 }
 
 TEST(BatchPairingStrategies, ContingencyCellsMatchShuffleCellsInDistribution) {
-    // The two strategies sample the same uniform bijection: the expected
-    // count of any (a, b) cell is |a|·|b| / fresh. Check each cell's mean
-    // over many repetitions within 5σ for both strategies.
-    const StateMultiset initiators = {{0, 6}, {1, 10}};
-    const StateMultiset responders_template = {{2, 8}, {3, 8}};
-    const std::uint64_t fresh = 16;
-    const int reps = 60000;
+    // Under a uniform bijection, cell (a, b) counts the members of a's
+    // block among the |b| responders of state b: Hypergeometric(fresh,
+    // |b|, |a|). Both strategies must match that pmf bin by bin within 5σ.
+    // The rows straddle ContingencyTablePairing::categorical_row_cap, so
+    // the bulk strategy runs both its categorical path and its
+    // hypergeometric chain.
+    const StateMultiset initiators = {{0, 4}, {1, 12}, {2, 8}};
+    const StateMultiset responders_template = {{3, 10}, {4, 9}, {5, 5}};
+    const std::uint64_t fresh = 24;
+    static_assert(ContingencyTablePairing::categorical_row_cap >= 4 &&
+                  ContingencyTablePairing::categorical_row_cap < 12);
+    const int reps = 100000;
     for (const BatchMode mode : {BatchMode::pairwise, BatchMode::bulk}) {
         Rng rng(1234);  // same stream for both strategies
-        std::map<std::pair<StateId, StateId>, double> sums;
+        // freq[{a, b}][x]: repetitions in which cell (a, b) held x pairs.
+        std::map<std::pair<StateId, StateId>, std::map<std::uint64_t, int>> freq;
         BatchPairs pairs;
         for (int rep = 0; rep < reps; ++rep) {
             StateMultiset responders = responders_template;
             sample_batch_pairing(mode, rng, initiators, responders, fresh, pairs);
+            std::map<std::pair<StateId, StateId>, std::uint64_t> cells;
             pairs.for_each([&](StateId a, StateId b, std::uint64_t mult) {
-                sums[{a, b}] += static_cast<double>(mult);
+                cells[{a, b}] += mult;
             });
+            for (const auto& [state_a, count_a] : initiators) {
+                for (const auto& [state_b, count_b] : responders_template) {
+                    ++freq[{state_a, state_b}][cells[{state_a, state_b}]];
+                }
+            }
         }
         for (const auto& [state_a, count_a] : initiators) {
             for (const auto& [state_b, count_b] : responders_template) {
-                const double expected = static_cast<double>(count_a) *
-                                        static_cast<double>(count_b) /
-                                        static_cast<double>(fresh);
-                const double mean = sums[{state_a, state_b}] / reps;
-                // Cell counts are hypergeometric-like with sd < sqrt(mean);
-                // 5σ of the empirical mean over `reps` repetitions.
-                const double tolerance =
-                    5.0 * std::sqrt(expected) / std::sqrt(static_cast<double>(reps));
-                EXPECT_NEAR(mean, expected, tolerance)
-                    << to_string(mode) << " cell (" << state_a << "," << state_b << ")";
+                const auto& bins = freq[{state_a, state_b}];
+                int in_support = 0;
+                for (std::uint64_t x = 0; x <= std::min(count_a, count_b); ++x) {
+                    const double exact =
+                        x + fresh < count_a + count_b
+                            ? 0.0
+                            : std::exp(detail::log_choose(count_b, x) +
+                                       detail::log_choose(fresh - count_b, count_a - x) -
+                                       detail::log_choose(fresh, count_a));
+                    const auto bin = bins.find(x);
+                    const int hits = bin == bins.end() ? 0 : bin->second;
+                    in_support += hits;
+                    const double empirical = static_cast<double>(hits) / reps;
+                    const double sigma = std::sqrt(exact * (1.0 - exact) / reps);
+                    EXPECT_NEAR(empirical, exact, 5.0 * sigma + 1e-4)
+                        << strategy_name(mode) << " cell (" << state_a << "," << state_b
+                        << ") x = " << x;
+                }
+                EXPECT_EQ(in_support, reps) << strategy_name(mode) << " cell (" << state_a
+                                            << "," << state_b << ") left its support";
             }
         }
     }

@@ -111,12 +111,12 @@ TEST(AgentCensus, MatchesAPerAgentKeyedHistogramForEveryProtocol) {
         (void)sim->run_for(8 * n);
 
         // The raw agent states, read back from the checkpoint payload: the
-        // protocol/engine/batch-mode names, then the agent engine's u64
-        // population size and raw states.
+        // protocol and engine names, then the agent engine's u64 population
+        // size and raw states.
         CheckpointWriter w;
         sim->save_checkpoint(w);
         CheckpointReader r(w.buffer());
-        for (int i = 0; i < 3; ++i) (void)r.str();
+        for (int i = 0; i < 2; ++i) (void)r.str();
         ASSERT_EQ(r.u64(), n) << name;
         const auto proto = registry.make(name, n);
         const std::size_t width = proto->state_size();

@@ -162,7 +162,6 @@ TEST(GillespieSimulation, ReportsItsKindAndSnapshotAgreesWithEngineCounts) {
     const std::size_t n = 1024;
     const auto sim = registry.make_simulation("pll", n, 7, EngineKind::gillespie);
     EXPECT_EQ(sim->engine_kind(), EngineKind::gillespie);
-    EXPECT_EQ(sim->batch_mode(), BatchMode::automatic);
     (void)sim->run_for(static_cast<StepCount>(n) * 2);
     const ConfigurationSnapshot snapshot = sim->state_counts();
     EXPECT_EQ(snapshot.total(), n);

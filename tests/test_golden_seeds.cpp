@@ -1,5 +1,5 @@
 // Golden-seed regression tests: exact stabilisation step counts pinned for
-// one fixed seed per (protocol × engine × batch-mode) cell at a small n.
+// one fixed seed per (protocol × engine) cell at a small n.
 //
 // Each engine's seeded replay semantics — which PRNG draws happen in which
 // order — is part of its reproducibility contract: BENCH_engine.json rows,
@@ -29,7 +29,6 @@
 #include <ostream>
 #include <string>
 
-#include "core/batch_pairing.hpp"
 #include "core/engine.hpp"
 #include "protocols/registry.hpp"
 
@@ -39,48 +38,40 @@ namespace {
 struct GoldenRun {
     const char* protocol;
     EngineKind engine;
-    BatchMode batch_mode;
     std::uint64_t stabilization_step;
 };
 
-/// Prints a cell as "pll/agent/auto". gtest appends this text to each
+/// Prints a cell as "pll/agent". gtest appends this text to each
 /// discovered test id; without a printer it would append the struct's raw
 /// bytes, which start with the run-time address of the protocol name.
 void PrintTo(const GoldenRun& run, std::ostream* os) {
-    *os << run.protocol << "/" << to_string(run.engine) << "/"
-        << to_string(run.batch_mode);
+    *os << run.protocol << "/" << to_string(run.engine);
 }
 
 // All cells: n = 128, seed = 2019, budget = 50·n² (every run converges).
 constexpr GoldenRun golden_runs[] = {
-    {"angluin06", EngineKind::agent, BatchMode::automatic, 22269ULL},
-    {"angluin06", EngineKind::batched, BatchMode::automatic, 54877ULL},
-    {"angluin06", EngineKind::batched, BatchMode::pairwise, 12299ULL},
-    {"angluin06", EngineKind::batched, BatchMode::bulk, 51111ULL},
-    {"angluin06", EngineKind::gillespie, BatchMode::automatic, 15103ULL},
-    {"lottery", EngineKind::agent, BatchMode::automatic, 1138ULL},
-    {"lottery", EngineKind::batched, BatchMode::automatic, 1234ULL},
-    {"lottery", EngineKind::batched, BatchMode::pairwise, 1388ULL},
-    {"lottery", EngineKind::batched, BatchMode::bulk, 1174ULL},
-    {"lottery", EngineKind::gillespie, BatchMode::automatic, 830ULL},
-    {"pll", EngineKind::agent, BatchMode::automatic, 770ULL},
-    {"pll", EngineKind::batched, BatchMode::automatic, 15654ULL},
-    {"pll", EngineKind::batched, BatchMode::pairwise, 797ULL},
-    {"pll", EngineKind::batched, BatchMode::bulk, 1250ULL},
-    {"pll", EngineKind::gillespie, BatchMode::automatic, 16354ULL},
-    {"pll_symmetric", EngineKind::agent, BatchMode::automatic, 33708ULL},
-    {"pll_symmetric", EngineKind::batched, BatchMode::automatic, 16602ULL},
-    {"pll_symmetric", EngineKind::gillespie, BatchMode::automatic, 32938ULL},
-    {"mst18_style", EngineKind::agent, BatchMode::automatic, 2611ULL},
-    {"mst18_style", EngineKind::gillespie, BatchMode::automatic, 2347ULL},
+    {"angluin06", EngineKind::agent, 22269ULL},
+    {"angluin06", EngineKind::batched, 54877ULL},
+    {"angluin06", EngineKind::gillespie, 15103ULL},
+    {"lottery", EngineKind::agent, 1138ULL},
+    {"lottery", EngineKind::batched, 1234ULL},
+    {"lottery", EngineKind::gillespie, 830ULL},
+    {"pll", EngineKind::agent, 770ULL},
+    {"pll", EngineKind::batched, 15654ULL},
+    {"pll", EngineKind::gillespie, 16354ULL},
+    {"pll_symmetric", EngineKind::agent, 33708ULL},
+    {"pll_symmetric", EngineKind::batched, 16602ULL},
+    {"pll_symmetric", EngineKind::gillespie, 32938ULL},
+    {"mst18_style", EngineKind::agent, 2611ULL},
+    {"mst18_style", EngineKind::gillespie, 2347ULL},
     // Hybrid cells: segment 0 runs the agent engine on the hybrid segment
     // stream (derive_seed(seed, hybrid_segment_tag)), so these values differ
     // from the fixed-engine cells by design. Only angluin06 lives past the
     // first evaluation at step 16384, where it hands over to gillespie.
-    {"angluin06", EngineKind::hybrid, BatchMode::automatic, 22026ULL},
-    {"lottery", EngineKind::hybrid, BatchMode::automatic, 750ULL},
-    {"pll", EngineKind::hybrid, BatchMode::automatic, 750ULL},
-    {"pll_symmetric", EngineKind::hybrid, BatchMode::automatic, 1314ULL},
+    {"angluin06", EngineKind::hybrid, 22026ULL},
+    {"lottery", EngineKind::hybrid, 750ULL},
+    {"pll", EngineKind::hybrid, 750ULL},
+    {"pll_symmetric", EngineKind::hybrid, 1314ULL},
 };
 
 class GoldenSeedReplay : public ::testing::TestWithParam<GoldenRun> {};
@@ -90,19 +81,17 @@ TEST_P(GoldenSeedReplay, StabilizationStepIsPinned) {
     const std::size_t n = 128;
     const RunResult result = ProtocolRegistry::instance().run_election(
         run.protocol, n, /*seed=*/2019, /*max_steps=*/static_cast<StepCount>(n) * n * 50,
-        run.engine, run.batch_mode);
+        run.engine);
     ASSERT_TRUE(result.converged) << "golden run no longer converges";
     ASSERT_TRUE(result.stabilization_step.has_value());
     EXPECT_EQ(*result.stabilization_step, run.stabilization_step)
         << "seeded replay semantics changed for " << run.protocol << " on "
-        << to_string(run.engine) << "/" << to_string(run.batch_mode)
+        << to_string(run.engine)
         << " — if the change is intentional, update this table in the same commit";
 }
 
 std::string golden_name(const ::testing::TestParamInfo<GoldenRun>& info) {
-    return std::string(info.param.protocol) + "_" +
-           std::string(to_string(info.param.engine)) + "_" +
-           std::string(to_string(info.param.batch_mode));
+    return std::string(info.param.protocol) + "_" + std::string(to_string(info.param.engine));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplay, ::testing::ValuesIn(golden_runs),

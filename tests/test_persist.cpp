@@ -161,10 +161,12 @@ TEST(Persist, FullReproBundleWorkflow) {
 // loader guards against and check both halves of that contract.
 
 /// A small valid checkpoint file to corrupt, plus the simulation that wrote
-/// it (still live, for no-partial-restore checks).
+/// it (still live, for no-partial-restore checks). On the agent engine the
+/// payload length is fixed by n and the state size, not by the random
+/// stream, so it keeps the sub-word tail `RejectsBitFlippedPayload` needs.
 std::unique_ptr<Simulation> write_sample_checkpoint(const std::string& path) {
-    auto sim = ProtocolRegistry::instance().make_simulation(
-        "pll", 64, /*seed=*/11, EngineKind::batched, BatchMode::pairwise);
+    auto sim =
+        ProtocolRegistry::instance().make_simulation("pll", 64, /*seed=*/11, EngineKind::agent);
     (void)sim->run_for(300);
     sim->write_checkpoint(path);
     return sim;
@@ -203,8 +205,7 @@ TEST(CheckpointContainer, HeaderRoundTrips) {
     std::string payload;
     const CheckpointHeader header = load_checkpoint(path, payload);
     EXPECT_EQ(header.protocol, "pll");
-    EXPECT_EQ(header.engine, "batched");
-    EXPECT_EQ(header.batch_mode, "pairwise");
+    EXPECT_EQ(header.engine, "agent");
     EXPECT_EQ(header.population, 64U);
     EXPECT_EQ(header.step, 300U);
     EXPECT_FALSE(payload.empty());
@@ -286,10 +287,11 @@ TEST(CheckpointContainer, RejectsWrongFormatVersion) {
     const std::string path = temp_path("ppsim_ppck_version.ppck");
     // Version 1 is the earlier layout whose header and engine payloads
     // carried a per-run thread count, version 2 checksummed the payload
-    // byte by byte, and version 3 hybrid payloads carried a measured cost
-    // table: all must fail loudly, not misparse or fail as a checksum
+    // byte by byte, version 3 hybrid payloads carried a measured cost
+    // table, and version 4 headers and payload preambles named a batch
+    // mode: all must fail loudly, not misparse or fail as a checksum
     // mismatch.
-    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U, 3U}) {
+    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U, 3U, 4U}) {
         (void)write_sample_checkpoint(path);
         corrupt_file(path, [wrong](std::string& bytes) {
             // The container version is the u32 after the 4-byte magic.
@@ -334,8 +336,8 @@ TEST(CheckpointContainer, FailedResumeLeavesTheSimulationUntouched) {
         bytes[bytes.size() - 9] = static_cast<char>(bytes[bytes.size() - 9] ^ 0x01);
     });
 
-    auto victim = ProtocolRegistry::instance().make_simulation(
-        "pll", 64, /*seed=*/23, EngineKind::batched, BatchMode::pairwise);
+    auto victim =
+        ProtocolRegistry::instance().make_simulation("pll", 64, /*seed=*/23, EngineKind::agent);
     (void)victim->run_for(100);
     CheckpointWriter before;
     victim->save_checkpoint(before);

@@ -15,9 +15,8 @@
 // in-process, while the resumed run continues from a freshly constructed
 // simulation restored from the file.
 //
-// Grid cells run every engine (agent, batched, gillespie, hybrid) and every
-// batched pairing mode; dedicated cases cover hybrid
-// mid-switch checkpoints (a forced engine handoff before the checkpoint),
+// Grid cells run every engine (agent, batched, gillespie, hybrid);
+// dedicated cases cover hybrid mid-switch checkpoints (a forced engine handoff before the checkpoint),
 // checkpoints taken mid-fault-plan (inside a silence window, with faults
 // both applied and pending), periodic-cadence checkpoints, observer
 // progress across the resume boundary (DeadlineObserver fires exactly once,
@@ -30,7 +29,6 @@
 #include <ostream>
 #include <string>
 
-#include "core/batch_pairing.hpp"
 #include "core/engine.hpp"
 #include "core/fault.hpp"
 #include "core/observer.hpp"
@@ -75,40 +73,36 @@ void expect_same_run_state(const Simulation& resumed, const Simulation& referenc
            "diverged after resume";
 }
 
-// --- the protocol × engine × batch-mode grid --------------------------------
+// --- the protocol × engine grid ---------------------------------------------
 
 struct ResumeCell {
     const char* protocol;
     EngineKind engine;
-    BatchMode batch_mode;
     StepCount pause;  // the step the checkpoint is taken at
 };
 
-/// Prints a cell as "pll/agent/auto@500". gtest appends this text to each
+/// Prints a cell as "pll/agent@500". gtest appends this text to each
 /// discovered test id; without a printer it would append the struct's raw
 /// bytes, which start with the run-time address of the protocol name.
 void PrintTo(const ResumeCell& cell, std::ostream* os) {
-    *os << cell.protocol << "/" << to_string(cell.engine) << "/"
-        << to_string(cell.batch_mode) << "@" << cell.pause;
+    *os << cell.protocol << "/" << to_string(cell.engine) << "@" << cell.pause;
 }
 
 // All cells: n = 128, seed = 2019, pause at step 500, budget 50·n².
 constexpr ResumeCell resume_cells[] = {
-    {"pll", EngineKind::agent, BatchMode::automatic, 500},
-    {"pll", EngineKind::batched, BatchMode::automatic, 500},
-    {"pll", EngineKind::batched, BatchMode::pairwise, 500},
-    {"pll", EngineKind::batched, BatchMode::bulk, 500},
-    {"pll", EngineKind::gillespie, BatchMode::automatic, 500},
-    {"pll", EngineKind::hybrid, BatchMode::automatic, 500},
-    {"lottery", EngineKind::agent, BatchMode::automatic, 500},
-    {"lottery", EngineKind::batched, BatchMode::automatic, 500},
-    {"lottery", EngineKind::gillespie, BatchMode::automatic, 500},
-    {"lottery", EngineKind::hybrid, BatchMode::automatic, 500},
-    {"angluin06", EngineKind::agent, BatchMode::automatic, 500},
-    {"angluin06", EngineKind::batched, BatchMode::bulk, 500},
+    {"pll", EngineKind::agent, 500},
+    {"pll", EngineKind::batched, 500},
+    {"pll", EngineKind::gillespie, 500},
+    {"pll", EngineKind::hybrid, 500},
+    {"lottery", EngineKind::agent, 500},
+    {"lottery", EngineKind::batched, 500},
+    {"lottery", EngineKind::gillespie, 500},
+    {"lottery", EngineKind::hybrid, 500},
+    {"angluin06", EngineKind::agent, 500},
+    {"angluin06", EngineKind::batched, 500},
     // Continues through the hybrid engine's first evaluation (step 16384),
     // where the rule hands the run from agent to gillespie.
-    {"angluin06", EngineKind::hybrid, BatchMode::automatic, 500},
+    {"angluin06", EngineKind::hybrid, 500},
 };
 
 class ResumeEquivalence : public ::testing::TestWithParam<ResumeCell> {};
@@ -122,14 +116,11 @@ TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
     const auto budget = static_cast<StepCount>(n) * n * 50;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference =
-        registry.make_simulation(cell.protocol, n, seed, cell.engine, cell.batch_mode);
+    const auto reference = registry.make_simulation(cell.protocol, n, seed, cell.engine);
     (void)reference->run_for(pause);
 
-    const std::string path = temp_path(
-        std::string("ppsim_resume_") + cell.protocol + "_" +
-        std::string(to_string(cell.engine)) + "_" +
-        std::string(to_string(cell.batch_mode)) + ".ppck");
+    const std::string path = temp_path(std::string("ppsim_resume_") + cell.protocol + "_" +
+                                       std::string(to_string(cell.engine)) + ".ppck");
     reference->write_checkpoint(path);
 
     const auto resumed = registry.resume_simulation(path);
@@ -143,9 +134,7 @@ TEST_P(ResumeEquivalence, ContinuedRunIsBitIdentical) {
 }
 
 std::string cell_name(const ::testing::TestParamInfo<ResumeCell>& info) {
-    return std::string(info.param.protocol) + "_" +
-           std::string(to_string(info.param.engine)) + "_" +
-           std::string(to_string(info.param.batch_mode));
+    return std::string(info.param.protocol) + "_" + std::string(to_string(info.param.engine));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_cells),
@@ -243,8 +232,8 @@ TEST(ResumeEquivalencePeriodic, CadenceCheckpointResumesBitIdentically) {
     const std::string path2 = temp_path("ppsim_resume_periodic_b.ppck");
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/4242, EngineKind::batched, BatchMode::pairwise);
+    const auto reference =
+        registry.make_simulation("pll", n, /*seed=*/4242, EngineKind::batched);
     reference->set_checkpoint(path, cadence);
     (void)reference->run_for(1024);  // writes at 256, 512, 768, 1024
     ASSERT_TRUE(std::filesystem::exists(path));
@@ -271,8 +260,7 @@ TEST(ResumeEquivalenceObservers, PendingDeadlineFiresOnceAtTheExactStep) {
     const auto budget = static_cast<StepCount>(n) * n * 50;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/9, EngineKind::batched, BatchMode::pairwise);
+    const auto reference = registry.make_simulation("pll", n, /*seed=*/9, EngineKind::batched);
     DeadlineObserver reference_obs(deadline_time, n);
     reference->add_observer(reference_obs);
     (void)reference->run_for(600);
@@ -312,8 +300,7 @@ TEST(ResumeEquivalenceObservers, FiredDeadlineDoesNotFireAgainAfterResume) {
     const auto budget = static_cast<StepCount>(n) * n * 50;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/9, EngineKind::agent, BatchMode::automatic);
+    const auto reference = registry.make_simulation("pll", n, /*seed=*/9, EngineKind::agent);
     DeadlineObserver reference_obs(deadline_time, n);
     reference->add_observer(reference_obs);
     (void)reference->run_for(600);
@@ -351,8 +338,8 @@ TEST(ResumeEquivalenceObservers, RecoveryObserverResolvesIdenticallyAcrossResume
     plan.add(10.0, FaultAction::reset_fraction(0.5));  // step 1280
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference = registry.make_simulation(
-        "pll", n, /*seed=*/31, EngineKind::batched, BatchMode::pairwise);
+    const auto reference =
+        registry.make_simulation("pll", n, /*seed=*/31, EngineKind::batched);
     reference->set_fault_plan(plan);
     RecoveryObserver reference_obs(n);
     reference->add_observer(reference_obs);
@@ -392,30 +379,21 @@ TEST(ResumeEquivalenceObservers, RecoveryObserverResolvesIdenticallyAcrossResume
 TEST(ResumeEquivalenceRejects, MismatchedSimulationOrObserversAreRejected) {
     const std::size_t n = 64;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    const auto original = registry.make_simulation(
-        "pll", n, /*seed=*/1, EngineKind::batched, BatchMode::pairwise);
+    const auto original = registry.make_simulation("pll", n, /*seed=*/1, EngineKind::batched);
     (void)original->run_for(200);
     const std::string path = temp_path("ppsim_resume_mismatch.ppck");
     original->write_checkpoint(path);
 
     // Wrong protocol.
-    const auto wrong_protocol = registry.make_simulation(
-        "lottery", n, 1, EngineKind::batched, BatchMode::pairwise);
+    const auto wrong_protocol = registry.make_simulation("lottery", n, 1, EngineKind::batched);
     EXPECT_THROW(wrong_protocol->restore_checkpoint_file(path), InvalidArgument);
 
     // Wrong engine.
-    const auto wrong_engine = registry.make_simulation(
-        "pll", n, 1, EngineKind::gillespie, BatchMode::automatic);
+    const auto wrong_engine = registry.make_simulation("pll", n, 1, EngineKind::gillespie);
     EXPECT_THROW(wrong_engine->restore_checkpoint_file(path), InvalidArgument);
 
-    // Wrong batch mode.
-    const auto wrong_mode = registry.make_simulation(
-        "pll", n, 1, EngineKind::batched, BatchMode::bulk);
-    EXPECT_THROW(wrong_mode->restore_checkpoint_file(path), InvalidArgument);
-
     // Observer-count mismatch: the checkpoint has none attached.
-    const auto extra_observer = registry.make_simulation(
-        "pll", n, 1, EngineKind::batched, BatchMode::pairwise);
+    const auto extra_observer = registry.make_simulation("pll", n, 1, EngineKind::batched);
     DeadlineObserver obs(1.0, n);
     extra_observer->add_observer(obs);
     EXPECT_THROW(extra_observer->restore_checkpoint_file(path), InvalidArgument);

@@ -283,23 +283,8 @@ TEST(RecordTrajectory, EmitsAValidSeriesOnBothEngines) {
     }
 }
 
-TEST(SimulationBatchModes, FactoryBuildsEveryModeAndReportsIt) {
-    const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        const auto sim =
-            registry.make_simulation("pll", 64, 7, EngineKind::batched, d.mode);
-        EXPECT_EQ(sim->engine_kind(), EngineKind::batched);
-        EXPECT_EQ(sim->batch_mode(), d.mode) << d.name;
-    }
-    // The agent engine has no batches; it reports the auto default and
-    // ignores the requested mode.
-    const auto agent =
-        registry.make_simulation("pll", 64, 7, EngineKind::agent, BatchMode::bulk);
-    EXPECT_EQ(agent->batch_mode(), BatchMode::automatic);
-}
-
-TEST(SimulationBatchModes, SnapshotsAndObserversAgreeAcrossModesForAllProtocols) {
-    // Every registered protocol, every pairing strategy: the initial census
+TEST(SimulationBatched, SnapshotsAndObserversAgreeWithAgentForAllProtocols) {
+    // Every registered protocol on the batched engine: the initial census
     // must equal the agent engine's exactly, the run must converge to one
     // leader with a conserved population, and the recorded trajectory must
     // be a valid monotone-step series ending at one leader.
@@ -308,60 +293,28 @@ TEST(SimulationBatchModes, SnapshotsAndObserversAgreeAcrossModesForAllProtocols)
     for (const std::string& name : registry.names()) {
         const auto agent_sim = registry.make_simulation(name, n, 11, EngineKind::agent);
         const ConfigurationSnapshot agent_initial = agent_sim->state_counts();
-        for (const BatchModeDescriptor& d : batch_mode_table) {
-            const auto sim =
-                registry.make_simulation(name, n, 11, EngineKind::batched, d.mode);
-            const ConfigurationSnapshot initial = sim->state_counts();
-            ASSERT_EQ(initial.counts.size(), agent_initial.counts.size())
-                << name << "/" << d.name;
-            for (std::size_t i = 0; i < initial.counts.size(); ++i) {
-                EXPECT_EQ(initial.counts[i].key, agent_initial.counts[i].key)
-                    << name << "/" << d.name;
-                EXPECT_EQ(initial.counts[i].count, agent_initial.counts[i].count)
-                    << name << "/" << d.name;
-            }
-            TrajectoryRecorder recorder(256);
-            sim->add_observer(recorder);
-            const RunResult r = sim->run_until_one_leader(kBudget);
-            ASSERT_TRUE(r.converged) << name << "/" << d.name;
-            const ConfigurationSnapshot final_ = sim->state_counts();
-            EXPECT_EQ(final_.total(), n) << name << "/" << d.name;
-            EXPECT_EQ(final_.leaders(), 1U) << name << "/" << d.name;
-            const auto& points = recorder.points();
-            ASSERT_GE(points.size(), 2U) << name << "/" << d.name;
-            EXPECT_EQ(points.front().step, 0U) << name << "/" << d.name;
-            EXPECT_EQ(points.back().leader_count, 1U) << name << "/" << d.name;
-            for (std::size_t i = 1; i < points.size(); ++i) {
-                EXPECT_GT(points[i].step, points[i - 1].step) << name << "/" << d.name;
-            }
+        const auto sim = registry.make_simulation(name, n, 11, EngineKind::batched);
+        const ConfigurationSnapshot initial = sim->state_counts();
+        ASSERT_EQ(initial.counts.size(), agent_initial.counts.size()) << name;
+        for (std::size_t i = 0; i < initial.counts.size(); ++i) {
+            EXPECT_EQ(initial.counts[i].key, agent_initial.counts[i].key) << name;
+            EXPECT_EQ(initial.counts[i].count, agent_initial.counts[i].count) << name;
+        }
+        TrajectoryRecorder recorder(256);
+        sim->add_observer(recorder);
+        const RunResult r = sim->run_until_one_leader(kBudget);
+        ASSERT_TRUE(r.converged) << name;
+        const ConfigurationSnapshot final_ = sim->state_counts();
+        EXPECT_EQ(final_.total(), n) << name;
+        EXPECT_EQ(final_.leaders(), 1U) << name;
+        const auto& points = recorder.points();
+        ASSERT_GE(points.size(), 2U) << name;
+        EXPECT_EQ(points.front().step, 0U) << name;
+        EXPECT_EQ(points.back().leader_count, 1U) << name;
+        for (std::size_t i = 1; i < points.size(); ++i) {
+            EXPECT_GT(points[i].step, points[i - 1].step) << name;
         }
     }
-}
-
-TEST(SimulationBatchModes, RunSweepHonoursTheConfiguredMode) {
-    for (const BatchModeDescriptor& d : batch_mode_table) {
-        SweepConfig config;
-        config.protocol = "lottery";
-        config.sizes = {128};
-        config.repetitions = 4;
-        config.seed = 0xC0DE;
-        config.engine = EngineKind::batched;
-        config.batch_mode = d.mode;
-        const SweepResult result = run_sweep(config);
-        EXPECT_EQ(result.batch_mode, d.mode) << d.name;
-        ASSERT_EQ(result.points.size(), 1U) << d.name;
-        EXPECT_EQ(result.points[0].failures, 0U) << d.name;
-    }
-}
-
-TEST(SimulationBatchModes, RecordTrajectoryRunsUnderForcedBulk) {
-    const TrajectoryRun run = record_trajectory("lottery", 256, 19, kBudget, 64,
-                                                EngineKind::batched,
-                                                /*record_live_states=*/true,
-                                                BatchMode::bulk);
-    ASSERT_TRUE(run.result.converged);
-    ASSERT_GE(run.points.size(), 2U);
-    EXPECT_EQ(run.points.back().leader_count, 1U);
 }
 
 TEST(RunSweep, CapturesPerRepetitionTrajectories) {

@@ -1,14 +1,11 @@
 // bench_to_json — measures interactions/sec of the simulation back-ends
 // (agent-based Engine, count-based BatchedEngine, reaction-rate
-// GillespieEngine, adaptive HybridEngine) across protocols, population sizes
-// and batch-pairing modes, prints a table, and writes the machine-readable
-// perf trajectory to BENCH_engine.json so future PRs can regress against it.
-// The batched engine is measured once per pairing strategy (pairwise | bulk |
-// auto — see src/core/batch_pairing.hpp), so the JSON carries a `batch_mode`
-// dimension alongside protocol and n; the agent, gillespie and hybrid
-// engines contribute one row per (protocol, n). `--protocols` and
-// `--engines` filter the grid, so a single engine (or a single protocol ×
-// engine cell) can be re-measured without redoing the whole sweep.
+// GillespieEngine, adaptive HybridEngine) across protocols and population
+// sizes, prints a table, and writes the machine-readable perf trajectory to
+// BENCH_engine.json so future PRs can regress against it. Every engine
+// contributes one row per (protocol, n). `--protocols` and `--engines`
+// filter the grid, so a single engine (or a single protocol × engine cell)
+// can be re-measured without redoing the whole sweep.
 //
 //   bench_to_json                         # default grid, writes BENCH_engine.json
 //   bench_to_json --protocols pll --sizes 1048576 --json out.json
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "core/args.hpp"
-#include "core/batch_pairing.hpp"
 #include "core/engine.hpp"
 #include "core/json.hpp"
 #include "core/table.hpp"
@@ -55,8 +51,8 @@ struct Measurement {
     }
 };
 
-Measurement measure(const std::string& protocol, EngineKind engine, BatchMode batch_mode,
-                    std::size_t n, StepCount steps_per_run, double min_seconds) {
+Measurement measure(const std::string& protocol, EngineKind engine, std::size_t n,
+                    StepCount steps_per_run, double min_seconds) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     Measurement m;
     std::uint64_t seed = 0xBEEF;
@@ -67,7 +63,7 @@ Measurement measure(const std::string& protocol, EngineKind engine, BatchMode ba
         // engine construction. Built through the type-erased Simulation
         // layer — the virtual dispatch is per run, not per interaction, so
         // this measures the same hot loops as the templated benches.
-        const auto sim = registry.make_simulation(protocol, n, seed++, engine, batch_mode);
+        const auto sim = registry.make_simulation(protocol, n, seed++, engine);
         const RunResult run = sim->run_for(steps_per_run);
         const auto stop = std::chrono::steady_clock::now();
         m.steps += run.steps;
@@ -118,16 +114,10 @@ int run(const ArgParser& args) {
     table.add_column("protocol", Align::left);
     table.add_column("n");
     if (want_agent) table.add_column("agent int/s");
-    if (want_batched) {
-        for (const BatchModeDescriptor& d : batch_mode_table) {
-            table.add_column(std::string(d.name) + " int/s");
-        }
-    }
+    if (want_batched) table.add_column("batched int/s");
     if (want_gillespie) table.add_column("gillespie int/s");
     if (want_hybrid) table.add_column("hybrid int/s");
-    if (want_agent && want_batched) table.add_column("auto speedup");
-    if (want_batched) table.add_column("bulk/pairwise");
-    if (want_gillespie && want_batched) table.add_column("gillespie/pairwise");
+    if (want_agent && want_batched) table.add_column("batched speedup");
     if (want_hybrid) table.add_column("hybrid/best");
 
     JsonValue root = JsonValue::object();
@@ -141,8 +131,7 @@ int run(const ArgParser& args) {
                 parallel_time_cap * static_cast<double>(n));
             Measurement agent;
             if (want_agent) {
-                agent = measure(protocol, EngineKind::agent, BatchMode::automatic, n,
-                                steps_per_run, min_seconds);
+                agent = measure(protocol, EngineKind::agent, n, steps_per_run, min_seconds);
 
                 JsonValue agent_row = JsonValue::object();
                 agent_row.set("protocol", protocol);
@@ -155,39 +144,29 @@ int run(const ArgParser& args) {
 
             std::vector<std::string> cells = {protocol, std::to_string(n)};
             if (want_agent) cells.push_back(scientific(agent.rate()));
-            double auto_rate = 0.0;
-            double pairwise_rate = 0.0;
-            double bulk_rate = 0.0;
             // Best fixed-engine rate among the engines actually measured in
             // this cell — the hybrid row's comparison baseline.
             double best_fixed_rate = agent.rate();
+            Measurement batched;
             if (want_batched) {
-                for (const BatchModeDescriptor& d : batch_mode_table) {
-                    const Measurement batched = measure(protocol, EngineKind::batched, d.mode,
-                                                        n, steps_per_run, min_seconds);
-                    const double speedup =
-                        agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0;
-                    if (d.mode == BatchMode::automatic) auto_rate = batched.rate();
-                    if (d.mode == BatchMode::pairwise) pairwise_rate = batched.rate();
-                    if (d.mode == BatchMode::bulk) bulk_rate = batched.rate();
-                    best_fixed_rate = std::max(best_fixed_rate, batched.rate());
-                    cells.push_back(scientific(batched.rate()));
+                batched = measure(protocol, EngineKind::batched, n, steps_per_run, min_seconds);
+                best_fixed_rate = std::max(best_fixed_rate, batched.rate());
+                cells.push_back(scientific(batched.rate()));
 
-                    JsonValue row = JsonValue::object();
-                    row.set("protocol", protocol);
-                    row.set("n", static_cast<std::uint64_t>(n));
-                    row.set("steps_per_run", steps_per_run);
-                    row.set("engine", std::string(to_string(EngineKind::batched)));
-                    row.set("batch_mode", std::string(d.name));
-                    row.set("interactions_per_sec", batched.rate());
-                    row.set("speedup_vs_agent", speedup);
-                    rows.push_back(std::move(row));
-                }
+                JsonValue batched_row = JsonValue::object();
+                batched_row.set("protocol", protocol);
+                batched_row.set("n", static_cast<std::uint64_t>(n));
+                batched_row.set("steps_per_run", steps_per_run);
+                batched_row.set("engine", std::string(to_string(EngineKind::batched)));
+                batched_row.set("interactions_per_sec", batched.rate());
+                batched_row.set("speedup_vs_agent",
+                                agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0);
+                rows.push_back(std::move(batched_row));
             }
             Measurement gillespie;
             if (want_gillespie) {
-                gillespie = measure(protocol, EngineKind::gillespie, BatchMode::automatic, n,
-                                    steps_per_run, min_seconds);
+                gillespie =
+                    measure(protocol, EngineKind::gillespie, n, steps_per_run, min_seconds);
                 best_fixed_rate = std::max(best_fixed_rate, gillespie.rate());
                 cells.push_back(scientific(gillespie.rate()));
 
@@ -199,15 +178,11 @@ int run(const ArgParser& args) {
                 gillespie_row.set("interactions_per_sec", gillespie.rate());
                 gillespie_row.set("speedup_vs_agent",
                                   agent.rate() > 0.0 ? gillespie.rate() / agent.rate() : 0.0);
-                gillespie_row.set("speedup_vs_batched_pairwise",
-                                  pairwise_rate > 0.0 ? gillespie.rate() / pairwise_rate
-                                                      : 0.0);
                 rows.push_back(std::move(gillespie_row));
             }
             Measurement hybrid;
             if (want_hybrid) {
-                hybrid = measure(protocol, EngineKind::hybrid, BatchMode::automatic, n,
-                                 steps_per_run, min_seconds);
+                hybrid = measure(protocol, EngineKind::hybrid, n, steps_per_run, min_seconds);
                 cells.push_back(scientific(hybrid.rate()));
 
                 JsonValue hybrid_row = JsonValue::object();
@@ -225,14 +200,8 @@ int run(const ArgParser& args) {
             }
 
             if (want_agent && want_batched) {
-                cells.push_back(ratio(agent.rate() > 0.0 ? auto_rate / agent.rate() : 0.0));
-            }
-            if (want_batched) {
-                cells.push_back(ratio(pairwise_rate > 0.0 ? bulk_rate / pairwise_rate : 0.0));
-            }
-            if (want_gillespie && want_batched) {
                 cells.push_back(
-                    ratio(pairwise_rate > 0.0 ? gillespie.rate() / pairwise_rate : 0.0));
+                    ratio(agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0));
             }
             if (want_hybrid) {
                 cells.push_back(

@@ -32,9 +32,6 @@ ArgParser make_parser() {
     ArgParser args;
     args.declare("protocol", "registry name of the protocol to run", "pll");
     args.declare("engine", "simulation back-end: " + engine_kind_list(), "agent");
-    args.declare("batch-mode",
-                 "batched-engine pairing strategy: " + batch_mode_list(),
-                 std::string(to_string(BatchMode::automatic)));
     args.declare("n", "population size", "1024");
     args.declare("seed", "root PRNG seed", "2019");
     args.declare("reps", "seeded repetitions", "20");
@@ -124,12 +121,10 @@ std::vector<double> parse_time_points(const std::string& csv) {
 /// counts). Returns false when a snapshot is unusable (a census that does
 /// not conserve the population), so the smoke tests catch it.
 bool write_timed_snapshots(const std::string& protocol, std::size_t n,
-                           std::uint64_t seed, EngineKind engine, BatchMode batch_mode,
-                           StepCount max_steps,
+                           std::uint64_t seed, EngineKind engine, StepCount max_steps,
                            const std::vector<double>& times, const std::string& path,
                            const FaultPlan& fault_plan) {
-    const auto sim =
-        ProtocolRegistry::instance().make_simulation(protocol, n, seed, engine, batch_mode);
+    const auto sim = ProtocolRegistry::instance().make_simulation(protocol, n, seed, engine);
     if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
     TimedSnapshotRecorder recorder(times, n);
     sim->add_observer(recorder);
@@ -161,11 +156,11 @@ bool write_timed_snapshots(const std::string& protocol, std::size_t n,
 /// the series as CSV. Returns false when the recording is unusable (empty
 /// or non-monotone), so the tool exits non-zero and the smoke tests catch it.
 bool write_trajectory(const std::string& protocol, std::size_t n, std::uint64_t seed,
-                      EngineKind engine, BatchMode batch_mode, StepCount max_steps,
-                      StepCount stride, bool live_states, const std::string& path,
+                      EngineKind engine, StepCount max_steps, StepCount stride,
+                      bool live_states, const std::string& path,
                       const FaultPlan& fault_plan) {
     const TrajectoryRun run = record_trajectory(protocol, n, seed, max_steps, stride,
-                                                engine, live_states, batch_mode, fault_plan);
+                                                engine, live_states, fault_plan);
     write_trajectory_csv(path, run.points);
     std::cout << "wrote " << path << " (" << run.points.size() << " samples, engine "
               << to_string(engine) << ", "
@@ -254,7 +249,6 @@ int run(const ArgParser& args) {
     }
 
     const EngineKind engine = parse_engine_kind(args.get_string("engine", "agent"));
-    const BatchMode batch_mode = parse_batch_mode(args.get_string("batch-mode", "auto"));
     const double factor = args.get_double(
         "budget-factor", scenario != nullptr ? scenario->budget_factor : 3000.0);
     const double deadline_time = args.get_double("deadline", 0.0);
@@ -278,10 +272,9 @@ int run(const ArgParser& args) {
     if (const std::string path = args.get_string("trajectory", ""); !path.empty()) {
         StepCount stride = args.get_u64("trajectory-every", 0);
         if (stride == 0) stride = std::max<StepCount>(1, n / 4);
-        return write_trajectory(protocol, n, seed, engine, batch_mode,
-                                StepBudget::n_log_n(n, factor), stride,
-                                args.get_bool("trajectory-live-states", true), path,
-                                fault_plan)
+        return write_trajectory(protocol, n, seed, engine, StepBudget::n_log_n(n, factor),
+                                stride, args.get_bool("trajectory-live-states", true),
+                                path, fault_plan)
                    ? 0
                    : 1;
     }
@@ -309,7 +302,7 @@ int run(const ArgParser& args) {
     }
 
     if (!checkpoint_path.empty()) {
-        const auto sim = registry.make_simulation(protocol, n, seed, engine, batch_mode);
+        const auto sim = registry.make_simulation(protocol, n, seed, engine);
         if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
         if (checkpoint_every > 0) sim->set_checkpoint(checkpoint_path, checkpoint_every);
         const RunResult result =
@@ -323,7 +316,7 @@ int run(const ArgParser& args) {
     }
 
     if (const std::string at = args.get_string("snapshot-at", ""); !at.empty()) {
-        return write_timed_snapshots(protocol, n, seed, engine, batch_mode,
+        return write_timed_snapshots(protocol, n, seed, engine,
                                      StepBudget::n_log_n(n, factor),
                                      parse_time_points(at),
                                      args.get_string("snapshot-csv", "snapshots.csv"),
@@ -335,7 +328,6 @@ int run(const ArgParser& args) {
     SweepConfig config;
     config.protocol = protocol;
     config.engine = engine;
-    config.batch_mode = batch_mode;
     config.sizes = {n};
     config.repetitions = static_cast<std::size_t>(args.get_u64("reps", 20));
     config.seed = seed;
