@@ -43,7 +43,8 @@ namespace ppsim {
 /// `gillespie` is the reaction-rate GillespieEngine<P>: exact SSA over
 /// non-null reaction channels (geometric null-reaction skipping) with a
 /// τ-leaping fast path at large n — exact below its leap threshold,
-/// approximate (statistically validated) above it.
+/// approximate above it, with a measured per-agent variance bias
+/// (gillespie_engine.hpp, `leap_divisor`).
 enum class EngineKind : std::uint8_t {
     agent = 0,
     batched = 1,

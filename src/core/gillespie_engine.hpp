@@ -9,7 +9,7 @@
 /// ordered (initiator-state, responder-state) pair — of step t is
 /// categorical with weight c_a·(c_b − [a = b]) out of n(n−1). Channels whose
 /// transition is the identity ("null reactions") leave the configuration
-/// unchanged, which is what the two execution paths exploit:
+/// unchanged, which is what the execution paths exploit:
 ///
 ///  * **Exact SSA.** The number of steps until the next *non-null* firing is
 ///    geometric with success probability W_nonnull / n(n−1), where W_nonnull
@@ -36,12 +36,30 @@
 ///    over Θ(n) steps, which is what wins on wide-state protocols where
 ///    those overheads bound the batched engine. The price is the standard
 ///    τ-leaping approximation: propensities are frozen within a leap
-///    (relative drift ≤ ~1/leap_divisor per state per leap), sampling is
-///    with replacement (a state can be over-drawn past its count; excess
-///    pairs are dropped as nulls, counted in `dropped_pairs()`), and the
-///    initiator/responder draws ignore the same-agent exclusion (O(1/n)
-///    per pair). Statistical agreement with the exact engines is enforced
-///    by the KS harness in tests/test_statistical.cpp.
+///    (expected relative drift ≤ ~2/leap_divisor per state per leap),
+///    sampling is with replacement (a state can be over-drawn past its
+///    count; excess pairs are dropped as nulls, counted in
+///    `dropped_pairs()`), and the initiator/responder draws ignore the
+///    same-agent exclusion (O(1/n) per pair). Because no agent interacts
+///    twice within a leap, every per-agent counter loses a share ≈ 2L/n of
+///    its per-leap variance: on PLL the timer count variance at t = 64
+///    reads 3.1–3.2% low and the first wrap comes 0.7–0.8% late. The KS
+///    harness in tests/test_statistical.cpp compares stabilisation times
+///    and cannot see either.
+///
+///  * **Separable leaps.** When every live cell *factorises* — out_a(a, b)
+///    = f(a) = out_a(a, a) and out_b(a, b) = g(b) = out_b(b, b) for all
+///    live a, b — the pairing cannot change what a leap does: the sampled
+///    initiators of each state a move to f(a), the responders of each b to
+///    g(b), in O(d) with no pairing draws. `CellFactorisation` counts the
+///    non-factorising live cells, updated only as states are born or die
+///    and only while d² ≤ `separable_cell_factor`·L. A leap that over-draws
+///    a state (where the clamp needs cells) or crosses to a single leader
+///    (where the replay needs pairs) is paired instead, so separable leaps
+///    sample exactly what paired leaps sample and add no approximation of
+///    their own. PLL's count-up wait, where timer agents advance whatever
+///    they meet, is separable almost throughout. Rated protocols, which
+///    thin per cell, always pair.
 ///
 /// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are this
 /// engine's native habitat: a channel's propensity simply becomes
@@ -97,6 +115,100 @@ struct ChannelFiredCount {
     std::uint64_t fired = 0;
 };
 
+/// Count of the ordered cells (a, b) over a set of live states that do not
+/// *factorise*: the initiator's output differs from f(a) = out_a(a, a), or
+/// the responder's from g(b) = out_b(b, b). While the count is 0 the output
+/// of every cell is (f(a), g(b)), so pairing a leap's initiator and
+/// responder multisets cannot change what the leap does — the gillespie
+/// engine's separable leaps.
+///
+/// `update` brings the tracked set up to the store's live set: a dead state
+/// takes its cells out of the count, a newborn adds its own, and a leap
+/// that neither kills nor births a state costs O(d). Cells are checked by
+/// running the protocol on state copies and comparing canonical keys, which
+/// interns nothing. The count is therefore a pure function of the live set,
+/// and the engine's id assignment — part of its seeded stream — never
+/// depends on when, or from what tracked set, the count was brought up to
+/// date (a resumed run starts from an empty one).
+template <typename P>
+    requires InternableProtocol<P>
+class CellFactorisation {
+public:
+    /// Brings the tracked set up to the live ids of `store` (which must be
+    /// compacted: every listed id alive) and returns the number of
+    /// non-factorising ordered cells among them.
+    std::uint64_t update(const P& proto, const InternedCountStore<P>& store) {
+        const StateIndex<P>& index = store.index();
+        if (tracked_flag_.size() < index.size()) {
+            tracked_flag_.resize(index.size(), 0);
+            f_key_.resize(index.size(), 0);
+            g_key_.resize(index.size(), 0);
+        }
+        const std::vector<std::uint64_t>& counts = store.counts();
+        std::size_t i = 0;
+        while (i < tracked_.size()) {
+            const StateId s = tracked_[i];
+            if (counts[s] != 0) {
+                ++i;
+                continue;
+            }
+            tracked_flag_[s] = 0;
+            tracked_[i] = tracked_.back();
+            tracked_.pop_back();
+            bad_ -= mismatches(proto, index, s);
+        }
+        for (const StateId s : store.live_ids()) {
+            if (tracked_flag_[s] != 0) continue;
+            typename P::State initiator = index.state(s);
+            typename P::State responder = index.state(s);
+            proto.interact(initiator, responder);
+            f_key_[s] = state_key_of(proto, initiator);
+            g_key_[s] = state_key_of(proto, responder);
+            bad_ += mismatches(proto, index, s);
+            tracked_flag_[s] = 1;
+            tracked_.push_back(s);
+        }
+        return bad_;
+    }
+
+    /// Forgets the tracked set (its ids may no longer name the same states).
+    void clear() noexcept {
+        tracked_.clear();
+        tracked_flag_.clear();
+        f_key_.clear();
+        g_key_.clear();
+        bad_ = 0;
+    }
+
+private:
+    /// Non-factorising cells between `s` (not tracked) and the tracked set,
+    /// in both orders.
+    [[nodiscard]] std::uint64_t mismatches(const P& proto, const StateIndex<P>& index,
+                                           StateId s) const {
+        std::uint64_t bad = 0;
+        for (const StateId t : tracked_) {
+            bad += factorises(proto, index, s, t) ? 0 : 1;
+            bad += factorises(proto, index, t, s) ? 0 : 1;
+        }
+        return bad;
+    }
+
+    [[nodiscard]] bool factorises(const P& proto, const StateIndex<P>& index, StateId a,
+                                  StateId b) const {
+        typename P::State initiator = index.state(a);
+        typename P::State responder = index.state(b);
+        proto.interact(initiator, responder);
+        return state_key_of(proto, initiator) == f_key_[a] &&
+               state_key_of(proto, responder) == g_key_[b];
+    }
+
+    std::vector<StateId> tracked_;             ///< states the count covers
+    std::vector<std::uint8_t> tracked_flag_;   ///< membership flags for tracked_
+    std::vector<std::uint64_t> f_key_;         ///< per id: key of out_a(id, id)
+    std::vector<std::uint64_t> g_key_;         ///< per id: key of out_b(id, id)
+    std::uint64_t bad_ = 0;                    ///< non-factorising cells in tracked_²
+};
+
 /// Reaction-rate (Gillespie SSA + τ-leaping) simulation engine. Drop-in
 /// alternative to Engine<P> / BatchedEngine<P> for the run/verify surface
 /// (run_until_one_leader, run_for, verify_outputs_stable, RunResult), minus
@@ -115,14 +227,22 @@ public:
     static constexpr std::size_t channel_state_cap = 32;
     /// Leap length as a fraction of n: L = max(1, n / leap_divisor), the
     /// τ-selection bound — each state's expected relative drift per leap is
-    /// at most ~2/leap_divisor. 64 keeps the per-leap drift below ~3%, the
-    /// level at which the KS agreement harness (tests/test_statistical.cpp)
-    /// cannot distinguish leaped from exact runs, while leaps stay 1–2
-    /// orders of magnitude longer than the batched engine's Θ(√n) batches.
+    /// at most ~2/leap_divisor. The price of 64 is measured, not bounded:
+    /// per-agent counters lose ≈ 2L/n = 1/32 of their per-leap variance
+    /// (PLL's timer count variance at t = 64 reads 3.1–3.2% low, its first
+    /// wrap 0.7–0.8% late), which the KS agreement harness on stabilisation
+    /// times (tests/test_statistical.cpp) cannot see. Leaps stay 1–2 orders
+    /// of magnitude longer than the batched engine's Θ(√n) batches.
     static constexpr std::uint64_t leap_divisor = 64;
     /// Expected non-null firings per leap below which exact SSA (geometric
     /// null-skipping) replaces leaping — the near-stabilisation fallback.
     static constexpr double ssa_event_threshold = 4.0;
+    /// Separable leaps are considered only while d² ≤ separable_cell_factor
+    /// × n/leap_divisor (d = live states): bringing the factorisation count
+    /// up to a new live set from scratch checks d² cells, which this bounds
+    /// by a few leaps' worth of pair work. Wide-state configurations skip
+    /// the bookkeeping and pair every leap.
+    static constexpr std::uint64_t separable_cell_factor = 4;
     /// Steps per round of the exact per-step categorical form (wide d at
     /// small n), so callers regain control at a bounded cadence.
     static constexpr StepCount categorical_chunk = 4096;
@@ -176,8 +296,13 @@ public:
         return store_.total_count();
     }
 
-    /// τ-leaps executed so far (introspection for tests and benches).
+    /// τ-leaps executed so far, separable ones included (introspection for
+    /// tests and benches).
     [[nodiscard]] std::uint64_t leaps_taken() const noexcept { return leaps_; }
+    /// τ-leaps that skipped the pairing because every live cell factorised,
+    /// counted since construction or the last `restore_state` (introspection
+    /// only; not checkpointed).
+    [[nodiscard]] std::uint64_t separable_leaps() const noexcept { return separable_leaps_; }
     /// Exact SSA firings executed so far (both enumerated and categorical).
     [[nodiscard]] std::uint64_t exact_events() const noexcept { return exact_events_; }
     /// Over-drawn pairs dropped by τ-leap clamping — the engine's measure of
@@ -250,6 +375,7 @@ public:
         steps_ = steps;
         first_single_leader_step_ = stabilization_step;
         leader_count_ = store_.recount_leaders();
+        factorisation_.clear();
     }
 
     // --- execution --------------------------------------------------------
@@ -372,7 +498,9 @@ public:
     /// Restores a `save_state` payload into an engine built with the same
     /// protocol. The transition cache is dropped (its entries may reference
     /// states interned after the checkpoint); recomputation re-interns
-    /// outputs in the original order, keeping replay bit-identical.
+    /// outputs in the original order, keeping replay bit-identical. The
+    /// factorisation count is dropped too (it is rebuilt from the live set)
+    /// and `separable_leaps()` restarts from 0.
     void restore_state(CheckpointReader& r) {
         n_ = r.u64();
         rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
@@ -386,6 +514,8 @@ public:
         exact_events_ = r.u64();
         dropped_pairs_ = r.u64();
         cache_ = TransitionCache{};
+        factorisation_.clear();
+        separable_leaps_ = 0;
     }
 
 private:
@@ -619,11 +749,15 @@ private:
     /// multinomial initiator/responder multisets, a uniform pairing through
     /// the batch-pairing layer, and clamped per-cell application (plus a
     /// binomial thinning per cell for rated protocols, identical in
-    /// distribution to the batched engine's thinning).
+    /// distribution to the batched engine's thinning). When every live cell
+    /// factorises, `separable_leap` applies the two multisets without the
+    /// pairing.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
+        const bool factorises = live_cells_factorise();
         sample_leap_multiset(len, initiators_);
         sample_leap_multiset(len, responders_);
+        if (factorises && separable_leap(len)) return len;
         sample_batch_pairing(BatchMode::automatic, rng_, initiators_, responders_, len,
                              pairs_);
 
@@ -680,6 +814,82 @@ private:
         store_.merge_touched();
         ++leaps_;
         return len;
+    }
+
+    // The two separable-leap helpers below run once per leap and are kept
+    // out of line: inlined into leap_round they would spend the translation
+    // unit's inlining budget, which decides the code of the per-pair loops.
+
+    /// Whether every ordered cell over the live set factorises (see
+    /// CellFactorisation), under the `separable_cell_factor` gate. A pure
+    /// function of the live set and n, so a resumed run decides every leap
+    /// as the uninterrupted run did. Rated protocols thin per cell and never
+    /// take the separable path.
+    __attribute__((noinline)) bool live_cells_factorise() {
+        if constexpr (RatedProtocol<P>) {
+            return false;
+        } else {
+            const std::uint64_t d = store_.live_ids().size();
+            const std::uint64_t leap = std::max<std::uint64_t>(1, n_ / leap_divisor);
+            if (d * d > separable_cell_factor * leap) return false;
+            return factorisation_.update(protocol_, store_) == 0;
+        }
+    }
+
+    /// The separable leap: with every live cell factorising, each sampled
+    /// initiator of state a moves to f(a) = out_a(a, a) and each responder of
+    /// state b to g(b) = out_b(b, b) — one count update, one touch and one
+    /// leader/role delta per sampled state, and no pairing draws. That is
+    /// what the pairing path would apply, pair for pair, provided no state
+    /// is over-drawn in total (x_a + y_a ≤ c_a, so the clamp never bites).
+    /// Declines, changing no count, when a state is over-drawn or when the
+    /// leap would cross to a single leader (the crossing replay needs the
+    /// pairs); the caller then pairs the same multisets.
+    __attribute__((noinline)) bool separable_leap(StepCount len) {
+        std::vector<std::uint64_t>& counts = store_.counts();
+        // Both multisets list their states in live-list order.
+        auto x = initiators_.cbegin();
+        auto y = responders_.cbegin();
+        for (const StateId id : store_.live_ids()) {
+            std::uint64_t drawn = 0;
+            if (x != initiators_.cend() && x->first == id) drawn += (x++)->second;
+            if (y != responders_.cend() && y->first == id) drawn += (y++)->second;
+            if (drawn > counts[id]) return false;
+        }
+        const StateMultiset* const sides[] = {&initiators_, &responders_};
+        separable_out_.clear();
+        std::int64_t delta_total = 0;
+        bool role_changed = false;
+        for (const StateMultiset* side : sides) {
+            for (const auto& [id, mult] : *side) {
+                const CachedTransition& tr = transition(id, id);
+                const StateId out = side == &initiators_ ? tr.out_a : tr.out_b;
+                const StateIndex<P>& index = store_.index();
+                separable_out_.push_back(out);
+                delta_total += static_cast<std::int64_t>(mult) *
+                               (static_cast<std::int64_t>(index.is_leader(out)) -
+                                static_cast<std::int64_t>(index.is_leader(id)));
+                role_changed |= index.role(out) != index.role(id);
+            }
+        }
+        const auto post = static_cast<std::size_t>(
+            static_cast<std::int64_t>(leader_count_) + delta_total);
+        if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) return false;
+
+        std::size_t i = 0;
+        for (const StateMultiset* side : sides) {
+            for (const auto& [id, mult] : *side) {
+                counts[id] -= mult;
+                touch(separable_out_[i++], mult);
+            }
+        }
+        steps_ += len;
+        role_change_seen_ = role_change_seen_ || role_changed;
+        leader_count_ = post;
+        store_.merge_touched();
+        ++leaps_;
+        ++separable_leaps_;
+        return true;
     }
 
     /// Draws a with-replacement multiset of `len` step slots over the live
@@ -762,11 +972,14 @@ private:
     BatchPairs pairs_;
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
     std::vector<std::int8_t> scratch_deltas_;
+    CellFactorisation<P> factorisation_;  ///< non-factorising live cells (not persisted)
+    std::vector<StateId> separable_out_;  ///< per sampled state: f(a), then g(b)
     StepCount steps_ = 0;
     std::size_t leader_count_ = 0;
     std::optional<StepCount> first_single_leader_step_;
     bool role_change_seen_ = false;
     std::uint64_t leaps_ = 0;
+    std::uint64_t separable_leaps_ = 0;
     std::uint64_t exact_events_ = 0;
     std::uint64_t dropped_pairs_ = 0;
     bool tally_enabled_ = false;

@@ -2,11 +2,14 @@
 // (src/core/gillespie_engine.hpp):
 //
 //  * agent-count conservation and incremental-leader-count consistency
-//    across both execution paths (exact SSA below the leap threshold,
-//    τ-leaping above it);
+//    across the execution paths (exact SSA below the leap threshold,
+//    paired and separable τ-leaps above it);
 //  * seeded determinism of full runs;
 //  * exactness guarantee at small n (the engine must never leap there — the
 //    property the KS harness in test_statistical.cpp relies on);
+//  * separable leaps: taken only where a brute-force check finds every live
+//    cell factorising, nearly always in PLL's count-up wait, never for rated
+//    protocols, and for angluin06 only while no follower is live;
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
 //  * the engine-table row, registry dispatch and Simulation adapter
 //    (snapshots, observers) for the third back-end.
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -25,6 +29,7 @@
 #include "protocols/angluin.hpp"
 #include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
+#include "protocols/rated.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -54,15 +59,115 @@ TEST(GillespieEngine, ConservesAgentsAndLeaderCountInExactRegime) {
 }
 
 TEST(GillespieEngine, ConservesAgentsAndLeaderCountInLeapRegime) {
-    const std::size_t n = 8192;
-    GillespieEngine<Pll> engine(Pll::for_population(n), n, 11);
-    for (int i = 0; i < 10; ++i) {
-        (void)engine.run_for(4096);
-        EXPECT_EQ(engine.total_count(), n);
-        const std::size_t incremental = engine.leader_count();
-        EXPECT_EQ(engine.recount_leaders(), incremental);
+    // Through QuickElimination into the count-up timer wait (t = 64). At
+    // 2^13 the wait is too wide for the separable gate and every leap after
+    // the first is paired; at 2^20 the wait's leaps are separable.
+    for (const std::size_t n : {std::size_t{1} << 13U, std::size_t{1} << 20U}) {
+        GillespieEngine<Pll> engine(Pll::for_population(n), n, 11);
+        std::uint64_t separable_in_wait = 0;
+        while (engine.parallel_time() < 64.0) {
+            const std::uint64_t separable_before = engine.separable_leaps();
+            (void)engine.run_for(n / 2);
+            if (engine.parallel_time() > 40.0) {
+                separable_in_wait += engine.separable_leaps() - separable_before;
+            }
+            ASSERT_EQ(engine.total_count(), n) << "at t = " << engine.parallel_time();
+            const std::size_t incremental = engine.leader_count();
+            ASSERT_EQ(engine.recount_leaders(), incremental) << "at t = " << engine.parallel_time();
+        }
+        EXPECT_GT(engine.leaps_taken(), 0U) << "leap path never engaged at n = " << n;
+        if (n == std::size_t{1} << 20U) {
+            EXPECT_GT(separable_in_wait, 0U) << "no separable leap in the timer wait";
+        }
     }
-    EXPECT_GT(engine.leaps_taken(), 0U) << "leap path never engaged at n = 8192";
+}
+
+// --- separable leaps ----------------------------------------------------------
+
+/// Brute-force restatement of the separable-leap condition on a census: for
+/// every live state a, `Pll::interact` gives the initiator the same output
+/// against every live responder, and for every live state b the responder
+/// the same output against every live initiator.
+bool every_live_cell_factorises(const Pll& pll, const std::vector<PllState>& live) {
+    for (const PllState& a : live) {
+        std::optional<PllState> initiator_out;
+        std::optional<PllState> responder_out;
+        for (const PllState& b : live) {
+            PllState x = a;
+            PllState y = b;
+            pll.interact(x, y);
+            if (initiator_out && *initiator_out != x) return false;
+            initiator_out = x;
+            x = b;
+            y = a;
+            pll.interact(x, y);
+            if (responder_out && *responder_out != y) return false;
+            responder_out = y;
+        }
+    }
+    return true;
+}
+
+TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
+    // One leap per call (run_for(n/64)) through QuickElimination and the
+    // count-up wait. Whenever the separable counter advances, the pre-leap
+    // census must pass the brute-force check; and in the wait, where timer
+    // agents advance whatever they meet, nearly every leap is separable.
+    const std::size_t n = std::size_t{1} << 20U;
+    const StepCount leap = n / GillespieEngine<Pll>::leap_divisor;
+    GillespieEngine<Pll> engine(Pll::for_population(n), n, 2023);
+    std::vector<std::uint64_t> verified_keys;  // last live set that passed
+    std::uint64_t wait_leaps = 0;
+    std::uint64_t wait_separable = 0;
+    while (engine.parallel_time() < 300.0) {
+        std::vector<PllState> live;
+        engine.visit_counts([&](const PllState& s, std::uint64_t, Role) { live.push_back(s); });
+        const double t = engine.parallel_time();
+        const std::uint64_t leaps_before = engine.leaps_taken();
+        const std::uint64_t separable_before = engine.separable_leaps();
+        (void)engine.run_for(leap);
+        const bool separable = engine.separable_leaps() != separable_before;
+        if (t >= 40.0) {
+            wait_leaps += engine.leaps_taken() - leaps_before;
+            wait_separable += engine.separable_leaps() - separable_before;
+        }
+        if (!separable) continue;
+        std::vector<std::uint64_t> keys;
+        for (const PllState& s : live) keys.push_back(engine.protocol().state_key(s));
+        if (keys == verified_keys) continue;  // the same live set passed already
+        ASSERT_TRUE(every_live_cell_factorises(engine.protocol(), live))
+            << "separable leap at t = " << t << " over " << live.size()
+            << " live states with a non-factorising cell";
+        verified_keys = std::move(keys);
+    }
+    ASSERT_GT(wait_leaps, 0U);
+    EXPECT_GE(static_cast<double>(wait_separable), 0.9 * static_cast<double>(wait_leaps))
+        << wait_separable << " of " << wait_leaps << " leaps in t in [40, 300] were separable";
+    EXPECT_EQ(engine.total_count(), n);
+    const std::size_t incremental = engine.leader_count();
+    EXPECT_EQ(engine.recount_leaders(), incremental);
+}
+
+TEST(GillespieEngine, LeaderMeetsLeaderAndRatedProtocolsKeepPairing) {
+    const std::size_t n = std::size_t{1} << 14U;
+    const StepCount leap = n / GillespieEngine<Angluin>::leap_divisor;
+    // angluin06: while every agent is a leader the one live cell is (L, L),
+    // which trivially factorises, so the first leap is separable. From then
+    // on followers are live too, and a responder leader's output depends on
+    // its initiator: against L it becomes F, against F it stays L. No later
+    // leap may skip the pairing.
+    GillespieEngine<Angluin> angluin(Angluin{}, n, 5);
+    (void)angluin.run_for(leap);
+    EXPECT_EQ(angluin.separable_leaps(), 1U);
+    (void)angluin.run_for(static_cast<StepCount>(n) * 8);
+    EXPECT_GT(angluin.leaps_taken(), 100U);
+    EXPECT_EQ(angluin.separable_leaps(), 1U) << "a leader-meets-leader leap skipped its pairing";
+
+    // rated_election thins per cell, so it never takes the separable path.
+    GillespieEngine<TwoRateElection> rated(TwoRateElection::for_population(n), n, 5);
+    (void)rated.run_for(static_cast<StepCount>(n) * 8);
+    EXPECT_GT(rated.leaps_taken(), 0U);
+    EXPECT_EQ(rated.separable_leaps(), 0U);
 }
 
 TEST(GillespieEngine, RunForExecutesExactlyTheRequestedSteps) {

@@ -1,5 +1,6 @@
 // Golden-seed regression tests: exact stabilisation step counts pinned for
-// one fixed seed per (protocol × engine) cell at a small n.
+// one fixed seed per (protocol × engine) cell at a small n, plus gillespie
+// cells above its τ-leap floor.
 //
 // Each engine's seeded replay semantics — which PRNG draws happen in which
 // order — is part of its reproducibility contract: BENCH_engine.json rows,
@@ -96,6 +97,52 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenRun>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplay, ::testing::ValuesIn(golden_runs),
                          golden_name);
+
+// --- the τ-leap regime ------------------------------------------------------
+
+// The table above runs at n = 128, below GillespieEngine::leap_min_population,
+// so it pins only the gillespie engine's exact SSA forms. These cells pin its
+// τ-leap stream: pll at 2^20 on a seed whose election waits for the count-up
+// timer, so the run crosses thousands of separable leaps and the first
+// wrap's paired leaps; lottery at 2^14, whose leaps pair and whose last two
+// leaders meet on the exact-SSA fallback.
+struct LeapGoldenRun {
+    const char* protocol;
+    std::size_t n;
+    std::uint64_t seed;
+    std::uint64_t stabilization_step;
+};
+
+void PrintTo(const LeapGoldenRun& run, std::ostream* os) {
+    *os << run.protocol << "/gillespie@" << run.n;
+}
+
+// Budget 50·n², as above (every run converges).
+constexpr LeapGoldenRun leap_golden_runs[] = {
+    {"pll", std::size_t{1} << 20U, 2023, 382959320ULL},
+    {"lottery", std::size_t{1} << 14U, 2019, 58934560ULL},
+};
+
+class GoldenSeedReplayLeapRegime : public ::testing::TestWithParam<LeapGoldenRun> {};
+
+TEST_P(GoldenSeedReplayLeapRegime, StabilizationStepIsPinned) {
+    const LeapGoldenRun& run = GetParam();
+    const RunResult result = ProtocolRegistry::instance().run_election(
+        run.protocol, run.n, run.seed, /*max_steps=*/static_cast<StepCount>(run.n) * run.n * 50,
+        EngineKind::gillespie);
+    ASSERT_TRUE(result.converged) << "golden run no longer converges";
+    ASSERT_TRUE(result.stabilization_step.has_value());
+    EXPECT_EQ(*result.stabilization_step, run.stabilization_step)
+        << "seeded replay semantics changed for " << run.protocol << " on gillespie at n = "
+        << run.n << " — if the change is intentional, update this table in the same commit";
+}
+
+std::string leap_golden_name(const ::testing::TestParamInfo<LeapGoldenRun>& info) {
+    return std::string(info.param.protocol) + "_gillespie_" + std::to_string(info.param.n);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplayLeapRegime,
+                         ::testing::ValuesIn(leap_golden_runs), leap_golden_name);
 
 }  // namespace
 }  // namespace ppsim

@@ -16,6 +16,8 @@
 // simulation restored from the file.
 //
 // Grid cells run every engine (agent, batched, gillespie, hybrid);
+// leap-regime cases resume a τ-leaping gillespie engine (including its
+// separable leaps) and restore into an engine that ran another seed;
 // dedicated cases cover hybrid mid-switch checkpoints (a forced engine handoff before the checkpoint),
 // checkpoints taken mid-fault-plan (inside a silence window, with faults
 // both applied and pending), periodic-cadence checkpoints, observer
@@ -31,6 +33,7 @@
 
 #include "core/engine.hpp"
 #include "core/fault.hpp"
+#include "core/gillespie_engine.hpp"
 #include "core/observer.hpp"
 #include "core/persist.hpp"
 #include "core/simulation.hpp"
@@ -139,6 +142,81 @@ std::string cell_name(const ::testing::TestParamInfo<ResumeCell>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_cells),
                          cell_name);
+
+// --- the τ-leap regime ------------------------------------------------------
+
+// The grid above runs below GillespieEngine::leap_min_population, where the
+// gillespie engine is an exact SSA. These cases resume a τ-leaping engine:
+// pll at 2^20 on a seed whose election waits for the count-up timer
+// (stabilising at t ≈ 365), paused once in QuickElimination and once in the
+// timer wait, where nearly every leap is separable. The factorisation count
+// behind that choice is not checkpointed; a resumed engine rebuilds it from
+// the live set and must decide every later leap as the uninterrupted run
+// did.
+constexpr std::size_t leap_regime_n = std::size_t{1} << 20U;
+constexpr std::uint64_t timer_election_seed = 2023;
+
+void expect_leap_regime_resume(double pause_time, const std::string& tag) {
+    const std::size_t n = leap_regime_n;
+    const auto budget = static_cast<StepCount>(n) * 2000;
+    const ProtocolRegistry& registry = ProtocolRegistry::instance();
+
+    const auto reference =
+        registry.make_simulation("pll", n, timer_election_seed, EngineKind::gillespie);
+    (void)reference->run_for(model_time_to_step(pause_time, n));
+    ASSERT_GE(reference->leader_count(), 2U) << "the election must still be open at the pause";
+
+    const std::string path = temp_path("ppsim_resume_leap_" + tag + ".ppck");
+    reference->write_checkpoint(path);
+    const auto resumed = registry.resume_simulation(path);
+    expect_same_run_state(*resumed, *reference);
+
+    const RunResult expected = reference->run_until_one_leader(budget);
+    const RunResult actual = resumed->run_until_one_leader(budget);
+    ASSERT_TRUE(expected.converged);
+    EXPECT_EQ(actual.stabilization_step, expected.stabilization_step);
+    expect_same_run_state(*resumed, *reference);
+    std::filesystem::remove(path);
+}
+
+TEST(ResumeEquivalenceLeapRegime, PllGillespiePausedInQuickElimination) {
+    expect_leap_regime_resume(8.0, "quick_elimination");
+}
+
+TEST(ResumeEquivalenceLeapRegime, PllGillespiePausedInTheTimerWait) {
+    expect_leap_regime_resume(160.0, "timer_wait");
+}
+
+TEST(ResumeEquivalenceLeapRegime, RestoreIntoAnEngineThatRanAnotherSeed) {
+    // restore_state must drop the factorisation count with the transition
+    // cache: an engine whose count covers its own run's state ids restores
+    // another run's payload, re-assigning those ids, and must continue
+    // exactly as the checkpointed engine does.
+    const std::size_t n = leap_regime_n;
+    const StepCount pause = model_time_to_step(120.0, n);
+    const auto payload_of = [](const GillespieEngine<Pll>& engine) {
+        CheckpointWriter w;
+        engine.save_state(w);
+        return w.take();
+    };
+
+    GillespieEngine<Pll> original(Pll::for_population(n), n, timer_election_seed);
+    (void)original.run_for(pause);
+    GillespieEngine<Pll> other(Pll::for_population(n), n, 7);
+    (void)other.run_for(pause);
+    ASSERT_GT(other.separable_leaps(), 0U);
+    CheckpointReader r(payload_of(original));
+    other.restore_state(r);
+    EXPECT_EQ(other.separable_leaps(), 0U);
+    EXPECT_EQ(payload_of(other), payload_of(original));
+
+    const StepCount more = model_time_to_step(60.0, n);
+    (void)original.run_for(more);
+    (void)other.run_for(more);
+    EXPECT_GT(other.separable_leaps(), 0U);
+    EXPECT_EQ(payload_of(other), payload_of(original))
+        << "the restored engine diverged from the checkpointed one";
+}
 
 // --- hybrid mid-switch checkpoints ------------------------------------------
 
