@@ -1,4 +1,5 @@
-// E9 — Design ablations (DESIGN.md §4): why the paper's constants and module
+// E9 — Design ablations (the `PllConfig` knobs, protocols/pll.hpp; symbols in
+// docs/NOTATION.md): why the paper's constants and module
 // composition are what they are. Each ablation keeps correctness (BackUp is
 // parameter-agnostic) and measures the cost of deviating.
 //

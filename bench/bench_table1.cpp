@@ -5,8 +5,9 @@
 // reachable-state count per agent at a reference population size and (b) the
 // mean stabilisation time (in parallel time, over seeded repetitions) across
 // a population sweep, then prints the paper's table with measured columns
-// appended. Protocols whose full reproduction is out of scope (see
-// DESIGN.md) are printed as unmeasured rows with their published asymptotics.
+// appended. Protocols whose full reproduction is out of scope
+// (`unimplemented_table1_rows`, protocols/registry.hpp) are printed as
+// unmeasured rows with their published asymptotics.
 //
 // Scale: defaults finish in ~1 minute; REPRO_SCALE=full (or a number ≥ 2)
 // enlarges the sweep and repetition counts.

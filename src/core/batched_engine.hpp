@@ -61,16 +61,12 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "batch_pairing.hpp"
 #include "common.hpp"
-#include "count_store.hpp"
-#include "engine.hpp"  // RunResult
-#include "fault.hpp"
+#include "count_engine.hpp"
 #include "population.hpp"
 #include "protocol.hpp"
 #include "random.hpp"
@@ -82,239 +78,48 @@ namespace ppsim {
 /// Count-based batched simulation engine. Drop-in alternative to Engine<P>
 /// for the run/verify surface (run_until_one_leader, run_for,
 /// verify_outputs_stable, RunResult), minus per-agent observation — a
-/// count-based configuration has no agent identities.
+/// count-based configuration has no agent identities. Everything but the
+/// batch round lives in the shared core (count_engine.hpp).
 template <typename P>
     requires InternableProtocol<P>
-class BatchedEngine {
+class BatchedEngine : public CountEngine<BatchedEngine<P>, P> {
+    using Base = CountEngine<BatchedEngine<P>, P>;
+    friend Base;
+
 public:
-    using State = typename P::State;
-
     BatchedEngine(P protocol, std::size_t n, std::uint64_t seed)
-        : protocol_(std::move(protocol)),
-          n_(n),
-          rng_(seed),
-          fault_rng_(derive_seed(seed, fault_stream_tag)),
-          run_sampler_(n) {
-        require(n >= 2, "population must contain at least two agents");
-        // The collision-step case weights t(t−1) and t(n−t) are computed in
-        // 64 bits; with t = Θ(√n) they stay far below 2^64 for any n ≤ 2^32,
-        // which is also the agent-id ceiling of the rest of the library.
-        require(n <= (std::uint64_t{1} << 32U),
-                "batched engine supports populations up to 2^32 agents");
-        const StateId init = intern(protocol_.initial_state());
-        store_.counts()[init] = n_;
-        store_.make_live(init);
-        leader_count_ = store_.index().is_leader(init) ? n_ : 0;
-        initiators_.reserve(64);
-        responders_.reserve(64);
-        pairs_.cells.reserve(64);
-    }
-
-    // --- observation ------------------------------------------------------
-
-    [[nodiscard]] std::size_t population_size() const noexcept { return n_; }
-    [[nodiscard]] StepCount steps() const noexcept { return steps_; }
-    [[nodiscard]] double parallel_time() const noexcept {
-        return to_parallel_time(steps_, n_);
-    }
-    [[nodiscard]] std::size_t leader_count() const noexcept { return leader_count_; }
-    [[nodiscard]] const P& protocol() const noexcept { return protocol_; }
-    [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept {
-        return first_single_leader_step_;
-    }
-
-    /// Exact count of agents currently in state `s` (0 when never interned).
-    [[nodiscard]] std::uint64_t count_of(const State& s) const {
-        return store_.count_of(protocol_, s);
-    }
-
-    /// Number of distinct states with a non-zero count.
-    [[nodiscard]] std::size_t live_state_count() const noexcept {
-        return store_.live_state_count();
-    }
-
-    /// Sum of all counts — the population size, by conservation.
-    [[nodiscard]] std::uint64_t total_count() const noexcept {
-        return store_.total_count();
-    }
-
-    /// Visits every state with a non-zero count as (state, count, role) —
-    /// O(#states) regardless of n, the batched engine's snapshot primitive.
-    /// Only valid between public calls (the in-flight touched multiset of a
-    /// batch round has been merged back by then).
-    template <typename Visitor>
-    void visit_counts(Visitor&& visit) const {
-        store_.visit_counts(visit);
-    }
-
-    /// Recomputes the leader count from the count vector (tests / checks).
-    std::size_t recount_leaders() {
-        leader_count_ = store_.recount_leaders();
-        return leader_count_;
-    }
-
-    /// Read-only view of the shared count store (introspection).
-    [[nodiscard]] const InternedCountStore<P>& store() const noexcept { return store_; }
-
-    /// Read-only view of the memoised transition cache (introspection).
-    [[nodiscard]] const TransitionCache& transition_cache() const noexcept {
-        return cache_;
-    }
-
-    // --- execution --------------------------------------------------------
-
-    /// Runs until exactly one leader remains or `max_steps` further steps
-    /// have been executed, whichever comes first. The final batch may run a
-    /// few interactions past the stabilisation step (they cannot change the
-    /// outcome: single-leader is absorbing); `stabilization_step` is exact.
-    RunResult run_until_one_leader(StepCount max_steps) {
-        StepCount executed = 0;
-        while (leader_count_ != 1 && executed < max_steps) {
-            executed += round(max_steps - executed);
-        }
-        return make_result(leader_count_ == 1);
-    }
-
-    /// Runs exactly `count` steps: the final batch's collision-free run is
-    /// clamped to the remaining budget, so there is no overrun.
-    RunResult run_for(StepCount count) {
-        StepCount executed = 0;
-        while (executed < count) executed += round(count - executed);
-        return make_result(leader_count_ == 1);
-    }
-
-    /// Runs `count` additional steps and reports whether any agent's output
-    /// changed during them (and the leader count stayed put).
-    [[nodiscard]] bool verify_outputs_stable(StepCount count) {
-        const std::size_t leaders_before = leader_count_;
-        role_change_seen_ = false;
-        StepCount executed = 0;
-        while (executed < count) executed += round(count - executed);
-        return !role_change_seen_ && leader_count_ == leaders_before;
-    }
-
-    // --- fault injection ---------------------------------------------------
-
-    /// Applies one crash/rejoin/reset fault between rounds by count-vector
-    /// surgery on the shared store. The transition cache stays valid (it is
-    /// keyed on state ids, never on counts); the repairs the surgery *does*
-    /// owe are the live-list compaction (inside `remove_uniform_agents`)
-    /// and re-sizing the collision-run sampler to the new population. All
-    /// randomness comes from the dedicated fault stream, so the batch
-    /// stream replays deterministically after the fault. Silence never
-    /// reaches the engine (run-layer concern).
-    void apply_fault(const FaultAction& action) {
-        require(action.kind != FaultKind::silence,
-                "silence is applied by the run layer, not the engine");
-        switch (action.kind) {
-            case FaultKind::crash: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k >= n_) k = n_ - 1;  // always leave one survivor
-                const std::uint64_t leaders_removed =
-                    remove_uniform_agents(store_, fault_rng_, k, n_);
-                n_ -= k;
-                leader_count_ -= leaders_removed;
-                if (n_ >= 2) run_sampler_ = CollisionRunSampler(n_);
-                break;
-            }
-            case FaultKind::rejoin: {
-                const std::uint64_t k = action.count;
-                require(n_ + k <= (std::uint64_t{1} << 32U),
-                        "rejoin would grow the population past 2^32 agents");
-                const StateId init = intern(protocol_.initial_state());
-                store_.counts()[init] += k;
-                store_.make_live(init);
-                n_ += k;
-                if (store_.index().is_leader(init)) leader_count_ += k;
-                run_sampler_ = CollisionRunSampler(n_);
-                break;
-            }
-            case FaultKind::reset: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k > n_) k = n_;
-                const std::uint64_t leaders_removed =
-                    remove_uniform_agents(store_, fault_rng_, k, n_);
-                const StateId init = intern(protocol_.initial_state());
-                store_.counts()[init] += k;
-                store_.make_live(init);
-                leader_count_ -= leaders_removed;
-                if (store_.index().is_leader(init)) leader_count_ += k;
-                break;
-            }
-            case FaultKind::silence: break;  // unreachable (guarded above)
-        }
-        // Re-anchor single-leader detection at the post-fault configuration.
-        first_single_leader_step_ = leader_count_ == 1
-                                        ? std::optional<StepCount>(steps_)
-                                        : std::nullopt;
-    }
-
-    /// Advances the step counter through a rate-zero silence window without
-    /// touching counts or randomness.
-    void advance_silent(StepCount count) noexcept { steps_ += count; }
-
-    // --- checkpointing ------------------------------------------------------
-
-    /// Serialises the engine's complete replay-relevant state: the batch and
-    /// fault stream positions, the interned count store, and the
-    /// step/leader/stabilisation counters. Legal between public calls only
-    /// (touched multiset empty), which the store asserts.
-    void save_state(CheckpointWriter& w) const {
-        w.u64(n_);
-        w.pod(rng_.state());
-        w.pod(fault_rng_.state());
-        store_.save_state(w);
-        w.u64(steps_);
-        w.u64(leader_count_);
-        w.opt_u64(first_single_leader_step_);
-        w.boolean(role_change_seen_);
-    }
-
-    /// Restores a `save_state` payload into an engine built with the same
-    /// protocol. The transition cache is dropped (a pure memo, but its
-    /// entries may reference states interned after the checkpoint was taken);
-    /// recomputation re-interns outputs in the exact order the original run
-    /// did, so replay stays bit-identical.
-    void restore_state(CheckpointReader& r) {
-        n_ = r.u64();
-        rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        store_.restore_state(protocol_, r);
-        steps_ = r.u64();
-        leader_count_ = r.u64();
-        first_single_leader_step_ = r.opt_u64();
-        role_change_seen_ = r.boolean();
-        cache_ = TransitionCache{};
-        if (n_ >= 2) run_sampler_ = CollisionRunSampler(n_);
-    }
+        : Base(std::move(protocol), n, seed), run_sampler_(n) {}
 
 private:
-    // --- interning --------------------------------------------------------
+    using Base::crossing_offset;
+    using Base::first_single_leader_step_;
+    using Base::initiators_;
+    using Base::leader_count_;
+    using Base::n_;
+    using Base::pairs_;
+    using Base::responders_;
+    using Base::rng_;
+    using Base::role_change_seen_;
+    using Base::steps_;
+    using Base::store_;
+    using Base::transition;
 
-    StateId intern(const State& s) { return store_.intern(protocol_, s); }
-
-    /// Memoised transition lookup through the shared cache
-    /// (transition_cache.hpp).
-    const CachedTransition& transition(StateId a, StateId b) {
-        return cache_.get(a, b,
-                          [this](StateId x, StateId y) { return compute_transition(x, y); });
-    }
-
-    CachedTransition compute_transition(StateId a, StateId b) {
-        return compute_cached_transition(protocol_, store_.index(), a, b,
-                                         [this](const State& s) { return intern(s); });
+    /// Re-sizes the collision-run sampler to the population after a crash,
+    /// a rejoin or a restore.
+    void population_changed() {
+        if (n_ >= 2) run_sampler_ = CollisionRunSampler(n_);
     }
 
     // --- batch round ------------------------------------------------------
 
-    /// Executes one batch of at most `budget` interactions; returns the
-    /// number executed (≥ 1 for budget ≥ 1).
-    StepCount round(StepCount budget) {
-        if (budget == 0) return 0;
-        if (n_ < 2) {  // crash fault left a single survivor: no pairs exist
-            steps_ += budget;
-            return budget;
-        }
+    /// Executes one batch of at most `budget` ≥ 1 interactions; returns the
+    /// number executed. A batch never stops early at a single leader: its
+    /// crossing replay records the exact stabilisation step instead. Kept
+    /// out of line: inlined into the core's run loops, one copy per loop and
+    /// protocol would spend the instantiating translation unit's inlining
+    /// budget, which decides the code of every engine's hot loops there.
+    __attribute__((noinline)) StepCount round(StepCount budget,
+                                              bool /*stop_at_single_leader*/) {
         const std::uint64_t run = run_sampler_.sample(rng_);
         // Room for the batch-ending collision interaction only when the
         // whole collision-free run fits in the budget.
@@ -395,7 +200,11 @@ private:
         std::int64_t delta_total = 0;
         bool role_changed = false;
         if constexpr (RatedProtocol<P>) fired_mult_.clear();
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+        // Forced inline: left to the heuristics, whether this body is inlined
+        // into the per-pair loop of BatchPairs::for_each depends on how much
+        // inlining budget the instantiating translation unit has left.
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
+                            __attribute__((always_inline)) {
             const CachedTransition& tr = transition(a, b);
             std::uint64_t fired = mult;
             if constexpr (RatedProtocol<P>) {
@@ -424,33 +233,12 @@ private:
         const auto post = static_cast<std::size_t>(
             static_cast<std::int64_t>(leader_count_) + delta_total);
         if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
-            first_single_leader_step_ = steps_before + crossing_offset();
+            // The batch's pairs are exchangeable — contingency cells no less
+            // than shuffled pairs — so the shared replay localises the
+            // crossing; unrated batches apply every pair (empty fired_mult_).
+            first_single_leader_step_ = steps_before + crossing_offset(fired_mult_);
         }
         leader_count_ = post;
-    }
-
-    /// The batch's pairs are exchangeable — contingency cells no less than
-    /// shuffled pairs — so the shared replay (`locate_leader_crossing`,
-    /// transition_cache.hpp) localises the crossing from their expanded
-    /// leader deltas. Rated protocols expand each group as its fired count's
-    /// deltas plus zeros for the thinned pairs (null interactions occupy
-    /// step slots too). Called at most once per run (single-leader is
-    /// absorbing).
-    [[nodiscard]] std::uint64_t crossing_offset() {
-        scratch_deltas_.clear();
-        std::size_t group = 0;
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
-            std::uint64_t fired = mult;
-            if constexpr (RatedProtocol<P>) {
-                fired = fired_mult_[group++];
-            } else {
-                (void)group;
-            }
-            scratch_deltas_.insert(scratch_deltas_.end(), fired,
-                                   transition(a, b).leader_delta);
-            scratch_deltas_.insert(scratch_deltas_.end(), mult - fired, 0);
-        });
-        return locate_leader_crossing(scratch_deltas_, rng_, leader_count_);
     }
 
     /// The interaction that ends the batch: at least one participant is an
@@ -524,43 +312,9 @@ private:
         return 0;
     }
 
-    [[nodiscard]] RunResult make_result(bool converged) const noexcept {
-        RunResult r;
-        r.converged = converged;
-        r.steps = steps_;
-        r.parallel_time = to_parallel_time(steps_, n_);
-        r.leader_count = leader_count_;
-        r.stabilization_step = first_single_leader_step_;
-        return r;
-    }
-
-    P protocol_;
-    std::size_t n_;
-    Rng rng_;
-    Rng fault_rng_;  ///< fault-surgery stream; never touches the batch stream
     CollisionRunSampler run_sampler_;
-    InternedCountStore<P> store_;  ///< counts + live list + touched multiset
     std::uint64_t untouched_ = 0;
-    TransitionCache cache_;
-    StateMultiset initiators_;
-    StateMultiset responders_;
-    BatchPairs pairs_;
     std::vector<std::uint64_t> fired_mult_;  ///< per-group fired count (rated only)
-    std::vector<std::int8_t> scratch_deltas_;
-    StepCount steps_ = 0;
-    std::size_t leader_count_ = 0;
-    std::optional<StepCount> first_single_leader_step_;
-    bool role_change_seen_ = false;
 };
-
-/// Convenience mirror of simulate_to_single_leader for the batched engine.
-template <typename P>
-    requires InternableProtocol<P>
-[[nodiscard]] RunResult batched_simulate_to_single_leader(P proto, std::size_t n,
-                                                         std::uint64_t seed,
-                                                         StepCount max_steps) {
-    BatchedEngine<P> engine(std::move(proto), n, seed);
-    return engine.run_until_one_leader(max_steps);
-}
 
 }  // namespace ppsim

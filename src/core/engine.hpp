@@ -44,7 +44,9 @@ namespace ppsim {
 /// non-null reaction channels (geometric null-reaction skipping) with a
 /// τ-leaping fast path at large n — exact below its leap threshold,
 /// approximate above it, with a measured per-agent variance bias
-/// (gillespie_engine.hpp, `leap_divisor`).
+/// (gillespie_engine.hpp, `leap_divisor`). `hybrid` is the adaptive
+/// HybridEngine<P>, which runs the agent or the gillespie engine per phase
+/// of a run by a fixed rule over n and the census (hybrid_engine.hpp).
 enum class EngineKind : std::uint8_t {
     agent = 0,
     batched = 1,

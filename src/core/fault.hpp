@@ -42,8 +42,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "count_store.hpp"
-#include "random.hpp"
 
 namespace ppsim {
 
@@ -213,39 +211,5 @@ inline void validate_fault_action(const FaultAction& a) {
 /// `fault_rng_` with `derive_seed(seed, fault_stream_tag)` at construction
 /// so fault randomness never touches the main schedule stream.
 inline constexpr std::uint64_t fault_stream_tag = 0x6661756cULL;
-
-/// Count-vector surgery shared by the batched and gillespie engines:
-/// removes `k` agents drawn uniformly without replacement from a
-/// configuration of `total` agents held in `store` — a multivariate
-/// hypergeometric split realised as the same conditional chain the batched
-/// engine uses for its multisets. Compacts the live list and returns the
-/// number of removed agents whose state outputs leader, so the caller can
-/// maintain its leader count incrementally.
-template <typename P>
-[[nodiscard]] std::uint64_t remove_uniform_agents(InternedCountStore<P>& store,
-                                                  Rng& rng, std::uint64_t k,
-                                                  std::uint64_t total) {
-    ensure(k <= total, "fault surgery cannot remove more agents than exist");
-    std::uint64_t pool = total;
-    std::uint64_t remaining = k;
-    std::uint64_t leaders_removed = 0;
-    auto& counts = store.counts();
-    for (const StateId id : store.live_ids()) {
-        if (remaining == 0) break;
-        const std::uint64_t c = counts[id];
-        if (c == 0) continue;
-        const std::uint64_t x =
-            c >= pool ? remaining : hypergeometric(rng, pool, c, remaining);
-        pool -= c;
-        if (x > 0) {
-            counts[id] -= x;
-            remaining -= x;
-            if (store.index().is_leader(id)) leaders_removed += x;
-        }
-    }
-    ensure(remaining == 0, "fault surgery failed to place all removals");
-    store.compact_live();
-    return leaders_removed;
-}
 
 }  // namespace ppsim

@@ -96,9 +96,8 @@
 
 #include "batch_pairing.hpp"
 #include "common.hpp"
+#include "count_engine.hpp"
 #include "count_store.hpp"
-#include "engine.hpp"  // RunResult
-#include "fault.hpp"
 #include "protocol.hpp"
 #include "random.hpp"
 #include "state_index.hpp"
@@ -212,10 +211,14 @@ private:
 /// Reaction-rate (Gillespie SSA + τ-leaping) simulation engine. Drop-in
 /// alternative to Engine<P> / BatchedEngine<P> for the run/verify surface
 /// (run_until_one_leader, run_for, verify_outputs_stable, RunResult), minus
-/// per-agent observation — like the batched engine it works on counts.
+/// per-agent observation — like the batched engine it works on counts, and
+/// everything but its rounds lives in the shared core (count_engine.hpp).
 template <typename P>
     requires InternableProtocol<P>
-class GillespieEngine {
+class GillespieEngine : public CountEngine<GillespieEngine<P>, P> {
+    using Base = CountEngine<GillespieEngine<P>, P>;
+    friend Base;
+
 public:
     using State = typename P::State;
 
@@ -248,53 +251,11 @@ public:
     static constexpr StepCount categorical_chunk = 4096;
 
     GillespieEngine(P protocol, std::size_t n, std::uint64_t seed)
-        : protocol_(std::move(protocol)),
-          n_(n),
-          rng_(seed),
-          fault_rng_(derive_seed(seed, fault_stream_tag)) {
-        require(n >= 2, "population must contain at least two agents");
-        // Channel weights c_a·c_b are computed in 64 bits; n ≤ 2^32 keeps
-        // them (and their sum, ≤ n(n−1)) below 2^64, matching the agent-id
-        // ceiling of the rest of the library.
-        require(n <= (std::uint64_t{1} << 32U),
-                "gillespie engine supports populations up to 2^32 agents");
-        const StateId init = intern(protocol_.initial_state());
-        store_.counts()[init] = n_;
-        store_.make_live(init);
-        leader_count_ = store_.index().is_leader(init) ? n_ : 0;
-        initiators_.reserve(64);
-        responders_.reserve(64);
-        pairs_.cells.reserve(64);
+        : Base(std::move(protocol), n, seed) {
         channels_.reserve(64);
     }
 
     // --- observation ------------------------------------------------------
-
-    [[nodiscard]] std::size_t population_size() const noexcept { return n_; }
-    [[nodiscard]] StepCount steps() const noexcept { return steps_; }
-    [[nodiscard]] double parallel_time() const noexcept {
-        return to_parallel_time(steps_, n_);
-    }
-    [[nodiscard]] std::size_t leader_count() const noexcept { return leader_count_; }
-    [[nodiscard]] const P& protocol() const noexcept { return protocol_; }
-    [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept {
-        return first_single_leader_step_;
-    }
-
-    /// Exact count of agents currently in state `s` (0 when never interned).
-    [[nodiscard]] std::uint64_t count_of(const State& s) const {
-        return store_.count_of(protocol_, s);
-    }
-
-    /// Number of distinct states with a non-zero count.
-    [[nodiscard]] std::size_t live_state_count() const noexcept {
-        return store_.live_state_count();
-    }
-
-    /// Sum of all counts — the population size, by conservation.
-    [[nodiscard]] std::uint64_t total_count() const noexcept {
-        return store_.total_count();
-    }
 
     /// τ-leaps executed so far, separable ones included (introspection for
     /// tests and benches).
@@ -340,27 +301,6 @@ public:
         return out;
     }
 
-    /// Visits every state with a non-zero count as (state, count, role) —
-    /// O(#states) regardless of n; only valid between public calls.
-    template <typename Visitor>
-    void visit_counts(Visitor&& visit) const {
-        store_.visit_counts(visit);
-    }
-
-    /// Recomputes the leader count from the count vector (tests / checks).
-    std::size_t recount_leaders() {
-        leader_count_ = store_.recount_leaders();
-        return leader_count_;
-    }
-
-    /// Read-only view of the shared count store (layer tracing).
-    [[nodiscard]] const InternedCountStore<P>& store() const noexcept { return store_; }
-
-    /// Read-only view of the memoised transition cache (introspection).
-    [[nodiscard]] const TransitionCache& transition_cache() const noexcept {
-        return cache_;
-    }
-
     /// Adopts a configuration handed over by another engine (the hybrid
     /// meta-engine's mid-run switch, hybrid_engine.hpp): replaces the count
     /// vector with the census and carries the step counter and
@@ -378,147 +318,43 @@ public:
         factorisation_.clear();
     }
 
-    // --- execution --------------------------------------------------------
+private:
+    using Base::crossing_offset;
+    using Base::first_single_leader_step_;
+    using Base::initiators_;
+    using Base::leader_count_;
+    using Base::n_;
+    using Base::pairs_;
+    using Base::protocol_;
+    using Base::responders_;
+    using Base::rng_;
+    using Base::role_change_seen_;
+    using Base::steps_;
+    using Base::store_;
+    using Base::transition;
 
-    /// Runs until exactly one leader remains or `max_steps` further steps
-    /// have been executed, whichever comes first. A final τ-leap may run a
-    /// few interactions past the stabilisation step (harmless for absorbing
-    /// predicates); `stabilization_step` is exact.
-    RunResult run_until_one_leader(StepCount max_steps) {
-        StepCount executed = 0;
-        while (leader_count_ != 1 && executed < max_steps) {
-            executed += round(max_steps - executed, /*stop_at_single_leader=*/true);
-        }
-        return make_result(leader_count_ == 1);
-    }
+    // --- checkpoint tail ----------------------------------------------------
 
-    /// Runs exactly `count` steps: every path clamps to the remaining
-    /// budget, so there is no overrun.
-    RunResult run_for(StepCount count) {
-        StepCount executed = 0;
-        while (executed < count) {
-            executed += round(count - executed, /*stop_at_single_leader=*/false);
-        }
-        return make_result(leader_count_ == 1);
-    }
-
-    /// Runs `count` additional steps and reports whether any agent's output
-    /// changed during them (and the leader count stayed put). Null reactions
-    /// never change outputs, so the geometric skips are free here too.
-    [[nodiscard]] bool verify_outputs_stable(StepCount count) {
-        const std::size_t leaders_before = leader_count_;
-        role_change_seen_ = false;
-        StepCount executed = 0;
-        while (executed < count) {
-            executed += round(count - executed, /*stop_at_single_leader=*/false);
-        }
-        return !role_change_seen_ && leader_count_ == leaders_before;
-    }
-
-    // --- fault injection ---------------------------------------------------
-
-    /// Applies one crash/rejoin/reset fault between rounds by count-vector
-    /// surgery on the shared store. No explicit propensity invalidation is
-    /// needed: the channel list is rebuilt from the live counts at the top
-    /// of every round (`build_channels` / the leap multiset chains read the
-    /// counts directly), and the transition cache is keyed on state ids,
-    /// which surgery never perturbs. All randomness comes from the
-    /// dedicated fault stream, so the post-fault SSA stream replays
-    /// deterministically. Silence never reaches the engine.
-    void apply_fault(const FaultAction& action) {
-        require(action.kind != FaultKind::silence,
-                "silence is applied by the run layer, not the engine");
-        switch (action.kind) {
-            case FaultKind::crash: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k >= n_) k = n_ - 1;  // always leave one survivor
-                const std::uint64_t leaders_removed =
-                    remove_uniform_agents(store_, fault_rng_, k, n_);
-                n_ -= k;
-                leader_count_ -= leaders_removed;
-                break;
-            }
-            case FaultKind::rejoin: {
-                const std::uint64_t k = action.count;
-                require(n_ + k <= (std::uint64_t{1} << 32U),
-                        "rejoin would grow the population past 2^32 agents");
-                const StateId init = intern(protocol_.initial_state());
-                store_.counts()[init] += k;
-                store_.make_live(init);
-                n_ += k;
-                if (store_.index().is_leader(init)) leader_count_ += k;
-                break;
-            }
-            case FaultKind::reset: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k > n_) k = n_;
-                const std::uint64_t leaders_removed =
-                    remove_uniform_agents(store_, fault_rng_, k, n_);
-                const StateId init = intern(protocol_.initial_state());
-                store_.counts()[init] += k;
-                store_.make_live(init);
-                leader_count_ -= leaders_removed;
-                if (store_.index().is_leader(init)) leader_count_ += k;
-                break;
-            }
-            case FaultKind::silence: break;  // unreachable (guarded above)
-        }
-        // Re-anchor single-leader detection at the post-fault configuration.
-        first_single_leader_step_ = leader_count_ == 1
-                                        ? std::optional<StepCount>(steps_)
-                                        : std::nullopt;
-    }
-
-    /// Advances the step counter through a rate-zero silence window without
-    /// touching counts or randomness.
-    void advance_silent(StepCount count) noexcept { steps_ += count; }
-
-    // --- checkpointing ------------------------------------------------------
-
-    /// Serialises the engine's complete replay-relevant state: the SSA and
-    /// fault stream positions, the interned count store, the
-    /// step/leader/stabilisation counters and the leap/event tallies. The
+    /// The leap/event tallies follow the shared checkpoint prefix. The
     /// channel list and its weights are per-round transients (rebuilt from
     /// the live counts at the top of every round), so they are never
-    /// persisted. Legal between public calls only.
-    void save_state(CheckpointWriter& w) const {
-        w.u64(n_);
-        w.pod(rng_.state());
-        w.pod(fault_rng_.state());
-        store_.save_state(w);
-        w.u64(steps_);
-        w.u64(leader_count_);
-        w.opt_u64(first_single_leader_step_);
-        w.boolean(role_change_seen_);
+    /// persisted.
+    void save_tail(CheckpointWriter& w) const {
         w.u64(leaps_);
         w.u64(exact_events_);
         w.u64(dropped_pairs_);
     }
 
-    /// Restores a `save_state` payload into an engine built with the same
-    /// protocol. The transition cache is dropped (its entries may reference
-    /// states interned after the checkpoint); recomputation re-interns
-    /// outputs in the original order, keeping replay bit-identical. The
-    /// factorisation count is dropped too (it is rebuilt from the live set)
-    /// and `separable_leaps()` restarts from 0.
-    void restore_state(CheckpointReader& r) {
-        n_ = r.u64();
-        rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
-        store_.restore_state(protocol_, r);
-        steps_ = r.u64();
-        leader_count_ = r.u64();
-        first_single_leader_step_ = r.opt_u64();
-        role_change_seen_ = r.boolean();
+    /// Reads the tallies back. The factorisation count is dropped (it is
+    /// rebuilt from the live set) and `separable_leaps()` restarts from 0.
+    void restore_tail(CheckpointReader& r) {
         leaps_ = r.u64();
         exact_events_ = r.u64();
         dropped_pairs_ = r.u64();
-        cache_ = TransitionCache{};
         factorisation_.clear();
         separable_leaps_ = 0;
     }
 
-private:
     /// One non-null reaction channel: the ordered state pair and its current
     /// propensity weight. `weight` is the structural part c_a·(c_b − [a = b])
     /// (always integral); rated protocols scale it by the memoised firing
@@ -532,33 +368,11 @@ private:
         double rated_weight;
     };
 
-    // --- interning --------------------------------------------------------
-
-    StateId intern(const State& s) { return store_.intern(protocol_, s); }
-
-    /// Memoised transition lookup through the shared cache
-    /// (transition_cache.hpp).
-    const CachedTransition& transition(StateId a, StateId b) {
-        return cache_.get(a, b,
-                          [this](StateId x, StateId y) { return compute_transition(x, y); });
-    }
-
-    CachedTransition compute_transition(StateId a, StateId b) {
-        return compute_cached_transition(protocol_, store_.index(), a, b,
-                                         [this](const State& s) { return intern(s); });
-    }
-
     // --- round dispatch ---------------------------------------------------
 
-    /// Executes one round of at most `budget` steps on the path the current
-    /// configuration calls for; returns the number executed (≥ 1 for
-    /// budget ≥ 1).
+    /// Executes one round of at most `budget` ≥ 1 steps on the path the
+    /// current configuration calls for; returns the number executed.
     StepCount round(StepCount budget, bool stop_at_single_leader) {
-        if (budget == 0) return 0;
-        if (n_ < 2) {  // crash fault left a single survivor: no pairs exist
-            steps_ += budget;
-            return budget;
-        }
         store_.compact_live();
         const std::size_t d = store_.live_ids().size();
         const StepCount leap_len =
@@ -796,8 +610,8 @@ private:
                 counts[a] -= m;
                 counts[b] -= m;
             }
-            touch(tr.out_a, m);
-            touch(tr.out_b, m);
+            store_.touch(tr.out_a, m);
+            store_.touch(tr.out_b, m);
             delta_total += static_cast<std::int64_t>(tr.leader_delta) *
                            static_cast<std::int64_t>(m);
             role_changed |= tr.role_changed;
@@ -808,7 +622,7 @@ private:
         const auto post = static_cast<std::size_t>(
             static_cast<std::int64_t>(leader_count_) + delta_total);
         if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
-            first_single_leader_step_ = steps_before + leap_crossing_offset();
+            first_single_leader_step_ = steps_before + crossing_offset(applied_mult_);
         }
         leader_count_ = post;
         store_.merge_touched();
@@ -880,7 +694,7 @@ private:
         for (const StateMultiset* side : sides) {
             for (const auto& [id, mult] : *side) {
                 counts[id] -= mult;
-                touch(separable_out_[i++], mult);
+                store_.touch(separable_out_[i++], mult);
             }
         }
         steps_ += len;
@@ -920,64 +734,12 @@ private:
         }
     }
 
-    /// Locates the crossing interaction inside a leap that reached a single
-    /// leader via the shared exchangeability replay (`locate_leader_crossing`,
-    /// transition_cache.hpp): applied pairs contribute their leader deltas;
-    /// dropped and rate-thinned pairs zeros. Called at most once per run.
-    [[nodiscard]] std::uint64_t leap_crossing_offset() {
-        scratch_deltas_.clear();
-        std::size_t group = 0;
-        // Forced inline: left to the heuristics, whether this body is inlined
-        // into the per-pair loop of BatchPairs::for_each depends on how much
-        // inlining budget the instantiating translation unit has left, so
-        // unrelated code there could slow every pairwise leap.
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
-                            __attribute__((always_inline)) {
-            const std::uint64_t m = applied_mult_[group++];
-            scratch_deltas_.insert(scratch_deltas_.end(), m,
-                                   transition(a, b).leader_delta);
-            scratch_deltas_.insert(scratch_deltas_.end(), mult - m, 0);
-        });
-        return locate_leader_crossing(scratch_deltas_, rng_, leader_count_);
-    }
-
-    // --- pending-output bookkeeping ----------------------------------------
-
-    /// Outputs produced within a leap accumulate in the store's touched
-    /// multiset so they are never re-consumed by later cells of the same
-    /// leap (they were not part of the frozen pre-leap counts).
-    void touch(StateId id, std::uint64_t mult) { store_.touch(id, mult); }
-
-    [[nodiscard]] RunResult make_result(bool converged) const noexcept {
-        RunResult r;
-        r.converged = converged;
-        r.steps = steps_;
-        r.parallel_time = to_parallel_time(steps_, n_);
-        r.leader_count = leader_count_;
-        r.stabilization_step = first_single_leader_step_;
-        return r;
-    }
-
-    P protocol_;
-    std::size_t n_;
-    Rng rng_;
-    Rng fault_rng_;  ///< fault-surgery stream; never touches the SSA stream
-    InternedCountStore<P> store_;  ///< counts + live list + touched multiset
-    TransitionCache cache_;
     std::vector<Channel> channels_;       ///< non-null channels (rebuilt per SSA event)
     std::uint64_t w_nonnull_ = 0;         ///< Σ weights of channels_ (unrated)
     double w_rated_ = 0.0;                ///< Σ rated weights of channels_ (rated)
-    StateMultiset initiators_;
-    StateMultiset responders_;
-    BatchPairs pairs_;
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
-    std::vector<std::int8_t> scratch_deltas_;
     CellFactorisation<P> factorisation_;  ///< non-factorising live cells (not persisted)
     std::vector<StateId> separable_out_;  ///< per sampled state: f(a), then g(b)
-    StepCount steps_ = 0;
-    std::size_t leader_count_ = 0;
-    std::optional<StepCount> first_single_leader_step_;
-    bool role_change_seen_ = false;
     std::uint64_t leaps_ = 0;
     std::uint64_t separable_leaps_ = 0;
     std::uint64_t exact_events_ = 0;
@@ -985,15 +747,5 @@ private:
     bool tally_enabled_ = false;
     std::unordered_map<std::uint64_t, std::uint64_t> tally_;  ///< packed id pair → fired
 };
-
-/// Convenience mirror of simulate_to_single_leader for the Gillespie engine.
-template <typename P>
-    requires InternableProtocol<P>
-[[nodiscard]] RunResult gillespie_simulate_to_single_leader(P proto, std::size_t n,
-                                                            std::uint64_t seed,
-                                                            StepCount max_steps) {
-    GillespieEngine<P> engine(std::move(proto), n, seed);
-    return engine.run_until_one_leader(max_steps);
-}
 
 }  // namespace ppsim

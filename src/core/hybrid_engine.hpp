@@ -144,8 +144,7 @@ public:
     HybridEngine(P protocol, std::size_t n, std::uint64_t seed)
         : protocol_(std::move(protocol)), n_(n), root_seed_(seed) {
         require(n >= 2, "population must contain at least two agents");
-        require(n <= (std::uint64_t{1} << 32U),
-                "hybrid engine supports populations up to 2^32 agents");
+        require_count_population(n);
         // The initial pick has no incumbent: the agent engine's threshold
         // applies.
         Census initial;
@@ -245,7 +244,9 @@ public:
     /// surgery and single-leader re-anchoring are authoritative), then
     /// re-reads the population size — a crash or rejoin changes n, which
     /// feeds the rule, the evaluation cadence and any later engine handoff.
+    /// A rejoin past the count engines' ceiling fails in either mode.
     void apply_fault(const FaultAction& action) {
+        if (action.kind == FaultKind::rejoin) require_count_population(n_, action.count);
         with_engine([&action](auto& e) { e.apply_fault(action); });
         n_ = with_engine([](const auto& e) { return e.population_size(); });
         // Evaluations stop at a single survivor; a rejoin fault that adds

@@ -1,24 +1,24 @@
 /// \file simulation.hpp
 /// \brief The type-erased run layer: one `Simulation` interface over every
 /// back-end (the per-interaction `Engine<P>`, the count-based
-/// `BatchedEngine<P>` and the reaction-rate `GillespieEngine<P>`), plus the
-/// observer hook that lets trajectory recorders and convergence monitors
+/// `BatchedEngine<P>`, the reaction-rate `GillespieEngine<P>` and the
+/// adaptive `HybridEngine<P>`), plus the observer hook that lets trajectory recorders and convergence monitors
 /// watch any run without entering the per-interaction hot loop.
 ///
 /// Everything above the engines — the registry, the experiment driver, the
 /// CLI, the benches — speaks this interface. The engines themselves stay
-/// statically typed: an adapter holds the concrete engine by value and the
-/// virtual dispatch sits at *chunk* granularity (one call per run, or one
-/// per observer deadline), never per interaction, so registry-level runs
-/// keep the templated engines' throughput.
+/// statically typed: one adapter template holds the concrete engine by value
+/// and the virtual dispatch sits at *chunk* granularity (one call per run,
+/// or one per observer deadline), never per interaction, so registry-level
+/// runs keep the templated engines' throughput.
 ///
 /// Observer semantics: an observer declares the absolute step index at which
 /// it next wants to look (`next_due`). The run layer slices the step budget
 /// at the earliest deadline across observers, advances the engine with its
 /// native specialised loop, and notifies every observer at the boundary. On
-/// the batched engine a boundary merely clamps a batch, so the cadence cost
-/// is O(#states) per observation — independent of n. With no observers
-/// attached, run calls delegate straight to the engine's loop.
+/// the count engines a boundary merely clamps a batch or a leap, so the
+/// cadence cost is O(#states) per observation — independent of n. With no
+/// observers attached, run calls delegate straight to the engine's loop.
 #pragma once
 
 #include <algorithm>
@@ -123,7 +123,7 @@ public:
 };
 
 /// Type-erased simulation run: the uniform execution and observation
-/// surface over both engines. Instances are created per run (a simulation
+/// surface over every engine. Instances are created per run (a simulation
 /// owns its engine, which owns its population/counts and PRNG stream).
 class Simulation {
 public:
@@ -529,82 +529,17 @@ private:
 
 namespace detail {
 
-/// Simulation adapter over the per-interaction agent engine.
-template <Protocol P>
-class AgentSimulation final : public Simulation {
+/// Simulation adapter over one statically typed engine: the agent engine
+/// (`Engine<P>`), a count engine (`BatchedEngine<P>`, `GillespieEngine<P>`)
+/// or the hybrid meta-engine. Only observation differs by kind: the agent
+/// engine's census is one hashed pass over its agents (`census_of`), every
+/// other engine visits its counts. A protocol without an injective state
+/// key runs on the agent engine only and has no census: the snapshot keys
+/// states by `state_key_of`.
+template <Protocol P, typename EngineT, EngineKind kind_v>
+class EngineSimulation final : public Simulation {
 public:
-    AgentSimulation(P proto, std::size_t n, std::uint64_t seed)
-        : engine_(std::move(proto), n, seed) {}
-
-    [[nodiscard]] std::size_t population_size() const noexcept override {
-        return engine_.population_size();
-    }
-    [[nodiscard]] StepCount steps() const noexcept override { return engine_.steps(); }
-    [[nodiscard]] std::size_t leader_count() const noexcept override {
-        return engine_.leader_count();
-    }
-    [[nodiscard]] std::optional<StepCount> stabilization_step() const noexcept override {
-        return engine_.stabilization_step();
-    }
-    [[nodiscard]] EngineKind engine_kind() const noexcept override {
-        return EngineKind::agent;
-    }
-    [[nodiscard]] std::string protocol_name() const override {
-        return std::string(engine_.protocol().name());
-    }
-    [[nodiscard]] std::size_t live_state_count() const override {
-        return census_of(engine_.protocol(), engine_.population().states()).size();
-    }
-    [[nodiscard]] ConfigurationSnapshot state_counts() const override {
-        const P& proto = engine_.protocol();
-        const auto census = census_of(proto, engine_.population().states());
-        ConfigurationSnapshot snapshot;
-        snapshot.step = engine_.steps();
-        snapshot.counts.reserve(census.size());
-        for (const auto& [state, count] : census) {  // key-sorted already
-            snapshot.counts.push_back(
-                StateCount{state_key_of(proto, state), count, proto.output(state)});
-        }
-        return snapshot;
-    }
-
-    /// The wrapped engine, for typed access in tests and examples.
-    [[nodiscard]] Engine<P>& engine() noexcept { return engine_; }
-
-protected:
-    RunResult run_for_impl(StepCount count) override { return engine_.run_for(count); }
-    RunResult run_until_one_leader_impl(StepCount max_steps) override {
-        return engine_.run_until_one_leader(max_steps);
-    }
-    bool verify_outputs_stable_impl(StepCount count) override {
-        return engine_.verify_outputs_stable(count);
-    }
-    void apply_fault_impl(const FaultAction& action) override {
-        engine_.apply_fault(action);
-    }
-    void advance_silent_impl(StepCount count) override {
-        engine_.advance_silent(count);
-    }
-    void save_engine_state(CheckpointWriter& w) const override {
-        engine_.save_state(w);
-    }
-    void restore_engine_state(CheckpointReader& r) override {
-        engine_.restore_state(r);
-    }
-
-private:
-    Engine<P> engine_;
-};
-
-/// Simulation adapter over a count-based engine (BatchedEngine<P> /
-/// GillespieEngine<P>): the forwarding surface plus the visit_counts-based
-/// snapshot assembly, shared so a change to the adapter surface lands once
-/// for every count engine.
-template <typename P, typename EngineT, EngineKind kind_v>
-    requires InternableProtocol<P>
-class CountSimulation final : public Simulation {
-public:
-    CountSimulation(P proto, std::size_t n, std::uint64_t seed)
+    EngineSimulation(P proto, std::size_t n, std::uint64_t seed)
         : engine_(std::move(proto), n, seed) {}
 
     [[nodiscard]] std::size_t population_size() const noexcept override {
@@ -622,18 +557,38 @@ public:
         return std::string(engine_.protocol().name());
     }
     [[nodiscard]] std::size_t live_state_count() const override {
-        return engine_.live_state_count();
+        if constexpr (!InternableProtocol<P>) {
+            throw InvalidArgument("protocol has no injective state key: no state census");
+        } else if constexpr (kind_v == EngineKind::agent) {
+            return census_of(engine_.protocol(), engine_.population().states()).size();
+        } else {
+            return engine_.live_state_count();
+        }
     }
     [[nodiscard]] ConfigurationSnapshot state_counts() const override {
-        const P& proto = engine_.protocol();
-        ConfigurationSnapshot snapshot;
-        snapshot.step = engine_.steps();
-        engine_.visit_counts([&](const auto& state, std::uint64_t count, Role role) {
-            snapshot.counts.push_back(StateCount{state_key_of(proto, state), count, role});
-        });
-        std::sort(snapshot.counts.begin(), snapshot.counts.end(),
-                  [](const StateCount& a, const StateCount& b) { return a.key < b.key; });
-        return snapshot;
+        if constexpr (!InternableProtocol<P>) {
+            throw InvalidArgument("protocol has no injective state key: no state census");
+        } else {
+            const P& proto = engine_.protocol();
+            ConfigurationSnapshot snapshot;
+            snapshot.step = engine_.steps();
+            if constexpr (kind_v == EngineKind::agent) {
+                const auto census = census_of(proto, engine_.population().states());
+                snapshot.counts.reserve(census.size());
+                for (const auto& [state, count] : census) {  // key-sorted already
+                    snapshot.counts.push_back(
+                        StateCount{state_key_of(proto, state), count, proto.output(state)});
+                }
+            } else {
+                engine_.visit_counts([&](const auto& state, std::uint64_t count, Role role) {
+                    snapshot.counts.push_back(
+                        StateCount{state_key_of(proto, state), count, role});
+                });
+                std::sort(snapshot.counts.begin(), snapshot.counts.end(),
+                          [](const StateCount& a, const StateCount& b) { return a.key < b.key; });
+            }
+            return snapshot;
+        }
     }
 
     /// The wrapped engine, for typed access in tests and examples.
@@ -664,24 +619,30 @@ private:
     EngineT engine_;
 };
 
+/// Simulation adapter over the per-interaction agent engine.
+template <typename P>
+using AgentSimulation = EngineSimulation<P, Engine<P>, EngineKind::agent>;
+
 /// Simulation adapter over the count-based batched engine.
 template <typename P>
-using BatchedSimulation = CountSimulation<P, BatchedEngine<P>, EngineKind::batched>;
+using BatchedSimulation = EngineSimulation<P, BatchedEngine<P>, EngineKind::batched>;
 
 /// Simulation adapter over the reaction-rate Gillespie engine.
 template <typename P>
-using GillespieSimulation = CountSimulation<P, GillespieEngine<P>, EngineKind::gillespie>;
+using GillespieSimulation = EngineSimulation<P, GillespieEngine<P>, EngineKind::gillespie>;
 
 /// Simulation adapter over the adaptive hybrid meta-engine.
 template <typename P>
-using HybridSimulation = CountSimulation<P, HybridEngine<P>, EngineKind::hybrid>;
+using HybridSimulation = EngineSimulation<P, HybridEngine<P>, EngineKind::hybrid>;
 
 }  // namespace detail
 
 /// Builds a type-erased simulation from a protocol factory (size → protocol
-/// instance) on the selected back-end. The single place the
-/// agent/batched/gillespie choice is made for every type-erased consumer;
-/// adding an engine means adding a row to `engine_table` and a case here.
+/// instance) on the selected back-end. The single place the engine choice
+/// is made for every type-erased consumer; adding an engine means adding a
+/// row to `engine_table` and a case here. The count engines and the hybrid
+/// engine intern states, so a protocol without an injective state key runs
+/// on the agent engine only.
 template <typename Factory>
 [[nodiscard]] std::unique_ptr<Simulation> make_simulation(const Factory& factory,
                                                           std::size_t n, std::uint64_t seed,
@@ -694,32 +655,22 @@ template <typename Factory>
         sim->set_run_identity(seed);
         return sim;
     };
-    if (kind == EngineKind::batched) {
-        if constexpr (InternableProtocol<P>) {
-            return with_identity(std::make_unique<detail::BatchedSimulation<P>>(
-                factory(n), n, seed));
-        } else {
-            throw InvalidArgument(
-                "protocol has no injective state key: batched engine unavailable");
+    if constexpr (InternableProtocol<P>) {
+        switch (kind) {
+            case EngineKind::batched:
+                return with_identity(
+                    std::make_unique<detail::BatchedSimulation<P>>(factory(n), n, seed));
+            case EngineKind::gillespie:
+                return with_identity(
+                    std::make_unique<detail::GillespieSimulation<P>>(factory(n), n, seed));
+            case EngineKind::hybrid:
+                return with_identity(
+                    std::make_unique<detail::HybridSimulation<P>>(factory(n), n, seed));
+            case EngineKind::agent: break;
         }
-    }
-    if (kind == EngineKind::gillespie) {
-        if constexpr (InternableProtocol<P>) {
-            return with_identity(std::make_unique<detail::GillespieSimulation<P>>(
-                factory(n), n, seed));
-        } else {
-            throw InvalidArgument(
-                "protocol has no injective state key: gillespie engine unavailable");
-        }
-    }
-    if (kind == EngineKind::hybrid) {
-        if constexpr (InternableProtocol<P>) {
-            return with_identity(std::make_unique<detail::HybridSimulation<P>>(
-                factory(n), n, seed));
-        } else {
-            throw InvalidArgument(
-                "protocol has no injective state key: hybrid engine unavailable");
-        }
+    } else if (kind != EngineKind::agent) {
+        throw InvalidArgument("protocol has no injective state key: " +
+                              std::string(to_string(kind)) + " engine unavailable");
     }
     return with_identity(
         std::make_unique<detail::AgentSimulation<P>>(factory(n), n, seed));

@@ -70,9 +70,9 @@ namespace ppsim {
 /// only input: an integer with m ≥ log2(n) and m = Θ(log n)).
 ///
 /// Besides m, the struct exposes the paper's hard-wired constants as
-/// *ablation knobs* (DESIGN.md §4). Defaults reproduce the paper exactly;
-/// bench_ablation sweeps them to show why the paper's choices are what they
-/// are. Changing them preserves correctness (elections still succeed with
+/// *ablation knobs* D1–D4 (docs/NOTATION.md maps them to the paper's
+/// symbols). Defaults reproduce the paper exactly; bench_ablation sweeps
+/// them to show why the paper's choices are what they are. Changing them preserves correctness (elections still succeed with
 /// probability 1 — BackUp is parameter-agnostic) but moves the speed/space
 /// trade-off.
 struct PllConfig {

@@ -24,7 +24,7 @@ struct ProtocolInfo {
 };
 
 /// Registry of runnable protocols. Each entry can (a) hand out a
-/// type-erased `Simulation` over either engine and (b) hand out a
+/// type-erased `Simulation` over any engine in `engine_table` and (b) hand out a
 /// type-erased protocol instance for state-space analysis. Protocols are
 /// instantiated per population size (they are non-uniform, exactly as in
 /// the paper: PLL receives m).
@@ -68,8 +68,8 @@ public:
         const std::string& path) const;
 
     /// Runs a full election of `name` on n agents with the given seed.
-    /// `max_steps` bounds the run; `engine` selects the back-end (the fast
-    /// templated agent engine, or the count-based batched engine). A
+    /// `max_steps` bounds the run; `engine` selects the back-end (any row
+    /// of `engine_table`, core/engine.hpp). A
     /// non-empty `faults` plan (core/fault.hpp) is injected into the run:
     /// the election then only counts as stabilised once every scheduled
     /// fault has been applied and survived.
@@ -86,8 +86,8 @@ public:
         StepCount verify_steps, EngineKind engine = EngineKind::agent) const;
 
     /// Runs exactly `steps` interactions regardless of convergence — the
-    /// fixed-work entry point for throughput benchmarking (both engines
-    /// clamp their final batch/step to the budget).
+    /// fixed-work entry point for throughput benchmarking (every engine
+    /// clamps its final step, batch or leap to the budget).
     [[nodiscard]] RunResult run_for(const std::string& name, std::size_t n,
                                     std::uint64_t seed, StepCount steps,
                                     EngineKind engine = EngineKind::agent) const;
@@ -129,8 +129,8 @@ private:
     std::vector<Entry> entries_;
 };
 
-/// Table-1 rows for protocols whose full reproduction is out of scope (see
-/// DESIGN.md): reported from the paper, marked unmeasured in the bench.
+/// Table-1 rows for protocols whose full reproduction is out of scope:
+/// reported from the paper's Table 1, marked unmeasured in the bench.
 [[nodiscard]] std::vector<ProtocolInfo> unimplemented_table1_rows();
 
 }  // namespace ppsim

@@ -4,7 +4,8 @@
 //  * the hypergeometric sampler matches the exact pmf;
 //  * the collision-free run-length sampler matches brute-force simulation;
 //  * BatchedEngine conserves agent counts, keeps its incremental leader
-//    count consistent, and is deterministic under a fixed seed;
+//    count consistent, is deterministic under a fixed seed, and rejects
+//    populations past the count engines' ceiling;
 //  * the distribution of stabilisation times agrees with the agent-based
 //    Engine (mean/variance tolerance at small n — the two engines sample
 //    the same process through entirely different code paths);
@@ -21,7 +22,9 @@
 
 #include "core/batch_pairing.hpp"
 #include "core/batched_engine.hpp"
+#include "core/count_engine.hpp"
 #include "core/engine.hpp"
+#include "core/fault.hpp"
 #include "core/random.hpp"
 #include "core/state_index.hpp"
 #include "core/stats.hpp"
@@ -120,6 +123,27 @@ TEST(BatchedEngine, StartsLikeAgentEngine) {
     EXPECT_EQ(engine.population_size(), 10U);
     EXPECT_EQ(engine.total_count(), 10U);
     EXPECT_THROW(BatchedEngine<Angluin>(Angluin{}, 1, 1), InvalidArgument);
+}
+
+TEST(BatchedEngine, RejectsPopulationsPastTheCountCeiling) {
+    // The core checks n before the Θ(√n) collision-run table exists, so
+    // neither size allocates it.
+    for (const std::uint64_t n : {max_count_population + 1, std::uint64_t{1} << 60U}) {
+        EXPECT_THROW(BatchedEngine<Angluin>(Angluin{}, n, 1), InvalidArgument) << n;
+    }
+}
+
+TEST(BatchedEngine, RejoinPastTheCountCeilingThrows) {
+    BatchedEngine<Angluin> engine(Angluin{}, 256, 1);
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(max_count_population - 255)),
+                 InvalidArgument);
+    // A count that would wrap n + k around 2^64 is past the ceiling too.
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(~std::uint64_t{0})),
+                 InvalidArgument);
+    EXPECT_EQ(engine.population_size(), 256U);
+    EXPECT_EQ(engine.total_count(), 256U);
+    engine.apply_fault(FaultAction::rejoin_count(max_count_population - 256));
+    EXPECT_EQ(engine.total_count(), max_count_population);
 }
 
 TEST(BatchedEngine, ConservesCountsAndLeaderTally) {

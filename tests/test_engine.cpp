@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/metrics.hpp"
 #include "core/population.hpp"
 #include "core/thread_pool.hpp"
 #include "protocols/angluin.hpp"
@@ -121,27 +120,6 @@ TEST(Engine, StabilizationParallelTimeIsNanWithoutConvergence) {
     Engine<Angluin> engine(Angluin{}, 256, 5);
     const RunResult result = engine.run_until_one_leader(5);
     EXPECT_TRUE(std::isnan(result.stabilization_parallel_time(256)));
-}
-
-TEST(Metrics, TimeSeriesDecimatesUnderBudget) {
-    TimeSeries series(16);
-    for (StepCount s = 0; s < 10'000; ++s) series.record(s, static_cast<double>(s));
-    EXPECT_LE(series.points().size(), 16U);
-    EXPECT_GT(series.stride(), 1U);
-    // Recorded points must be a subsequence of the offered observations.
-    for (const auto& p : series.points()) {
-        EXPECT_DOUBLE_EQ(p.value, static_cast<double>(p.step));
-    }
-}
-
-TEST(Metrics, CounterSetAccumulates) {
-    CounterSet counters;
-    counters.increment("flips");
-    counters.increment("flips", 4);
-    EXPECT_EQ(counters.value("flips"), 5U);
-    EXPECT_EQ(counters.value("absent"), 0U);
-    counters.clear();
-    EXPECT_EQ(counters.value("flips"), 0U);
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {

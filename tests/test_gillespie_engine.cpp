@@ -11,6 +11,7 @@
 //    cell factorising, nearly always in PLL's count-up wait, never for rated
 //    protocols, and for angluin06 only while no follower is live;
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
+//  * the count engines' population ceiling, at construction and on rejoin;
 //  * the engine-table row, registry dispatch and Simulation adapter
 //    (snapshots, observers) for the third back-end.
 //
@@ -22,7 +23,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/count_engine.hpp"
 #include "core/engine.hpp"
+#include "core/fault.hpp"
 #include "core/gillespie_engine.hpp"
 #include "core/observer.hpp"
 #include "core/simulation.hpp"
@@ -43,6 +46,23 @@ TEST(EngineTable, GillespieRowRoundTrips) {
     EXPECT_EQ(parse_engine_kind("gillespie"), EngineKind::gillespie);
     EXPECT_EQ(to_string(EngineKind::gillespie), "gillespie");
     EXPECT_NE(engine_kind_list().find("gillespie"), std::string::npos);
+}
+
+TEST(GillespieEngine, RejectsPopulationsPastTheCountCeiling) {
+    for (const std::uint64_t n : {max_count_population + 1, std::uint64_t{1} << 60U}) {
+        EXPECT_THROW(GillespieEngine<Angluin>(Angluin{}, n, 1), InvalidArgument) << n;
+    }
+}
+
+TEST(GillespieEngine, RejoinPastTheCountCeilingThrows) {
+    GillespieEngine<Angluin> engine(Angluin{}, 256, 1);
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(max_count_population - 255)),
+                 InvalidArgument);
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(~std::uint64_t{0})),
+                 InvalidArgument);
+    EXPECT_EQ(engine.population_size(), 256U);
+    engine.apply_fault(FaultAction::rejoin_count(max_count_population - 256));
+    EXPECT_EQ(engine.total_count(), max_count_population);
 }
 
 TEST(GillespieEngine, ConservesAgentsAndLeaderCountInExactRegime) {

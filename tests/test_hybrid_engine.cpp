@@ -2,7 +2,8 @@
 // pure agent/gillespie rule on each of its branches, the census-handoff
 // primitive on every inner engine, the forced-switch harness (count
 // conservation, seeded determinism, observer continuity across a mid-run
-// switch), the rule's switches on real runs, KS agreement of hybrid vs
+// switch), the rule's switches on real runs, the count engines' population
+// ceiling at construction and on rejoin in either mode, KS agreement of hybrid vs
 // gillespie stabilisation-time distributions, and a generous-slack
 // throughput assertion (suite HybridBenchAssertion — wall-clock sensitive,
 // so it is deliberately kept out of the sanitizer CI regexes).
@@ -14,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/count_engine.hpp"
+#include "core/fault.hpp"
 #include "core/hybrid_engine.hpp"
 #include "core/observer.hpp"
 #include "core/random.hpp"
@@ -364,6 +367,23 @@ TEST(HybridEngine, CrashBelowTwoToTheFifteenAppliesTheLiveStateCap) {
     EXPECT_EQ(engine.mode(), EngineKind::agent);
     EXPECT_EQ(engine.switches(), 1U);
     EXPECT_EQ(engine.total_count(), n / 2);
+}
+
+TEST(HybridEngine, RejectsPopulationsPastTheCountCeiling) {
+    for (const std::uint64_t n : {max_count_population + 1, std::uint64_t{1} << 60U}) {
+        EXPECT_THROW(HybridEngine<Angluin>(Angluin{}, n, 1), InvalidArgument) << n;
+    }
+}
+
+TEST(HybridEngine, RejoinPastTheCountCeilingThrowsInEitherMode) {
+    HybridEngine<Angluin> engine(Angluin{}, 256, 1);
+    ASSERT_EQ(engine.mode(), EngineKind::agent);
+    const FaultAction too_many = FaultAction::rejoin_count(max_count_population - 255);
+    EXPECT_THROW(engine.apply_fault(too_many), InvalidArgument);
+    engine.force_mode(EngineKind::gillespie);
+    EXPECT_THROW(engine.apply_fault(too_many), InvalidArgument);
+    EXPECT_EQ(engine.population_size(), 256U);
+    EXPECT_EQ(engine.total_count(), 256U);
 }
 
 // --- distributional agreement in the leap regime ----------------------------

@@ -1,4 +1,5 @@
-// Correctness under ablated configurations (DESIGN.md §4): every knob
+// Correctness under ablated configurations (the `PllConfig` knobs D1–D5,
+// protocols/pll.hpp; symbols in docs/NOTATION.md): every knob
 // setting must preserve the election guarantee — only speed may change.
 // These tests back the bench_ablation experiment with hard assertions.
 #include <gtest/gtest.h>

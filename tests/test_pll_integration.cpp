@@ -78,9 +78,10 @@ TEST(PllIntegration, OversizedKnowledgeParameterStillElects) {
 }
 
 TEST(PllIntegration, UndersizedKnowledgeParameterStillElectsEventually) {
-    // Ablation D5 (DESIGN.md): with m < log2(n) the whp analysis of the fast
-    // path breaks, but BackUp guarantees elections with probability 1 —
-    // stabilisation may just be slower. Correctness must be preserved.
+    // Ablation D5 (`PllConfig::m`, as in bench_ablation): with m < log2(n)
+    // the whp analysis of the fast path breaks, but BackUp guarantees
+    // elections with probability 1 — stabilisation may just be slower.
+    // Correctness must be preserved.
     const std::size_t n = 512;
     PllConfig cfg;
     cfg.m = 4;  // < log2(512) = 9 — violates the paper's requirement

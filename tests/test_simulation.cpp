@@ -2,6 +2,8 @@
 // and the observer subsystem (src/core/observer.hpp):
 //
 //  * the engine table is the single source of truth for names;
+//  * a protocol without an injective state key runs on the agent engine
+//    only: make_simulation names the engine it cannot build;
 //  * cross-engine seed determinism: the same (protocol, n, seed) gives an
 //    identical RunResult on repeat runs, per engine, through the registry's
 //    make_simulation factory;
@@ -21,6 +23,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "analysis/experiment.hpp"
 #include "core/observer.hpp"
@@ -53,6 +56,45 @@ TEST(Simulation, FactoryBuildsEitherEngine) {
         EXPECT_EQ(sim->protocol_name(), "pll");
     }
     EXPECT_THROW((void)registry.make_simulation("bogus", 64, 7), InvalidArgument);
+}
+
+/// Angluin's rule on a 16-byte state with no `state_key`: its states have
+/// no injective 64-bit key, so they cannot be interned by the count engines.
+struct KeylessWideProtocol {
+    struct State {
+        std::uint64_t leader = 1;
+        std::uint64_t tag = 0;
+    };
+    [[nodiscard]] std::string_view name() const { return "keyless_wide"; }
+    [[nodiscard]] State initial_state() const { return State{}; }
+    [[nodiscard]] Role output(const State& s) const {
+        return s.leader != 0 ? Role::leader : Role::follower;
+    }
+    void interact(State& a, State& b) const {
+        if (a.leader != 0 && b.leader != 0) b.leader = 0;
+    }
+};
+static_assert(sizeof(KeylessWideProtocol::State) == 16);
+static_assert(Protocol<KeylessWideProtocol> && !InternableProtocol<KeylessWideProtocol>);
+
+TEST(Simulation, ProtocolWithoutAStateKeyRunsOnlyOnTheAgentEngine) {
+    const auto factory = [](std::size_t) { return KeylessWideProtocol{}; };
+    for (const EngineKind kind : {EngineKind::batched, EngineKind::gillespie,
+                                  EngineKind::hybrid}) {
+        const std::string engine = std::string(to_string(kind)) + " engine";
+        try {
+            (void)make_simulation(factory, 64, 7, kind);
+            ADD_FAILURE() << engine << " was built for a keyless protocol";
+        } catch (const InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find(engine), std::string::npos) << e.what();
+        }
+    }
+    const auto sim = make_simulation(factory, 64, 7, EngineKind::agent);
+    const RunResult r = sim->run_until_one_leader(kBudget);
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(sim->leader_count(), 1U);
+    // Snapshots key states by their injective key, which this protocol lacks.
+    EXPECT_THROW((void)sim->state_counts(), InvalidArgument);
 }
 
 TEST(Simulation, SeededRunsAreDeterministicPerEngine) {
