@@ -5,7 +5,6 @@
 #include <mutex>
 #include <optional>
 
-#include "../core/log.hpp"
 #include "../core/random.hpp"
 #include "../core/thread_pool.hpp"
 #include "../protocols/registry.hpp"
@@ -74,22 +73,6 @@ SweepResult run_sweep(const SweepConfig& config) {
                     derive_seed(config.seed, (static_cast<std::uint64_t>(n) << 20U) + rep);
                 const auto sim =
                     registry.make_simulation(config.protocol, n, seed, config.engine);
-                if (!config.checkpoint_dir.empty()) {
-                    const StepCount every =
-                        config.checkpoint_every > 0
-                            ? config.checkpoint_every
-                            : std::max<StepCount>(1, max_steps / 8);
-                    sim->set_checkpoint(config.checkpoint_dir + "/" + config.protocol +
-                                            "-n" + std::to_string(n) + "-rep" +
-                                            std::to_string(rep) + ".ppck",
-                                        every);
-                }
-                std::optional<TrajectoryRecorder> recorder;
-                if (config.trajectory_stride > 0) {
-                    recorder.emplace(config.trajectory_stride,
-                                     config.trajectory_live_states);
-                    sim->add_observer(*recorder);
-                }
                 std::optional<DeadlineObserver> deadline;
                 if (config.deadline_time > 0.0) {
                     deadline.emplace(config.deadline_time, n);
@@ -148,43 +131,17 @@ SweepResult run_sweep(const SweepConfig& config) {
                         point.recovery_rows.push_back(row);
                     }
                 }
-                if (recorder) {
-                    point.trajectories.push_back(RepTrajectory{rep, recorder->take_points()});
-                }
             },
             rep_threads);
         // Repetitions merge in completion order; sort for reproducible output.
-        std::sort(point.trajectories.begin(), point.trajectories.end(),
-                  [](const RepTrajectory& a, const RepTrajectory& b) { return a.rep < b.rep; });
         std::sort(point.recovery_rows.begin(), point.recovery_rows.end(),
                   [](const RecoveryRow& a, const RecoveryRow& b) {
                       return a.rep != b.rep ? a.rep < b.rep
                                             : a.fault_index < b.fault_index;
                   });
-
-        log_debug("sweep " + config.protocol + " n=" + std::to_string(n) + " mean=" +
-                  std::to_string(point.parallel_time.mean()) + " failures=" +
-                  std::to_string(point.failures));
         result.points.push_back(std::move(point));
     }
     return result;
-}
-
-std::vector<RunResult> run_repeated(const std::string& protocol, std::size_t n,
-                                    std::size_t repetitions, std::uint64_t seed,
-                                    StepCount max_steps, std::size_t threads) {
-    const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    require(registry.contains(protocol), "unknown protocol: " + protocol);
-    std::vector<RunResult> results(repetitions);
-    shared_pool().for_each(
-        repetitions,
-        [&](std::size_t rep) {
-            const std::uint64_t child = derive_seed(seed, rep);
-            const auto sim = registry.make_simulation(protocol, n, child);
-            results[rep] = run_to_single_leader(*sim, max_steps);
-        },
-        threads);
-    return results;
 }
 
 TrajectoryRun record_trajectory(const std::string& protocol, std::size_t n,

@@ -56,49 +56,23 @@ struct SweepConfig {
     /// stabilise before the deadline report their absorbing final census.
     /// The code path behind `ppsim_sim --deadline`.
     double deadline_time = 0.0;
-    /// When > 0, record a leader-count trajectory for every repetition,
-    /// sampled every `trajectory_stride` interactions (kept per SweepPoint,
-    /// sorted by repetition index for reproducibility).
-    StepCount trajectory_stride = 0;
-    /// Also record the distinct-state census per trajectory sample. Free on
-    /// the batched engine (O(#states)); an O(n) pass per sample on the
-    /// agent engine — switch off for large-n agent sweeps.
-    bool trajectory_live_states = true;
     /// Fault plan injected into every repetition (empty = fault-free). Times
     /// are model times in units of the initial population (core/fault.hpp).
     /// When non-empty, a RecoveryObserver is attached per repetition and its
     /// records aggregate into SweepPoint::recovery_time / recovery_rows.
     /// The code path behind `ppsim_sim --inject` and `--scenario`.
     FaultPlan fault_plan;
-    /// When non-empty, every repetition periodically checkpoints its full
-    /// run state (core/persist.hpp "PPCK" containers, one file per
-    /// repetition: "<protocol>-n<N>-rep<R>.ppck") into this directory, so a
-    /// killed sweep's longest runs can be resumed individually via
-    /// ProtocolRegistry::resume_simulation / `ppsim_sim --resume`. The
-    /// directory is created on first write.
-    std::string checkpoint_dir;
-    /// Checkpoint cadence in steps for `checkpoint_dir` (0 = an eighth of
-    /// the repetition's step budget). The cadence is part of the replay
-    /// contract (see docs/ARCHITECTURE.md): runs checkpointing on different
-    /// cadences slice their engine rounds differently.
-    StepCount checkpoint_every = 0;
-    /// Optional per-repetition observer factory: called as (n, rep) before
-    /// each run; the returned observer is attached to that run's Simulation
-    /// and destroyed right after it completes. Use for custom
-    /// instrumentation (milestones, snapshots) beyond the built-in
-    /// trajectory capture. Concurrency contract: repetitions run on a
-    /// thread pool, so the factory and each observer's observe()/finish()
-    /// execute on worker threads with no lock held — harvest results in the
-    /// factory-created observer's destructor or behind your own mutex, and
-    /// keep any state captured by the factory synchronised.
+    /// Optional per-repetition observer factory: called as (n, rep) before each
+    /// run; the returned observer is attached to that run's Simulation and
+    /// destroyed right after it completes. Use for per-repetition
+    /// instrumentation: trajectories (a TrajectoryRecorder), milestones,
+    /// snapshots. Concurrency contract: repetitions run on a thread pool, so
+    /// the factory and each observer's observe()/finish() execute on worker
+    /// threads with no lock held — harvest results in the factory-created
+    /// observer's destructor or behind your own mutex, and keep any state
+    /// captured by the factory synchronised.
     std::function<std::unique_ptr<SimulationObserver>(std::size_t, std::size_t)>
         make_observer;
-};
-
-/// One repetition's recorded trajectory within a sweep point.
-struct RepTrajectory {
-    std::size_t rep = 0;                   ///< repetition index within the point
-    std::vector<TrajectoryPoint> points;   ///< leader-count time series
 };
 
 /// One injected fault's recovery outcome within one repetition of a sweep.
@@ -135,8 +109,6 @@ struct SweepPoint {
     /// Per-(repetition, fault) recovery rows, sorted by (rep, fault_index)
     /// (empty unless fault_plan is non-empty).
     std::vector<RecoveryRow> recovery_rows;
-    /// Per-repetition trajectories (empty unless trajectory_stride > 0).
-    std::vector<RepTrajectory> trajectories;
 };
 
 /// Results of a full sweep.
@@ -154,18 +126,13 @@ struct SweepResult {
 /// Runs the sweep described by `config` (parallel across repetitions).
 [[nodiscard]] SweepResult run_sweep(const SweepConfig& config);
 
-/// Runs `repetitions` elections of one protocol at a single size and
-/// returns the raw per-run results (building block for custom experiments).
-[[nodiscard]] std::vector<RunResult> run_repeated(const std::string& protocol, std::size_t n,
-                                                  std::size_t repetitions, std::uint64_t seed,
-                                                  StepCount max_steps,
-                                                  std::size_t threads = 0);
-
 /// One seeded election with trajectory capture: runs `protocol` on `n`
 /// agents until one leader (or `max_steps`), recording the leader-count
 /// series every `stride` interactions. The code path behind
 /// `ppsim_sim --trajectory`, shared with the tests for both engines.
-/// `record_live_states` as in SweepConfig::trajectory_live_states.
+/// `record_live_states` also records the distinct-state census per sample:
+/// O(#states) on the count engines, one O(n) pass per sample on the agent
+/// engine.
 struct TrajectoryRun {
     RunResult result;
     std::vector<TrajectoryPoint> points;

@@ -7,7 +7,7 @@
 /// live in persist.cpp (it is templated over the protocol), so it writes
 /// through this small fixed vocabulary instead — little-endian scalars,
 /// length-prefixed strings, raw byte blocks for trivially-copyable protocol
-/// states (the same representation persist.cpp's ConfigurationDump uses).
+/// states.
 ///
 /// The payload is buffered in memory rather than streamed so the container
 /// writer can checksum it (bit-flip detection) and length-prefix it

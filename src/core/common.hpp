@@ -19,8 +19,9 @@
 
 namespace ppsim {
 
-/// Index of an agent within a population. Populations are bounded well below
-/// 2^32 in practice, but step counts are not, so steps use 64 bits.
+/// Index of an agent within a population. A population holds at most
+/// `max_agent_population` agents, but step counts are unbounded, so steps
+/// use 64 bits.
 using AgentId = std::uint32_t;
 
 /// A count of interactions (steps). One unit of *parallel time* equals
@@ -29,6 +30,11 @@ using StepCount = std::uint64_t;
 
 /// Sentinel for "no agent".
 inline constexpr AgentId invalid_agent = std::numeric_limits<AgentId>::max();
+
+/// The largest population of individually stored agents (`Population`, so
+/// the agent engine and the hybrid engine's agent mode): every id must fit
+/// `AgentId` and differ from `invalid_agent`, which leaves 2^32 − 1 agents.
+inline constexpr std::uint64_t max_agent_population = invalid_agent;
 
 /// The output alphabet of a leader-election protocol (the set `Y` of the
 /// paper's protocol tuple restricted to the leader-election problem).

@@ -53,8 +53,8 @@ namespace ppsim {
 /// The largest population the count engines, and the hybrid meta-engine
 /// that runs one, accept. Channel weights c_a·c_b, their sum n(n − 1) and
 /// the batched engine's collision-step weights t(t − 1) and t(n − t) are
-/// 64-bit products, which n ≤ 2^32 keeps below 2^64; it is also the
-/// agent-id ceiling of the rest of the library.
+/// 64-bit products, which n ≤ 2^32 keeps below 2^64. (Agents stored one by
+/// one stop at `max_agent_population` = 2^32 − 1, common.hpp.)
 inline constexpr std::uint64_t max_count_population = std::uint64_t{1} << 32U;
 
 /// Throws InvalidArgument unless `n` agents plus `added` more stay within

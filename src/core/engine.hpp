@@ -380,9 +380,6 @@ public:
         return leader_count_;
     }
 
-    /// Direct access to the scheduler (e.g. to inspect or reseed streams).
-    [[nodiscard]] UniformScheduler& scheduler() noexcept { return scheduler_; }
-
     // --- checkpointing ------------------------------------------------------
 
     /// Serialises the engine's complete replay-relevant state: the raw agent

@@ -149,38 +149,6 @@ void write_trajectory_csv(const std::string& path,
     require(out.good(), "failed writing trajectory file: " + path);
 }
 
-// --- SnapshotRecorder -------------------------------------------------------
-
-SnapshotRecorder::SnapshotRecorder(StepCount stride) : stride_(stride) {
-    require(stride >= 1, "snapshot stride must be at least one interaction");
-}
-
-void SnapshotRecorder::record(const Simulation& sim) {
-    if (!snapshots_.empty() && snapshots_.back().step == sim.steps()) return;
-    snapshots_.push_back(sim.state_counts());
-    next_ = advance_deadline(next_, sim.steps(), stride_);
-}
-
-void SnapshotRecorder::observe(const Simulation& sim) {
-    if (snapshots_.empty() || sim.steps() >= next_) record(sim);
-}
-
-void SnapshotRecorder::finish(const Simulation& sim) { record(sim); }
-
-void SnapshotRecorder::save_state(CheckpointWriter& w) const {
-    w.u64(next_);
-    w.u64(snapshots_.size());
-    for (const ConfigurationSnapshot& s : snapshots_) write_snapshot(w, s);
-}
-
-void SnapshotRecorder::restore_state(CheckpointReader& r) {
-    next_ = r.u64();
-    const std::uint64_t count = r.u64();
-    snapshots_.clear();
-    snapshots_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) snapshots_.push_back(read_snapshot(r));
-}
-
 // --- ConvergenceObserver ----------------------------------------------------
 
 ConvergenceObserver::ConvergenceObserver(std::vector<std::size_t> thresholds,

@@ -87,32 +87,6 @@ void write_trajectory_csv(std::ostream& out,
 void write_trajectory_csv(const std::string& path,
                           const std::vector<TrajectoryPoint>& points);
 
-/// Records a full configuration snapshot (state-count census) every
-/// `stride` interactions. Each snapshot is O(#states) on the count engines
-/// and one hashed O(n) pass (`census_of`) on the agent engine — prefer a
-/// count engine at large n.
-class SnapshotRecorder final : public SimulationObserver {
-public:
-    explicit SnapshotRecorder(StepCount stride);
-
-    [[nodiscard]] StepCount next_due() const noexcept override { return next_; }
-    void observe(const Simulation& sim) override;
-    void finish(const Simulation& sim) override;
-    void save_state(CheckpointWriter& w) const override;
-    void restore_state(CheckpointReader& r) override;
-
-    [[nodiscard]] const std::vector<ConfigurationSnapshot>& snapshots() const noexcept {
-        return snapshots_;
-    }
-
-private:
-    void record(const Simulation& sim);
-
-    StepCount stride_;
-    StepCount next_ = 0;
-    std::vector<ConfigurationSnapshot> snapshots_;
-};
-
 /// Watches the leader census fall and records the first observed step at
 /// which it reached each of a set of descending thresholds (n/2, √n, …, 1).
 /// Milestones are detected at `stride` granularity: the recorded step is
@@ -212,13 +186,12 @@ struct TimedSnapshot {
 };
 
 /// Records a full configuration snapshot at each of a list of model-time
-/// points (the time-driven sibling of the stride-based SnapshotRecorder).
-/// Points are sorted ascending at construction; each is captured at exactly
-/// its step under the run layer's deadline slicing. Points the run never
-/// reaches (it stabilised or exhausted its budget first) are filled with the
-/// end-of-run configuration and marked `reached = false` — the correct
-/// deadline view for absorbing protocols, a documented approximation for
-/// the loosely-stabilising baseline. Behind `ppsim_sim --snapshot-at`.
+/// points. Points are sorted ascending at construction; each is captured at
+/// exactly its step under the run layer's deadline slicing. Points the run
+/// never reaches (it stabilised or exhausted its budget first) are filled
+/// with the end-of-run configuration and marked `reached = false` — the
+/// correct deadline view for absorbing protocols, a documented approximation
+/// for the loosely-stabilising baseline. Behind `ppsim_sim --snapshot-at`.
 class TimedSnapshotRecorder final : public SimulationObserver {
 public:
     /// \param times  model-time points (parallel-time units, each ≥ 0)

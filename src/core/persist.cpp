@@ -11,10 +11,7 @@ namespace ppsim {
 
 namespace {
 
-constexpr std::uint32_t schedule_magic = 0x50505343;    // "PPSC"
-constexpr std::uint32_t config_magic = 0x50504346;      // "PPCF"
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
-constexpr std::uint32_t format_version = 1;
 constexpr std::uint32_t checkpoint_format_version = 5;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
@@ -99,71 +96,6 @@ std::ifstream open_for_read(const std::string& path) {
 }
 
 }  // namespace
-
-void save_schedule(const std::string& path, const RecordedSchedule& schedule) {
-    std::ofstream out = open_for_write(path);
-    write_u32(out, schedule_magic);
-    write_u32(out, format_version);
-    write_u64(out, schedule.size());
-    for (const Interaction& ia : schedule.view()) {
-        write_u32(out, ia.initiator);
-        write_u32(out, ia.responder);
-    }
-    require(out.good(), "I/O error while writing " + path);
-}
-
-RecordedSchedule load_schedule(const std::string& path) {
-    std::ifstream in = open_for_read(path);
-    require(read_u32(in) == schedule_magic, path + " is not a ppsim schedule file");
-    require(read_u32(in) == format_version, "unsupported schedule format version");
-    const std::uint64_t count = read_u64(in);
-    RecordedSchedule schedule;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint32_t a = read_u32(in);
-        const std::uint32_t b = read_u32(in);
-        schedule.append(a, b);
-    }
-    return schedule;
-}
-
-void save_configuration(const std::string& path, const ConfigurationDump& dump) {
-    require(dump.states.size() == dump.agents * dump.state_size,
-            "inconsistent configuration dump payload");
-    std::ofstream out = open_for_write(path);
-    write_u32(out, config_magic);
-    write_u32(out, format_version);
-    write_u64(out, dump.protocol_name.size());
-    out.write(dump.protocol_name.data(),
-              static_cast<std::streamsize>(dump.protocol_name.size()));
-    write_u64(out, dump.state_size);
-    write_u64(out, dump.agents);
-    out.write(reinterpret_cast<const char*>(dump.states.data()),
-              static_cast<std::streamsize>(dump.states.size()));
-    require(out.good(), "I/O error while writing " + path);
-}
-
-ConfigurationDump load_configuration(const std::string& path) {
-    std::ifstream in = open_for_read(path);
-    require(read_u32(in) == config_magic, path + " is not a ppsim configuration file");
-    require(read_u32(in) == format_version, "unsupported configuration format version");
-    ConfigurationDump dump;
-    const std::uint64_t name_len = read_u64(in);
-    require(name_len < 4096, "implausible protocol name length");
-    require(name_len <= bytes_left(in), "truncated configuration header");
-    dump.protocol_name.resize(name_len);
-    in.read(dump.protocol_name.data(), static_cast<std::streamsize>(name_len));
-    dump.state_size = read_u64(in);
-    dump.agents = read_u64(in);
-    require(dump.state_size > 0 && dump.state_size <= 4096, "implausible state size");
-    // Dividing instead of multiplying: agents × state_size may overflow.
-    require(dump.agents <= bytes_left(in) / dump.state_size,
-            "truncated configuration payload");
-    dump.states.resize(dump.agents * dump.state_size);
-    in.read(reinterpret_cast<char*>(dump.states.data()),
-            static_cast<std::streamsize>(dump.states.size()));
-    require(in.good(), "truncated configuration payload");
-    return dump;
-}
 
 std::uint64_t checkpoint_checksum(std::string_view payload) noexcept {
     constexpr std::uint64_t prime = 0x100000001b3ULL;  // FNV prime

@@ -1,77 +1,23 @@
 /// \file persist.hpp
-/// \brief Persistence of executions: schedules and configurations round-trip
-/// to disk, so a run can be archived, shared and replayed exactly — the
-/// "repro bundle" workflow for bug reports and paper artefacts.
+/// \brief The checkpoint container ("PPCK"): a run's full state on disk, so
+/// a long run can be stopped and resumed exactly (`ppsim_sim --checkpoint`
+/// / `--resume`, `Simulation::write_checkpoint` / `restore_checkpoint_file`).
 ///
-/// Format: a small self-describing binary container (magic, version, typed
-/// header, raw payload). Integers are little-endian fixed-width; states are
-/// raw trivially-copyable bytes, so a bundle is portable across builds of
-/// the same protocol on the same ABI (the protocol name and state size are
-/// embedded and validated on load).
+/// Format: a small self-describing binary container — magic, format
+/// version, the library version and CPU signature it was written under, the
+/// run identity (CheckpointHeader), then one length-prefixed, checksummed
+/// opaque payload (checkpoint_io.hpp). Integers are fixed-width in host
+/// byte order; a file only ever loads on the machine and library version
+/// that wrote it.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common.hpp"
-#include "population.hpp"
-#include "protocol.hpp"
-#include "scheduler.hpp"
 
 namespace ppsim {
-
-/// Writes a recorded schedule to `path`. Throws on I/O failure.
-void save_schedule(const std::string& path, const RecordedSchedule& schedule);
-
-/// Reads a schedule previously written by save_schedule.
-[[nodiscard]] RecordedSchedule load_schedule(const std::string& path);
-
-/// A type-erased configuration dump: protocol identity + raw agent states.
-struct ConfigurationDump {
-    std::string protocol_name;
-    std::size_t state_size = 0;
-    std::size_t agents = 0;
-    std::vector<std::byte> states;  ///< agents × state_size raw bytes
-};
-
-/// Captures the configuration of a population of trivially-copyable states.
-template <typename State>
-[[nodiscard]] ConfigurationDump dump_configuration(const Population<State>& population,
-                                                   std::string protocol_name) {
-    static_assert(std::is_trivially_copyable_v<State>);
-    ConfigurationDump dump;
-    dump.protocol_name = std::move(protocol_name);
-    dump.state_size = sizeof(State);
-    dump.agents = population.size();
-    dump.states.resize(dump.agents * dump.state_size);
-    std::memcpy(dump.states.data(), population.states().data(), dump.states.size());
-    return dump;
-}
-
-/// Restores a previously dumped configuration into a population. The dump
-/// must match the protocol name, state size and population size exactly.
-template <typename State>
-void restore_configuration(const ConfigurationDump& dump, Population<State>& population,
-                           std::string_view protocol_name) {
-    static_assert(std::is_trivially_copyable_v<State>);
-    require(dump.protocol_name == protocol_name,
-            "configuration dump belongs to protocol '" + dump.protocol_name + "'");
-    require(dump.state_size == sizeof(State), "state size mismatch in dump");
-    require(dump.agents == population.size(), "population size mismatch in dump");
-    std::memcpy(population.states().data(), dump.states.data(), dump.states.size());
-}
-
-/// Writes a configuration dump to `path`.
-void save_configuration(const std::string& path, const ConfigurationDump& dump);
-
-/// Reads a configuration dump written by save_configuration. A length
-/// field that does not fit in the rest of the file (truncation, corruption,
-/// or an agents × state_size product that would overflow) throws
-/// InvalidArgument before anything is allocated.
-[[nodiscard]] ConfigurationDump load_configuration(const std::string& path);
-
-// --- checkpoints ("PPCK") ---------------------------------------------------
 
 /// Identity of a checkpointed run: everything `--resume` needs to rebuild
 /// the simulation through the registry before handing the payload to

@@ -25,11 +25,10 @@ template <typename State>
 class Population {
 public:
     /// Creates a population of `n` agents, all in `initial` — the paper's
-    /// C_init where every agent is in state s_init.
+    /// C_init where every agent is in state s_init. `n` is checked against
+    /// `max_agent_population` before anything is allocated.
     Population(std::size_t n, const State& initial)
-        : states_(n, initial) {
-        require(n >= 2, "population must contain at least two agents");
-    }
+        : states_(checked_size(n), initial) {}
 
     [[nodiscard]] std::size_t size() const noexcept { return states_.size(); }
 
@@ -51,8 +50,11 @@ public:
         std::fill(states_.begin(), states_.end(), initial);
     }
 
-    /// Appends `k` agents in state `s` (fault injection: rejoin).
+    /// Appends `k` agents in state `s` (fault injection: rejoin, and the
+    /// agent engine's resize on restore). Throws InvalidArgument, before
+    /// allocating, when the result would pass `max_agent_population`.
     void append(const State& s, std::size_t k) {
+        require_within_ceiling(states_.size(), k);
         states_.insert(states_.end(), k, s);
     }
 
@@ -67,6 +69,20 @@ public:
     }
 
 private:
+    /// `n`, once it is checked to be a valid population size.
+    static std::size_t checked_size(std::size_t n) {
+        require(n >= 2, "population must contain at least two agents");
+        require_within_ceiling(n);
+        return n;
+    }
+
+    /// Throws InvalidArgument unless `n` agents plus `added` more stay within
+    /// `max_agent_population` (no overflow for any `added`).
+    static void require_within_ceiling(std::uint64_t n, std::uint64_t added = 0) {
+        require(n <= max_agent_population && added <= max_agent_population - n,
+                "a population of agents holds at most 2^32 - 1 agents");
+    }
+
     std::vector<State> states_;
 };
 

@@ -134,29 +134,6 @@ private:
     std::vector<Interaction> interactions_;
 };
 
-/// Replays a RecordedSchedule as a scheduler. Exhausting the schedule is a
-/// caller bug and throws, which keeps tests honest about schedule lengths.
-class ReplayScheduler {
-public:
-    explicit ReplayScheduler(const RecordedSchedule& schedule)
-        : schedule_(&schedule) {}
-
-    [[nodiscard]] Interaction next() {
-        ensure(cursor_ < schedule_->size(), "replay schedule exhausted");
-        return (*schedule_)[cursor_++];
-    }
-
-    [[nodiscard]] std::size_t remaining() const noexcept {
-        return schedule_->size() - cursor_;
-    }
-
-    [[nodiscard]] std::size_t position() const noexcept { return cursor_; }
-
-private:
-    const RecordedSchedule* schedule_;
-    std::size_t cursor_ = 0;
-};
-
 /// A scheduler adaptor that records every interaction it forwards, so a
 /// random run can later be replayed exactly (determinism tests, debugging).
 template <typename Inner>

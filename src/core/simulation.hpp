@@ -254,8 +254,6 @@ public:
 
     void clear_observers() noexcept { observers_.clear(); }
 
-    [[nodiscard]] std::size_t observer_count() const noexcept { return observers_.size(); }
-
     // --- checkpointing ----------------------------------------------------
 
     /// Serialises the complete run state into `w`: a run-identity preamble
@@ -377,7 +375,6 @@ public:
     /// headers. `make_simulation` sets it; adapters constructed directly
     /// default to 0.
     void set_run_identity(std::uint64_t seed) noexcept { run_seed_ = seed; }
-    [[nodiscard]] std::uint64_t run_seed() const noexcept { return run_seed_; }
 
 protected:
     virtual RunResult run_for_impl(StepCount count) = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "common.hpp"
 
@@ -117,46 +116,6 @@ double SampleSet::percentile(double p) const {
     const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return samples_[lo] + frac * (samples_[hi] - samples_[lo]);
-}
-
-// --- Histogram ---------------------------------------------------------------
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-    require(bins >= 1, "histogram needs at least one bin");
-    require(hi > lo, "histogram range must be non-empty");
-}
-
-void Histogram::add(double x) noexcept {
-    const double span = hi_ - lo_;
-    auto idx = static_cast<long long>((x - lo_) / span * static_cast<double>(counts_.size()));
-    idx = std::clamp<long long>(idx, 0, static_cast<long long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double Histogram::bin_lower(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_upper(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-    std::ostringstream out;
-    const std::uint64_t peak = counts_.empty()
-        ? 0
-        : *std::max_element(counts_.begin(), counts_.end());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double frac = peak == 0 ? 0.0
-                                      : static_cast<double>(counts_[i]) /
-                                            static_cast<double>(peak);
-        const auto bar = static_cast<std::size_t>(frac * static_cast<double>(width));
-        out << "[" << bin_lower(i) << ", " << bin_upper(i) << ") "
-            << std::string(bar, '#') << " " << counts_[i] << "\n";
-    }
-    return out.str();
 }
 
 // --- FrequencyTable ------------------------------------------------------------

@@ -1,11 +1,12 @@
 /// \file stats.hpp
-/// \brief Statistics toolkit: summaries, percentiles, histograms, confidence
-/// intervals and least-squares scaling fits used by the experiment harness.
+/// \brief Statistics toolkit: summaries, percentiles, frequency tables,
+/// confidence intervals and least-squares scaling fits used by the
+/// experiment harness.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ppsim {
@@ -65,30 +66,6 @@ private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = false;
     void ensure_sorted() const;
-};
-
-/// Fixed-bin histogram over [lo, hi); samples outside the range land in
-/// saturating edge bins so no observation is silently dropped.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x) noexcept;
-
-    [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-    [[nodiscard]] std::uint64_t bin(std::size_t i) const noexcept { return counts_[i]; }
-    [[nodiscard]] double bin_lower(std::size_t i) const noexcept;
-    [[nodiscard]] double bin_upper(std::size_t i) const noexcept;
-    [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-    /// Renders a compact ASCII bar chart (for bench/example output).
-    [[nodiscard]] std::string render(std::size_t width = 50) const;
-
-private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
 };
 
 /// Integer-keyed frequency counter (e.g. "how many runs ended with i

@@ -121,13 +121,6 @@ RunResult ProtocolRegistry::run_election_verified(const std::string& name, std::
     return run_to_single_leader(*sim, max_steps, verify_steps);
 }
 
-RunResult ProtocolRegistry::run_for(const std::string& name, std::size_t n,
-                                    std::uint64_t seed, StepCount steps,
-                                    EngineKind engine) const {
-    const auto sim = make_simulation(name, n, seed, engine);
-    return sim->run_for(steps);
-}
-
 std::unique_ptr<AnyProtocol> ProtocolRegistry::make(const std::string& name,
                                                     std::size_t n) const {
     return entry(name).make(n);

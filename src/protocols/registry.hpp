@@ -85,13 +85,6 @@ public:
         const std::string& name, std::size_t n, std::uint64_t seed, StepCount max_steps,
         StepCount verify_steps, EngineKind engine = EngineKind::agent) const;
 
-    /// Runs exactly `steps` interactions regardless of convergence — the
-    /// fixed-work entry point for throughput benchmarking (every engine
-    /// clamps its final step, batch or leap to the budget).
-    [[nodiscard]] RunResult run_for(const std::string& name, std::size_t n,
-                                    std::uint64_t seed, StepCount steps,
-                                    EngineKind engine = EngineKind::agent) const;
-
     /// Type-erased instance for population size n (state-space counting).
     [[nodiscard]] std::unique_ptr<AnyProtocol> make(const std::string& name,
                                                     std::size_t n) const;

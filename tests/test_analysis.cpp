@@ -110,20 +110,6 @@ TEST(Experiment, TightBudgetReportsFailuresInsteadOfThrowing) {
     EXPECT_EQ(result.points[0].failures, 4U);
 }
 
-TEST(Experiment, RunRepeatedGivesPerRunResults) {
-    const auto results = run_repeated("pll", 48, 5, 123, 10'000'000, 2);
-    ASSERT_EQ(results.size(), 5U);
-    for (const RunResult& r : results) {
-        EXPECT_TRUE(r.converged);
-        EXPECT_EQ(r.leader_count, 1U);
-    }
-    // Same root seed reproduces identical outcomes.
-    const auto again = run_repeated("pll", 48, 5, 123, 10'000'000, 2);
-    for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_EQ(results[i].stabilization_step, again[i].stabilization_step);
-    }
-}
-
 TEST(StateSpace, AngluinHasExactlyTwoStates) {
     const StateSpaceReport report = count_reachable_states("angluin06", 32, 2, 5);
     EXPECT_EQ(report.distinct_states, 2U);

@@ -369,12 +369,12 @@ TEST(BatchedEngineRegistry, VerifiedBatchedRunsConfirmStability) {
 
 TEST(BatchedEngineRegistry, RunForExecutesFixedWork) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    const RunResult agent = registry.run_for("angluin06", 64, 3, 10'000);
+    const RunResult agent = registry.make_simulation("angluin06", 64, 3)->run_for(10'000);
     EXPECT_EQ(agent.steps, 10'000U);
     // The batched engine clamps its final collision-free run to the budget,
     // so the step count is exact there too.
     const RunResult batched =
-        registry.run_for("angluin06", 64, 3, 10'000, EngineKind::batched);
+        registry.make_simulation("angluin06", 64, 3, EngineKind::batched)->run_for(10'000);
     EXPECT_EQ(batched.steps, 10'000U);
 }
 

@@ -1,6 +1,6 @@
 // Boundary tests for the time-driven observers (src/core/observer.hpp):
 // DeadlineObserver (one-shot model-time census) and TimedSnapshotRecorder
-// (full censuses at a list of model-time points), across all three engines.
+// (full censuses at a list of model-time points), across the engines.
 //
 // The load-bearing property is *exact* deadline placement: the run layer
 // slices the step budget at observer deadlines and every engine clamps its
@@ -139,20 +139,23 @@ TEST(DeadlineObserver, RatedProtocolCensusAgreesAcrossEnginesInExpectation) {
 TEST(TimedSnapshotRecorder, CapturesEachPointAtItsExactStep) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     const std::size_t n = 256;
-    for (const EngineKind engine : kEngines) {
-        const auto sim = registry.make_simulation("lottery", n, 5, engine);
+    for (const EngineDescriptor& d : engine_table) {
+        const auto sim = registry.make_simulation("lottery", n, 5, d.kind);
         TimedSnapshotRecorder recorder({0.0, 0.5, 2.0}, n);
         sim->add_observer(recorder);
         (void)sim->run_for(static_cast<StepCount>(n) * 4);
-        ASSERT_EQ(recorder.captured_count(), 3U) << to_string(engine);
+        ASSERT_EQ(recorder.captured_count(), 3U) << d.name;
         const std::vector<TimedSnapshot>& snaps = recorder.snapshots();
-        EXPECT_EQ(snaps[0].snapshot.step, 0U) << to_string(engine);
-        EXPECT_EQ(snaps[1].snapshot.step, n / 2) << to_string(engine);
-        EXPECT_EQ(snaps[2].snapshot.step, 2 * n) << to_string(engine);
+        EXPECT_EQ(snaps[0].snapshot.step, 0U) << d.name;
+        EXPECT_EQ(snaps[1].snapshot.step, n / 2) << d.name;
+        EXPECT_EQ(snaps[2].snapshot.step, 2 * n) << d.name;
         for (const TimedSnapshot& entry : snaps) {
-            EXPECT_TRUE(entry.reached) << to_string(engine);
-            EXPECT_EQ(entry.snapshot.total(), n) << to_string(engine);
+            EXPECT_TRUE(entry.reached) << d.name;
+            EXPECT_EQ(entry.snapshot.total(), n) << d.name;
         }
+        // A census's leader tally matches the engine's incremental count.
+        EXPECT_EQ(snaps[0].snapshot.leaders(), n) << d.name;
+        EXPECT_EQ(sim->state_counts().leaders(), sim->leader_count()) << d.name;
     }
 }
 

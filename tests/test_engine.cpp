@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -23,6 +25,29 @@ TEST(Population, ConstructsAndResets) {
     pop.reset(1);
     EXPECT_EQ(pop.count_if([](int x) { return x == 1; }), 4U);
     EXPECT_THROW(Population<int>(1, 0), InvalidArgument);
+}
+
+TEST(Population, RejectsSizesPastTheAgentIdCeiling) {
+    // Both checks run before the state vector grows: nothing is allocated.
+    constexpr std::size_t huge = std::numeric_limits<std::size_t>::max();
+    EXPECT_THROW(Population<int>(huge, 0), InvalidArgument);
+    EXPECT_THROW(Engine<Angluin>(Angluin{}, huge, 1), InvalidArgument);
+    Population<int> pop(2, 0);
+    EXPECT_THROW(pop.append(0, huge), InvalidArgument);
+    EXPECT_EQ(pop.size(), 2U);
+}
+
+TEST(Population, RejoinPastTheAgentIdCeilingThrows) {
+    // One agent past max_agent_population = 2^32 − 1, so the check must fire
+    // before ~2^32 states are allocated. A count that would wrap n + k
+    // around 2^64 is past the ceiling too.
+    Engine<Angluin> engine(Angluin{}, 256, 7);
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(max_agent_population - 255)),
+                 InvalidArgument);
+    EXPECT_THROW(engine.apply_fault(FaultAction::rejoin_count(~std::uint64_t{0})),
+                 InvalidArgument);
+    EXPECT_EQ(engine.population_size(), 256U);
+    EXPECT_EQ(engine.leader_count(), 256U);
 }
 
 TEST(Engine, StartsWithAllLeaders) {

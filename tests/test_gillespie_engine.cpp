@@ -19,8 +19,10 @@
 // test_statistical.cpp; golden seeded replays in test_golden_seeds.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
-#include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/count_engine.hpp"
@@ -104,29 +106,58 @@ TEST(GillespieEngine, ConservesAgentsAndLeaderCountInLeapRegime) {
 
 // --- separable leaps ----------------------------------------------------------
 
-/// Brute-force restatement of the separable-leap condition on a census: for
-/// every live state a, `Pll::interact` gives the initiator the same output
-/// against every live responder, and for every live state b the responder
-/// the same output against every live initiator.
-bool every_live_cell_factorises(const Pll& pll, const std::vector<PllState>& live) {
-    for (const PllState& a : live) {
-        std::optional<PllState> initiator_out;
-        std::optional<PllState> responder_out;
-        for (const PllState& b : live) {
-            PllState x = a;
-            PllState y = b;
-            pll.interact(x, y);
-            if (initiator_out && *initiator_out != x) return false;
-            initiator_out = x;
-            x = b;
-            y = a;
-            pll.interact(x, y);
-            if (responder_out && *responder_out != y) return false;
-            responder_out = y;
+/// Brute-force restatement of the separable-leap condition, checked over a
+/// sequence of censuses: in every ordered live cell (a, b), `P::interact`
+/// gives the initiator f(a) = out_a(a, a) and the responder
+/// g(b) = out_b(b, b). `interact` is pure, so a cell between two states of
+/// the last verified live set is never run again; only cells that touch a
+/// state new to that set are.
+template <typename P>
+class FactorisationReference {
+public:
+    using State = typename P::State;
+
+    /// Checks the cells of `live`. On success `live` becomes the verified
+    /// set.
+    bool every_live_cell_factorises(const P& proto, const std::vector<State>& live) {
+        struct Entry {
+            State state;
+            State f;
+            State g;
+            bool verified;
+        };
+        std::vector<Entry> entries;
+        entries.reserve(live.size());
+        for (const State& s : live) {
+            if (const auto it = verified_.find(proto.state_key(s)); it != verified_.end()) {
+                entries.push_back({s, it->second.first, it->second.second, true});
+                continue;
+            }
+            State x = s;
+            State y = s;
+            proto.interact(x, y);
+            entries.push_back({s, x, y, false});
         }
+        for (const Entry& a : entries) {
+            for (const Entry& b : entries) {
+                if (a.verified && b.verified) continue;
+                State x = a.state;
+                State y = b.state;
+                proto.interact(x, y);
+                if (x != a.f || y != b.g) return false;
+            }
+        }
+        verified_.clear();
+        for (const Entry& e : entries) {
+            verified_.emplace(proto.state_key(e.state), std::pair{e.f, e.g});
+        }
+        return true;
     }
-    return true;
-}
+
+private:
+    /// The last verified live set: key → (f, g).
+    std::unordered_map<std::uint64_t, std::pair<State, State>> verified_;
+};
 
 TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
     // One leap per call (run_for(n/64)) through QuickElimination and the
@@ -136,7 +167,7 @@ TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
     const std::size_t n = std::size_t{1} << 20U;
     const StepCount leap = n / GillespieEngine<Pll>::leap_divisor;
     GillespieEngine<Pll> engine(Pll::for_population(n), n, 2023);
-    std::vector<std::uint64_t> verified_keys;  // last live set that passed
+    FactorisationReference<Pll> reference;
     std::uint64_t wait_leaps = 0;
     std::uint64_t wait_separable = 0;
     while (engine.parallel_time() < 300.0) {
@@ -152,13 +183,9 @@ TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
             wait_separable += engine.separable_leaps() - separable_before;
         }
         if (!separable) continue;
-        std::vector<std::uint64_t> keys;
-        for (const PllState& s : live) keys.push_back(engine.protocol().state_key(s));
-        if (keys == verified_keys) continue;  // the same live set passed already
-        ASSERT_TRUE(every_live_cell_factorises(engine.protocol(), live))
+        ASSERT_TRUE(reference.every_live_cell_factorises(engine.protocol(), live))
             << "separable leap at t = " << t << " over " << live.size()
             << " live states with a non-factorising cell";
-        verified_keys = std::move(keys);
     }
     ASSERT_GT(wait_leaps, 0U);
     EXPECT_GE(static_cast<double>(wait_separable), 0.9 * static_cast<double>(wait_leaps))
@@ -166,6 +193,24 @@ TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
     EXPECT_EQ(engine.total_count(), n);
     const std::size_t incremental = engine.leader_count();
     EXPECT_EQ(engine.recount_leaders(), incremental);
+
+    // In PLL a cell that fails on the responder side fails on the initiator
+    // side too. In angluin06 with followers live, every initiator keeps its
+    // state but a responder leader's output depends on its initiator, so
+    // only the responder side fails to factorise.
+    const std::size_t m = std::size_t{1} << 14U;
+    GillespieEngine<Angluin> angluin(Angluin{}, m, 5);
+    FactorisationReference<Angluin> angluin_reference;
+    while (angluin.parallel_time() < 8.0) {
+        std::vector<AngluinState> live;
+        angluin.visit_counts(
+            [&](const AngluinState& s, std::uint64_t, Role) { live.push_back(s); });
+        const std::uint64_t separable_before = angluin.separable_leaps();
+        (void)angluin.run_for(m / GillespieEngine<Angluin>::leap_divisor);
+        if (angluin.separable_leaps() == separable_before) continue;
+        ASSERT_TRUE(angluin_reference.every_live_cell_factorises(angluin.protocol(), live))
+            << "angluin06 separable leap at t = " << angluin.parallel_time();
+    }
 }
 
 TEST(GillespieEngine, LeaderMeetsLeaderAndRatedProtocolsKeepPairing) {

@@ -1,7 +1,5 @@
-// Tests for execution persistence (core/persist.hpp): schedule and
-// configuration round-trips, validation, and the full repro-bundle workflow
-// (save a run, reload it elsewhere, continue identically), and the
-// checkpoint container's rejection of every corruption it guards against.
+// Tests for the checkpoint container (core/persist.hpp): a header round
+// trip, and the rejection of every corruption the loader guards against.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +10,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/persist.hpp"
-#include "protocols/pll.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -22,135 +18,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
     return (std::filesystem::temp_directory_path() / name).string();
-}
-
-TEST(Persist, ScheduleRoundTrips) {
-    RecordedSchedule schedule;
-    schedule.append(0, 1);
-    schedule.append(7, 3);
-    schedule.append(2, 9);
-    const std::string path = temp_path("ppsim_sched.bin");
-    save_schedule(path, schedule);
-    const RecordedSchedule loaded = load_schedule(path);
-    ASSERT_EQ(loaded.size(), schedule.size());
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        EXPECT_EQ(loaded[i], schedule[i]);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(Persist, EmptyScheduleRoundTrips) {
-    const std::string path = temp_path("ppsim_sched_empty.bin");
-    save_schedule(path, RecordedSchedule{});
-    EXPECT_TRUE(load_schedule(path).empty());
-    std::filesystem::remove(path);
-}
-
-TEST(Persist, RejectsWrongMagic) {
-    const std::string path = temp_path("ppsim_not_a_bundle.bin");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "definitely not a bundle";
-    }
-    EXPECT_THROW((void)load_schedule(path), InvalidArgument);
-    EXPECT_THROW((void)load_configuration(path), InvalidArgument);
-    std::filesystem::remove(path);
-}
-
-TEST(Persist, ConfigurationRoundTrips) {
-    const std::size_t n = 64;
-    Engine<Pll> engine(Pll::for_population(n), n, 5);
-    engine.run_for(10'000);
-
-    const ConfigurationDump dump = dump_configuration(engine.population(), "pll");
-    const std::string path = temp_path("ppsim_config.bin");
-    save_configuration(path, dump);
-    const ConfigurationDump loaded = load_configuration(path);
-    EXPECT_EQ(loaded.protocol_name, "pll");
-    EXPECT_EQ(loaded.agents, n);
-    EXPECT_EQ(loaded.state_size, sizeof(PllState));
-
-    Engine<Pll> restored(Pll::for_population(n), n, 999);
-    restore_configuration(loaded, restored.population(), "pll");
-    restored.recount_leaders();
-    EXPECT_EQ(restored.leader_count(), engine.leader_count());
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(restored.population()[static_cast<AgentId>(i)],
-                  engine.population()[static_cast<AgentId>(i)]);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(Persist, RejectsAnOverflowingAgentCount) {
-    // agents × state_size wraps to a small number when agents is 2^63; the
-    // loader must refuse the dump, not return one whose `states` is short.
-    const std::size_t n = 16;
-    Engine<Pll> engine(Pll::for_population(n), n, 5);
-    const std::string path = temp_path("ppsim_config_overflow.bin");
-    save_configuration(path, dump_configuration(engine.population(), "pll"));
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        bytes = buffer.str();
-    }
-    // Layout: magic u32, version u32, name (u64 length + bytes), state size
-    // u64, then the agent count u64.
-    const std::size_t agents_at = 8 + 8 + std::string("pll").size() + 8;
-    std::uint64_t agents = 0;
-    std::memcpy(&agents, bytes.data() + agents_at, sizeof agents);
-    ASSERT_EQ(agents, n);
-    agents = std::uint64_t{1} << 63U;
-    std::memcpy(bytes.data() + agents_at, &agents, sizeof agents);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    EXPECT_THROW((void)load_configuration(path), InvalidArgument);
-    std::filesystem::remove(path);
-}
-
-TEST(Persist, RestoreValidatesIdentity) {
-    const std::size_t n = 16;
-    Engine<Pll> engine(Pll::for_population(n), n, 5);
-    ConfigurationDump dump = dump_configuration(engine.population(), "pll");
-
-    Population<PllState> wrong_size(8, PllState{});
-    EXPECT_THROW(restore_configuration(dump, wrong_size, "pll"), InvalidArgument);
-
-    Population<PllState> ok(n, PllState{});
-    EXPECT_THROW(restore_configuration(dump, ok, "other_protocol"), InvalidArgument);
-    EXPECT_NO_THROW(restore_configuration(dump, ok, "pll"));
-}
-
-TEST(Persist, FullReproBundleWorkflow) {
-    // Record a run (schedule + final configuration), persist both, then
-    // replay the schedule from scratch elsewhere and reach the same
-    // configuration byte for byte.
-    const std::size_t n = 48;
-    const std::string sched_path = temp_path("ppsim_bundle_sched.bin");
-    const std::string config_path = temp_path("ppsim_bundle_config.bin");
-    {
-        Engine<Pll> engine(Pll::for_population(n), n, 0xB0B);
-        RecordingScheduler<UniformScheduler> recorder(UniformScheduler(n, 0xB0B));
-        for (int i = 0; i < 30'000; ++i) engine.apply(recorder.next());
-        save_schedule(sched_path, recorder.record());
-        save_configuration(config_path, dump_configuration(engine.population(), "pll"));
-    }
-    {
-        Engine<Pll> replayer(Pll::for_population(n), n, 1);
-        replayer.apply(load_schedule(sched_path));
-        const ConfigurationDump expected = load_configuration(config_path);
-        Engine<Pll> reference(Pll::for_population(n), n, 2);
-        restore_configuration(expected, reference.population(), "pll");
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(replayer.population()[static_cast<AgentId>(i)],
-                      reference.population()[static_cast<AgentId>(i)]);
-        }
-    }
-    std::filesystem::remove(sched_path);
-    std::filesystem::remove(config_path);
 }
 
 // --- checkpoint containers ("PPCK", core/persist.hpp) -----------------------

@@ -1,5 +1,5 @@
 // Unit tests for schedulers (src/core/scheduler.hpp): the uniformly random
-// scheduler's distribution, and record/replay determinism.
+// scheduler's distribution, recorded schedules and the recording adaptor.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -132,39 +132,6 @@ TEST(RecordedSchedule, ValidateCoversEveryErrorPath) {
     EXPECT_THROW(shrunk.validate(4), InvalidArgument);
 }
 
-TEST(ReplayScheduler, ReplaysInOrderAndThrowsWhenExhausted) {
-    RecordedSchedule schedule;
-    schedule.append(0, 1);
-    schedule.append(1, 2);
-    ReplayScheduler replay(schedule);
-    EXPECT_EQ(replay.remaining(), 2U);
-    EXPECT_EQ(replay.next(), (Interaction{0, 1}));
-    EXPECT_EQ(replay.next(), (Interaction{1, 2}));
-    EXPECT_EQ(replay.remaining(), 0U);
-    EXPECT_THROW((void)replay.next(), InvariantViolation);
-}
-
-TEST(ReplayScheduler, ExhaustionIsSticky) {
-    RecordedSchedule schedule;
-    schedule.append(0, 1);
-    ReplayScheduler replay(schedule);
-    EXPECT_EQ(replay.position(), 0U);
-    (void)replay.next();
-    EXPECT_EQ(replay.position(), 1U);
-    EXPECT_EQ(replay.remaining(), 0U);
-    // Every further call keeps throwing; the cursor does not run away.
-    EXPECT_THROW((void)replay.next(), InvariantViolation);
-    EXPECT_THROW((void)replay.next(), InvariantViolation);
-    EXPECT_EQ(replay.position(), 1U);
-}
-
-TEST(ReplayScheduler, EmptyScheduleThrowsImmediately) {
-    RecordedSchedule empty;
-    ReplayScheduler replay(empty);
-    EXPECT_EQ(replay.remaining(), 0U);
-    EXPECT_THROW((void)replay.next(), InvariantViolation);
-}
-
 TEST(RecordingScheduler, CapturesForwardedInteractions) {
     RecordingScheduler<UniformScheduler> recording(UniformScheduler(8, 3));
     std::vector<Interaction> drawn;
@@ -173,9 +140,9 @@ TEST(RecordingScheduler, CapturesForwardedInteractions) {
     for (std::size_t i = 0; i < drawn.size(); ++i) {
         EXPECT_EQ(recording.record()[i], drawn[i]);
     }
-    // A replay of the record reproduces the run exactly.
-    ReplayScheduler replay(recording.record());
-    for (const Interaction& ia : drawn) EXPECT_EQ(replay.next(), ia);
+    // Recording does not perturb the forwarded stream.
+    UniformScheduler fresh(8, 3);
+    for (const Interaction& ia : recording.record().view()) EXPECT_EQ(fresh.next(), ia);
 }
 
 }  // namespace

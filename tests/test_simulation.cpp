@@ -272,22 +272,6 @@ TEST(TrajectoryRecorder, WritesCsv) {
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3 samples
 }
 
-TEST(SnapshotRecorder, SnapshotsConserveThePopulation) {
-    const ProtocolRegistry& registry = ProtocolRegistry::instance();
-    for (const EngineDescriptor& d : engine_table) {
-        const auto sim = registry.make_simulation("lottery", 256, 13, d.kind);
-        SnapshotRecorder recorder(512);
-        sim->add_observer(recorder);
-        (void)sim->run_for(4096);
-        ASSERT_GE(recorder.snapshots().size(), 3U) << d.name;
-        for (const ConfigurationSnapshot& snap : recorder.snapshots()) {
-            EXPECT_EQ(snap.total(), 256U) << d.name << " @ step " << snap.step;
-        }
-        // Snapshot leader tallies must match what the engine reported live.
-        EXPECT_EQ(recorder.snapshots().back().leaders(), sim->leader_count()) << d.name;
-    }
-}
-
 TEST(ConvergenceObserver, MilestonesAreMonotone) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     const std::size_t n = 256;
@@ -356,27 +340,6 @@ TEST(SimulationBatched, SnapshotsAndObserversAgreeWithAgentForAllProtocols) {
         for (std::size_t i = 1; i < points.size(); ++i) {
             EXPECT_GT(points[i].step, points[i - 1].step) << name;
         }
-    }
-}
-
-TEST(RunSweep, CapturesPerRepetitionTrajectories) {
-    SweepConfig config;
-    config.protocol = "angluin06";
-    config.sizes = {64};
-    config.repetitions = 4;
-    config.seed = 0xF00D;
-    config.engine = EngineKind::batched;
-    config.trajectory_stride = 64;
-    const SweepResult result = run_sweep(config);
-    ASSERT_EQ(result.points.size(), 1U);
-    const SweepPoint& point = result.points[0];
-    ASSERT_EQ(point.trajectories.size(), 4U);
-    for (std::size_t rep = 0; rep < point.trajectories.size(); ++rep) {
-        EXPECT_EQ(point.trajectories[rep].rep, rep);  // sorted by repetition
-        const auto& points = point.trajectories[rep].points;
-        ASSERT_GE(points.size(), 2U);
-        EXPECT_EQ(points.front().leader_count, 64U);
-        EXPECT_EQ(points.back().leader_count, 1U);
     }
 }
 

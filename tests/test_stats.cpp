@@ -100,25 +100,6 @@ TEST(SampleSet, MeanAndVarianceAgreeWithRunningStats) {
     EXPECT_NEAR(s.variance(), r.variance(), 1e-9);
 }
 
-TEST(Histogram, BinsAndSaturatesEdges) {
-    Histogram h(0.0, 10.0, 5);
-    h.add(-100.0);  // clamps into first bin
-    h.add(0.5);
-    h.add(9.9);
-    h.add(100.0);  // clamps into last bin
-    EXPECT_EQ(h.total(), 4U);
-    EXPECT_EQ(h.bin(0), 2U);
-    EXPECT_EQ(h.bin(4), 2U);
-    EXPECT_DOUBLE_EQ(h.bin_lower(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bin_upper(4), 10.0);
-    EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-    EXPECT_THROW(Histogram(0.0, 0.0, 5), InvalidArgument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);
-}
-
 TEST(FrequencyTable, CountsAndFractions) {
     FrequencyTable t;
     t.add(1);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/log.hpp"
 #include "protocols/pll_symmetric.hpp"
 
 namespace ppsim {
@@ -44,8 +43,6 @@ TEST(SymmetricExhaustive, LawHoldsOnAllReachableStatePairs) {
     const std::vector<SymPllState> states =
         collect_reachable_states(n, 3, 400'000);
     ASSERT_GT(states.size(), 50U) << "collection too small to be meaningful";
-    log_debug("symmetric exhaustive sweep over " + std::to_string(states.size()) +
-              " reachable states");
 
     // Equal pairs: p = q ⇒ p' = q'.
     for (const SymPllState& probe : states) {
@@ -95,18 +92,6 @@ TEST(SymmetricExhaustive, AsymmetricPllIsActuallyAsymmetric) {
     }
     EXPECT_TRUE(found_asymmetry)
         << "no asymmetric pair found — the sweep would be vacuous";
-}
-
-TEST(Logging, LevelsFilterAndRender) {
-    const LogLevel original = log_level();
-    set_log_level(LogLevel::warn);
-    EXPECT_EQ(log_level(), LogLevel::warn);
-    // Filtered and passing messages must both be safe to emit.
-    log_debug("should be dropped");
-    log_warn("should appear on stderr");
-    EXPECT_EQ(to_string(LogLevel::debug), "DEBUG");
-    EXPECT_EQ(to_string(LogLevel::error), "ERROR");
-    set_log_level(original);
 }
 
 }  // namespace

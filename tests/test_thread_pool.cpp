@@ -2,8 +2,8 @@
 // wait_idle really waits for every submitted task (including tasks submitted
 // while others run), for_each / parallel_for cover every index exactly once
 // for any thread/count shape, submit's terminate-on-throw contract holds, and
-// destruction drains the queue rather than dropping work. run_sweep and
-// run_repeated build directly on these guarantees.
+// destruction drains the queue rather than dropping work. run_sweep builds
+// directly on these guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>

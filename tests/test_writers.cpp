@@ -1,4 +1,4 @@
-// Unit tests for the output writers: JSON builder, CSV writer, ASCII tables.
+// Unit tests for the output writers: JSON builder and ASCII tables.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/common.hpp"
-#include "core/csv.hpp"
 #include "core/json.hpp"
 #include "core/table.hpp"
 
@@ -70,49 +69,6 @@ TEST(Json, WritesFileAtomically) {
     std::stringstream buffer;
     buffer << in.rdbuf();
     EXPECT_NE(buffer.str().find("\"ok\": true"), std::string::npos);
-    std::filesystem::remove(path);
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-    const std::string path = temp_path("ppsim_csv_test.csv");
-    {
-        CsvWriter csv(path, {"n", "time"});
-        csv.write_row({"128", "3.5"});
-        csv.write_row({"256", "4.0"});
-        EXPECT_EQ(csv.rows_written(), 2U);
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "n,time");
-    std::getline(in, line);
-    EXPECT_EQ(line, "128,3.5");
-    std::filesystem::remove(path);
-}
-
-TEST(Csv, EscapesSpecialCharacters) {
-    const std::string path = temp_path("ppsim_csv_escape.csv");
-    {
-        CsvWriter csv(path, {"text"});
-        csv.write_row({"a,b"});
-        csv.write_row({"say \"hi\""});
-    }
-    std::ifstream in(path);
-    std::string header;
-    std::string row1;
-    std::string row2;
-    std::getline(in, header);
-    std::getline(in, row1);
-    std::getline(in, row2);
-    EXPECT_EQ(row1, "\"a,b\"");
-    EXPECT_EQ(row2, "\"say \"\"hi\"\"\"");
-    std::filesystem::remove(path);
-}
-
-TEST(Csv, RejectsWrongColumnCount) {
-    const std::string path = temp_path("ppsim_csv_cols.csv");
-    CsvWriter csv(path, {"a", "b"});
-    EXPECT_THROW(csv.write_row({"only one"}), InvalidArgument);
     std::filesystem::remove(path);
 }
 

@@ -105,7 +105,6 @@ int run(const ArgParser& args) {
     }
     const bool want_agent = want[static_cast<std::size_t>(EngineKind::agent)];
     const bool want_batched = want[static_cast<std::size_t>(EngineKind::batched)];
-    const bool want_gillespie = want[static_cast<std::size_t>(EngineKind::gillespie)];
     const bool want_hybrid = want[static_cast<std::size_t>(EngineKind::hybrid)];
     const double min_seconds = args.get_double("min-seconds", 0.3);
     const double parallel_time_cap = args.get_double("parallel-time", 16.0);
@@ -113,10 +112,11 @@ int run(const ArgParser& args) {
     TextTable table;
     table.add_column("protocol", Align::left);
     table.add_column("n");
-    if (want_agent) table.add_column("agent int/s");
-    if (want_batched) table.add_column("batched int/s");
-    if (want_gillespie) table.add_column("gillespie int/s");
-    if (want_hybrid) table.add_column("hybrid int/s");
+    for (const EngineDescriptor& d : engine_table) {
+        if (want[static_cast<std::size_t>(d.kind)]) {
+            table.add_column(std::string(d.name) + " int/s");
+        }
+    }
     if (want_agent && want_batched) table.add_column("batched speedup");
     if (want_hybrid) table.add_column("hybrid/best");
 
@@ -125,87 +125,51 @@ int run(const ArgParser& args) {
     root.set("tool", "bench_to_json");
     JsonValue rows = JsonValue::array();
 
+    const auto speedup = [](double rate, double baseline) {
+        return baseline > 0.0 ? rate / baseline : 0.0;
+    };
     for (const std::string& protocol : protocols) {
         for (const std::size_t n : sizes) {
             const auto steps_per_run = static_cast<StepCount>(
                 parallel_time_cap * static_cast<double>(n));
-            Measurement agent;
-            if (want_agent) {
-                agent = measure(protocol, EngineKind::agent, n, steps_per_run, min_seconds);
-
-                JsonValue agent_row = JsonValue::object();
-                agent_row.set("protocol", protocol);
-                agent_row.set("n", static_cast<std::uint64_t>(n));
-                agent_row.set("steps_per_run", steps_per_run);
-                agent_row.set("engine", std::string(to_string(EngineKind::agent)));
-                agent_row.set("interactions_per_sec", agent.rate());
-                rows.push_back(std::move(agent_row));
-            }
-
             std::vector<std::string> cells = {protocol, std::to_string(n)};
-            if (want_agent) cells.push_back(scientific(agent.rate()));
-            // Best fixed-engine rate among the engines actually measured in
-            // this cell — the hybrid row's comparison baseline.
-            double best_fixed_rate = agent.rate();
-            Measurement batched;
-            if (want_batched) {
-                batched = measure(protocol, EngineKind::batched, n, steps_per_run, min_seconds);
-                best_fixed_rate = std::max(best_fixed_rate, batched.rate());
-                cells.push_back(scientific(batched.rate()));
+            // Rates of the engines measured in this cell (0 when skipped).
+            // The engine table lists agent first and hybrid last, so the
+            // agent rate and the best fixed-engine rate (the hybrid row's
+            // baseline) are known by the time a row needs them.
+            std::array<double, engine_table.size()> rate{};
+            const auto rate_of = [&rate](EngineKind kind) {
+                return rate[static_cast<std::size_t>(kind)];
+            };
+            double best_fixed_rate = 0.0;
+            for (const EngineDescriptor& d : engine_table) {
+                if (!want[static_cast<std::size_t>(d.kind)]) continue;
+                double& r = rate[static_cast<std::size_t>(d.kind)];
+                r = measure(protocol, d.kind, n, steps_per_run, min_seconds).rate();
+                cells.push_back(scientific(r));
 
-                JsonValue batched_row = JsonValue::object();
-                batched_row.set("protocol", protocol);
-                batched_row.set("n", static_cast<std::uint64_t>(n));
-                batched_row.set("steps_per_run", steps_per_run);
-                batched_row.set("engine", std::string(to_string(EngineKind::batched)));
-                batched_row.set("interactions_per_sec", batched.rate());
-                batched_row.set("speedup_vs_agent",
-                                agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0);
-                rows.push_back(std::move(batched_row));
+                JsonValue row = JsonValue::object();
+                row.set("protocol", protocol);
+                row.set("n", static_cast<std::uint64_t>(n));
+                row.set("steps_per_run", steps_per_run);
+                row.set("engine", std::string(d.name));
+                row.set("interactions_per_sec", r);
+                if (d.kind != EngineKind::agent) {
+                    row.set("speedup_vs_agent", speedup(r, rate_of(EngineKind::agent)));
+                }
+                if (d.kind == EngineKind::hybrid) {
+                    row.set("speedup_vs_best_fixed", speedup(r, best_fixed_rate));
+                } else {
+                    best_fixed_rate = std::max(best_fixed_rate, r);
+                }
+                rows.push_back(std::move(row));
             }
-            Measurement gillespie;
-            if (want_gillespie) {
-                gillespie =
-                    measure(protocol, EngineKind::gillespie, n, steps_per_run, min_seconds);
-                best_fixed_rate = std::max(best_fixed_rate, gillespie.rate());
-                cells.push_back(scientific(gillespie.rate()));
-
-                JsonValue gillespie_row = JsonValue::object();
-                gillespie_row.set("protocol", protocol);
-                gillespie_row.set("n", static_cast<std::uint64_t>(n));
-                gillespie_row.set("steps_per_run", steps_per_run);
-                gillespie_row.set("engine", std::string(to_string(EngineKind::gillespie)));
-                gillespie_row.set("interactions_per_sec", gillespie.rate());
-                gillespie_row.set("speedup_vs_agent",
-                                  agent.rate() > 0.0 ? gillespie.rate() / agent.rate() : 0.0);
-                rows.push_back(std::move(gillespie_row));
-            }
-            Measurement hybrid;
-            if (want_hybrid) {
-                hybrid = measure(protocol, EngineKind::hybrid, n, steps_per_run, min_seconds);
-                cells.push_back(scientific(hybrid.rate()));
-
-                JsonValue hybrid_row = JsonValue::object();
-                hybrid_row.set("protocol", protocol);
-                hybrid_row.set("n", static_cast<std::uint64_t>(n));
-                hybrid_row.set("steps_per_run", steps_per_run);
-                hybrid_row.set("engine", std::string(to_string(EngineKind::hybrid)));
-                hybrid_row.set("interactions_per_sec", hybrid.rate());
-                hybrid_row.set("speedup_vs_agent",
-                               agent.rate() > 0.0 ? hybrid.rate() / agent.rate() : 0.0);
-                hybrid_row.set("speedup_vs_best_fixed",
-                               best_fixed_rate > 0.0 ? hybrid.rate() / best_fixed_rate
-                                                     : 0.0);
-                rows.push_back(std::move(hybrid_row));
-            }
-
             if (want_agent && want_batched) {
                 cells.push_back(
-                    ratio(agent.rate() > 0.0 ? batched.rate() / agent.rate() : 0.0));
+                    ratio(speedup(rate_of(EngineKind::batched), rate_of(EngineKind::agent))));
             }
             if (want_hybrid) {
-                cells.push_back(
-                    ratio(best_fixed_rate > 0.0 ? hybrid.rate() / best_fixed_rate : 0.0));
+                cells.push_back(ratio(speedup(rate_of(EngineKind::hybrid), best_fixed_rate)));
             }
             table.add_row(cells);
         }
