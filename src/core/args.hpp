@@ -53,6 +53,13 @@ public:
         return values_.contains(name);
     }
 
+    /// The names of the flags on the command line, each once, in name order.
+    [[nodiscard]] std::vector<std::string> given() const {
+        std::vector<std::string> names;
+        for (const auto& entry : values_) names.push_back(entry.first);
+        return names;
+    }
+
     [[nodiscard]] std::string get_string(const std::string& name,
                                          const std::string& fallback) const {
         const auto it = values_.find(name);

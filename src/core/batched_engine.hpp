@@ -107,7 +107,7 @@ private:
     /// Re-sizes the collision-run sampler to the population after a crash,
     /// a rejoin or a restore.
     void population_changed() {
-        if (n_ >= 2) run_sampler_ = CollisionRunSampler(n_);
+        run_sampler_ = CollisionRunSampler(n_);
     }
 
     // --- batch round ------------------------------------------------------
@@ -116,8 +116,10 @@ private:
     /// number executed. A batch never stops early at a single leader: its
     /// crossing replay records the exact stabilisation step instead. Kept
     /// out of line: inlined into the core's run loops, one copy per loop and
-    /// protocol would spend the instantiating translation unit's inlining
-    /// budget, which decides the code of every engine's hot loops there.
+    /// protocol spends the inlining budget of registry.cpp, which
+    /// instantiates every engine, and the gillespie engine's leap code there
+    /// then calls its multiset sampler and its transition lookups out of
+    /// line.
     __attribute__((noinline)) StepCount round(StepCount budget,
                                               bool /*stop_at_single_leader*/) {
         const std::uint64_t run = run_sampler_.sample(rng_);
@@ -200,9 +202,9 @@ private:
         std::int64_t delta_total = 0;
         bool role_changed = false;
         if constexpr (RatedProtocol<P>) fired_mult_.clear();
-        // Forced inline: left to the heuristics, whether this body is inlined
-        // into the per-pair loop of BatchPairs::for_each depends on how much
-        // inlining budget the instantiating translation unit has left.
+        // Forced inline: left to the heuristics, registry.cpp, which
+        // instantiates every engine, compiles this per-pair loop with an
+        // out-of-line transition-cache lookup.
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
                             __attribute__((always_inline)) {
             const CachedTransition& tr = transition(a, b);

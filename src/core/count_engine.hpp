@@ -133,7 +133,7 @@ public:
     RunResult run_until_one_leader(StepCount max_steps) {
         StepCount executed = 0;
         while (leader_count_ != 1 && executed < max_steps) {
-            executed += advance(max_steps - executed, /*stop_at_single_leader=*/true);
+            executed += derived().round(max_steps - executed, /*stop_at_single_leader=*/true);
         }
         return make_result(leader_count_ == 1);
     }
@@ -143,7 +143,7 @@ public:
     RunResult run_for(StepCount count) {
         StepCount executed = 0;
         while (executed < count) {
-            executed += advance(count - executed, /*stop_at_single_leader=*/false);
+            executed += derived().round(count - executed, /*stop_at_single_leader=*/false);
         }
         return make_result(leader_count_ == 1);
     }
@@ -170,8 +170,7 @@ public:
                 "silence is applied by the run layer, not the engine");
         switch (action.kind) {
             case FaultKind::crash: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k >= n_) k = n_ - 1;  // always leave one survivor
+                const std::uint64_t k = resolve_fault_count(action, n_);
                 leader_count_ -= remove_uniform_agents(k);
                 n_ -= k;
                 derived().population_changed();
@@ -184,8 +183,7 @@ public:
                 derived().population_changed();
                 break;
             case FaultKind::reset: {
-                std::uint64_t k = resolve_fault_count(action, n_);
-                if (k > n_) k = n_;
+                const std::uint64_t k = resolve_fault_count(action, n_);
                 leader_count_ -= remove_uniform_agents(k);
                 add_initial_agents(k);
                 break;
@@ -222,15 +220,20 @@ public:
     }
 
     /// Restores a `save_state` payload into an engine built with the same
-    /// protocol. The transition cache is dropped (a pure memo, but its
-    /// entries may reference states interned after the checkpoint was
-    /// taken); recomputation re-interns outputs in the exact order the
+    /// protocol; its population must pass the constructor's check, and its
+    /// counts must sum to it. The transition cache is dropped (a pure memo,
+    /// but its entries may reference states interned after the checkpoint
+    /// was taken); recomputation re-interns outputs in the exact order the
     /// original run did, so replay stays bit-identical.
     void restore_state(CheckpointReader& r) {
-        n_ = r.u64();
+        const std::uint64_t n = r.u64();
+        require_population(n);
+        n_ = n;
         rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         store_.restore_state(protocol_, r);
+        require(store_.total_count() == n_,
+                "checkpointed counts do not sum to the population");
         steps_ = r.u64();
         leader_count_ = r.u64();
         first_single_leader_step_ = r.opt_u64();
@@ -285,10 +288,10 @@ protected:
     [[nodiscard]] std::uint64_t crossing_offset(const std::vector<Mult>& applied) {
         scratch_deltas_.clear();
         std::size_t group = 0;
-        // Forced inline, like the engines' own per-pair loops: left to the
-        // heuristics, whether this body is inlined into BatchPairs::for_each
-        // depends on how much inlining budget the instantiating translation
-        // unit has left.
+        // Forced inline, although it runs once per run: left to the
+        // heuristics, this body stays out of line, and registry.cpp, which
+        // instantiates every engine, then compiles the batched engine's
+        // per-pair loop with an out-of-line transition-cache lookup.
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
                             __attribute__((always_inline)) {
             const std::uint64_t m = applied.empty() ? mult : applied[group++];
@@ -324,16 +327,6 @@ private:
     static void require_population(std::size_t n) {
         require(n >= 2, "population must contain at least two agents");
         require_count_population(n);
-    }
-
-    /// One round of at most `budget` ≥ 1 steps; a crash that left a single
-    /// survivor has no pairs, so its steps only tick.
-    StepCount advance(StepCount budget, bool stop_at_single_leader) {
-        if (n_ < 2) {
-            steps_ += budget;
-            return budget;
-        }
-        return derived().round(budget, stop_at_single_leader);
     }
 
     /// Adds `k` agents in the protocol's initial state.

@@ -181,12 +181,6 @@ public:
     /// returns the pair that interacted. For rated protocols the step may be
     /// thinned to a null interaction (the pair met, nothing happened).
     Interaction step() {
-        if (population_.size() < 2) {
-            // A crash fault can leave a single survivor: no pair exists, so
-            // the scheduler ticks without an interaction.
-            ++steps_;
-            return Interaction{};
-        }
         const Interaction interaction = scheduler_.next();
         if constexpr (RatedProtocol<P>) {
             if (!fires(interaction)) {
@@ -254,10 +248,6 @@ public:
     /// changed during them. Used to validate that a detected stabilisation
     /// point really is absorbing.
     [[nodiscard]] bool verify_outputs_stable(StepCount count) {
-        if (population_.size() < 2) {  // no pairs: outputs trivially stable
-            steps_ += count;
-            return true;
-        }
         const std::size_t leaders_before = leader_count_;
         bool changed = false;
         for (StepCount i = 0; i < count; ++i) {
@@ -295,8 +285,7 @@ public:
         const std::size_t n = population_.size();
         switch (action.kind) {
             case FaultKind::crash: {
-                std::uint64_t k = resolve_fault_count(action, n);
-                if (k >= n) k = n - 1;  // always leave one survivor
+                const std::uint64_t k = resolve_fault_count(action, n);
                 for (std::uint64_t i = 0; i < k; ++i) {
                     const auto victim = static_cast<AgentId>(
                         uniform_below(fault_rng_, population_.size()));
@@ -318,8 +307,7 @@ public:
                 break;
             }
             case FaultKind::reset: {
-                std::uint64_t k = resolve_fault_count(action, n);
-                if (k > n) k = n;
+                const std::uint64_t k = resolve_fault_count(action, n);
                 // Partial Fisher–Yates picks k distinct victims uniformly.
                 std::vector<AgentId> ids(n);
                 std::iota(ids.begin(), ids.end(), AgentId{0});
@@ -402,9 +390,8 @@ public:
     /// the same protocol; the population is resized if faults changed n.
     void restore_state(CheckpointReader& r) {
         const std::uint64_t n = r.u64();
-        require(n >= 1, "checkpointed population is empty");
-        // Resize by append/remove rather than reconstruction: a crash fault
-        // may have left fewer than the two agents Population's ctor demands.
+        require(n >= 2, "checkpointed population holds fewer than two agents");
+        // Resize in place: append checks the ceiling before it allocates.
         while (population_.size() > n) population_.remove_swap(0);
         if (population_.size() < n) {
             population_.append(protocol_.initial_state(), n - population_.size());

@@ -16,9 +16,9 @@
 /// Action semantics (n = current population, n₀ = population at plan
 /// attach time; fractions resolve against the *current* n):
 ///
-///  * `crash(fraction|count)` — remove k uniformly random agents. The
-///    population shrinks; parallel-time conversion and protocol parameters
-///    stay anchored at n₀ (documented in docs/ARCHITECTURE.md).
+///  * `crash(fraction|count)` — remove k uniformly random agents, leaving
+///    at least two. The population shrinks; parallel-time conversion and
+///    protocol parameters stay anchored at n₀ (docs/ARCHITECTURE.md).
 ///  * `rejoin(count)` — inject k fresh agents in the protocol's initial
 ///    state (new contenders: for an election this reopens the race).
 ///  * `reset(fraction|count)` — adversarial corruption: k uniformly random
@@ -34,6 +34,7 @@
 /// same seed + plan replays the same post-fault stream on each engine.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -132,15 +133,18 @@ inline void validate_fault_action(const FaultAction& a) {
     }
 }
 
-/// Resolves an action to an agent count against the current population:
-/// absolute counts pass through, fractions round to nearest with a floor
-/// of one agent (a scheduled fault always does *something*).
+/// The number of agents an action touches at the current population n ≥ 2.
+/// Absolute counts pass through; fractions round to nearest, at least one
+/// agent. A crash removes at most n − 2, since the model schedules pairs of
+/// distinct agents (at n = 2 it removes no one); a reset touches at most n.
 [[nodiscard]] inline std::uint64_t resolve_fault_count(const FaultAction& a,
                                                        std::uint64_t population) {
-    if (a.count > 0) return a.count;
-    const double k = a.fraction * static_cast<double>(population);
-    const auto rounded = static_cast<std::uint64_t>(k + 0.5);
-    return rounded == 0 ? 1 : rounded;
+    const double exact = a.fraction * static_cast<double>(population);
+    const std::uint64_t k =
+        a.count > 0 ? a.count
+                    : std::max<std::uint64_t>(static_cast<std::uint64_t>(exact + 0.5), 1);
+    if (a.kind == FaultKind::crash) return std::min(k, population - 2);
+    return a.kind == FaultKind::reset ? std::min(k, population) : k;
 }
 
 /// Parses one `--inject` specification:

@@ -580,10 +580,9 @@ private:
         std::int64_t delta_total = 0;
         bool role_changed = false;
         std::uint64_t dropped = 0;
-        // Forced inline: left to the heuristics, whether this body is inlined
-        // into the per-pair loop of BatchPairs::for_each depends on how much
-        // inlining budget the instantiating translation unit has left, so
-        // unrelated code there could slow every pairwise leap.
+        // Forced inline: left to the heuristics, registry.cpp, which
+        // instantiates every engine, compiles this body as a separate
+        // function called once per pair group of every pairwise leap.
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
                             __attribute__((always_inline)) {
             // Clamp to what the running counts can supply: with-replacement
@@ -631,8 +630,9 @@ private:
     }
 
     // The two separable-leap helpers below run once per leap and are kept
-    // out of line: inlined into leap_round they would spend the translation
-    // unit's inlining budget, which decides the code of the per-pair loops.
+    // out of line: inlined into leap_round, either one spends registry.cpp's
+    // inlining budget, and leap_round then calls its multiset sampler out of
+    // line.
 
     /// Whether every ordered cell over the live set factorises (see
     /// CellFactorisation), under the `separable_cell_factor` gate. A pure

@@ -46,8 +46,9 @@
 /// continuous run. Evaluation happens at *step thresholds* the engine
 /// enforces by clamping its own chunks, never at wall-clock times or chunk
 /// boundaries chosen by callers — so observer cadences and `run_for` slicing
-/// cannot perturb the switch points, and a hybrid run depends only on its
-/// seed and checkpoint cadence, on every machine.
+/// cannot move the evaluation steps, on any machine. While on gillespie,
+/// that slicing still ends leaps early, as on the fixed count engines
+/// (observer.hpp).
 #pragma once
 
 #include <algorithm>
@@ -249,12 +250,6 @@ public:
         if (action.kind == FaultKind::rejoin) require_count_population(n_, action.count);
         with_engine([&action](auto& e) { e.apply_fault(action); });
         n_ = with_engine([](const auto& e) { return e.population_size(); });
-        // Evaluations stop at a single survivor; a rejoin fault that adds
-        // agents back resumes them at the initial cadence.
-        if (!forced_ && next_eval_step_ == never) {
-            eval_interval_ = initial_eval_interval();
-            schedule_evaluation();
-        }
     }
 
     /// Advances the step counter through a rate-zero silence window.
@@ -312,13 +307,14 @@ public:
     /// reads it — the null mass by direct protocol evaluation over every
     /// ordered pair of states (rate-thinned weight for rated protocols).
     /// The pair weight is normalised by the census's own total, so a
-    /// sampled census (agent mode) yields its sample estimate of z.
+    /// sampled census (agent mode) yields its sample estimate of z. Every
+    /// census the engine reads holds at least two agents.
     [[nodiscard]] PhaseFeatures features_of(const Census& census) const {
         PhaseFeatures f;
         f.live_states = census.size();
+        if (census.size() > max_gillespie_states) return f;
         std::uint64_t total = 0;
         for (const auto& [s, c] : census) total += c;
-        if (total < 2 || census.size() > max_gillespie_states) return f;
         double nonnull = 0.0;  // non-null (rate-thinned) ordered-pair weight
         for (const auto& [sa, ca] : census) {
             for (const auto& [sb, cb] : census) {
@@ -369,11 +365,7 @@ public:
     /// protocol and root seed: the active inner engine is rebuilt on its
     /// original segment stream before its own state is restored into it.
     void restore_state(CheckpointReader& r) {
-        const std::uint64_t restored_n = r.u64();
-        // Inner constructors demand two agents, but a crash fault may have
-        // checkpointed a single survivor; construct at 2 and let the inner
-        // restore re-apply the true population (it overwrites everything).
-        n_ = std::max<std::size_t>(restored_n, 2);
+        n_ = r.u64();  // checked by the inner engine's constructor
         const auto mode = static_cast<EngineKind>(r.u8());
         require(mode == EngineKind::agent || mode == EngineKind::gillespie,
                 "checkpoint names an unknown hybrid mode");
@@ -384,7 +376,6 @@ public:
         forced_ = r.boolean();
         construct_engine(mode);
         with_engine([&r](auto& e) { e.restore_state(r); });
-        n_ = restored_n;
     }
 
 private:
@@ -460,26 +451,20 @@ private:
         return std::max<StepCount>(n_ / 4, 16384);
     }
 
-    /// Sets the next evaluation `eval_interval_` steps from now — or never,
-    /// where there is nothing to choose (a crash left one survivor).
-    void schedule_evaluation() {
-        next_eval_step_ = n_ < 2 ? never : steps() + eval_interval_;
-    }
+    /// Sets the next evaluation `eval_interval_` steps from now.
+    void schedule_evaluation() { next_eval_step_ = steps() + eval_interval_; }
 
     /// Re-decides the mode when a threshold has been reached: census →
     /// features → choose_mode. A stable decision backs the cadence off
     /// geometrically (capped at 4n); a switch resets it.
     void maybe_evaluate() {
         if (forced_ || steps() < next_eval_step_) return;
-        if (n_ >= 2) {
-            const EngineKind target =
-                choose_mode(n_, features_of(feature_census()), mode_);
-            if (target != mode_) {
-                switch_to(target, collect_census());
-                eval_interval_ = initial_eval_interval();
-            } else {
-                eval_interval_ = std::min<StepCount>(eval_interval_ * 2, 4 * n_);
-            }
+        const EngineKind target = choose_mode(n_, features_of(feature_census()), mode_);
+        if (target != mode_) {
+            switch_to(target, collect_census());
+            eval_interval_ = initial_eval_interval();
+        } else {
+            eval_interval_ = std::min<StepCount>(eval_interval_ * 2, 4 * n_);
         }
         schedule_evaluation();
     }

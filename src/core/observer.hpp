@@ -13,6 +13,10 @@
 /// deadlines and every engine clamps its rounds to the requested chunk
 /// (batches, leaps and geometric skips included), a time-driven observer
 /// sees the configuration at *exactly* its deadline step, on every engine.
+/// On batched and gillespie (and hybrid while on gillespie) a deadline
+/// inside a round ends that round early, so the rest of the run samples
+/// another path from the same distribution; the agent engine's run never
+/// depends on its observers.
 #pragma once
 
 #include <cstdint>

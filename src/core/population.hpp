@@ -61,8 +61,8 @@ public:
     /// Removes agent `id` by swapping with the last agent and popping
     /// (fault injection: crash). Identities are not stable across removals
     /// — irrelevant under the uniform scheduler, which carries no
-    /// per-agent state. May shrink the population below two; the engine
-    /// guards its stepping paths for that degenerate case.
+    /// per-agent state. Callers keep at least two agents: a crash removes
+    /// at most n − 2 (`resolve_fault_count`, fault.hpp).
     void remove_swap(AgentId id) {
         states_[id] = states_.back();
         states_.pop_back();

@@ -31,53 +31,37 @@ struct Interaction {
 /// next() draws an ordered pair of distinct agents uniformly at random.
 class UniformScheduler {
 public:
-    /// \param n     population size (must be ≥ 2: an interaction needs two agents)
+    /// \param n     population size, in [2, max_agent_population]
     /// \param seed  PRNG seed; equal seeds produce identical schedules
-    UniformScheduler(std::size_t n, std::uint64_t seed)
-        : n_(n), rng_(seed) {
-        require(n >= 2, "population must contain at least two agents");
-        // n(n−1) fits in 64 bits whenever n ≤ 2^32 (always true: agent ids
-        // are 32-bit), enabling the single-draw fast path in next().
-        if (n_ <= (std::uint64_t{1} << 32U)) {
-            ordered_pairs_ = static_cast<std::uint64_t>(n_) * (n_ - 1);
-        }
+    UniformScheduler(std::size_t n, std::uint64_t seed) : rng_(seed) {
+        set_population_size(n);
     }
 
-    /// Draws the next interaction. Both orderings of each unordered pair are
-    /// equally likely, as the model requires.
-    [[nodiscard]] Interaction next() noexcept {
-        if (ordered_pairs_ != 0) {
-            // Fast path: one unbiased draw in [0, n(n−1)) indexes the ordered
-            // pair directly — quotient picks the initiator, remainder the
-            // responder's offset among the other n−1 agents.
-            const std::uint64_t r = uniform_below(rng_, ordered_pairs_);
-            const auto a = static_cast<AgentId>(r / (n_ - 1));
-            auto b = static_cast<AgentId>(r % (n_ - 1));
-            if (b >= a) ++b;
-            return Interaction{a, b};
-        }
-        const auto a = static_cast<AgentId>(uniform_below(rng_, n_));
-        // Sample the responder from the remaining n−1 agents without bias by
-        // drawing in [0, n−1) and skipping over the initiator's index.
-        auto b = static_cast<AgentId>(uniform_below(rng_, n_ - 1));
-        if (b >= a) ++b;
+    /// Draws the next interaction: one unbiased draw in [0, n(n−1)) indexes
+    /// the ordered pair (the quotient picks the initiator, the remainder the
+    /// responder among the other n−1 agents), so both orderings of each pair
+    /// are equally likely. The skip over the initiator is an add, not a
+    /// branch, and the call is inlined whatever the caller's inlining budget.
+    [[nodiscard]] [[gnu::always_inline]] Interaction next() noexcept {
+        const std::uint64_t r = uniform_below(rng_, ordered_pairs_);
+        const auto a = static_cast<AgentId>(r / (n_ - 1));
+        auto b = static_cast<AgentId>(r % (n_ - 1));
+        b += static_cast<AgentId>(b >= a);
         return Interaction{a, b};
     }
 
     [[nodiscard]] std::size_t population_size() const noexcept { return n_; }
 
-    /// Re-targets the scheduler after the population changed size (fault
-    /// injection: crash/rejoin). Accepts any n ≥ 1 — the engine guards its
-    /// stepping paths so next() is never called while n < 2. The PRNG
-    /// stream continues uninterrupted, which is what keeps seeded
-    /// post-fault replay deterministic.
+    /// Re-targets the scheduler after the population changed size (crash,
+    /// rejoin, restore), within the constructor's bounds. The PRNG stream
+    /// continues uninterrupted, which keeps seeded post-fault replay
+    /// deterministic.
     void set_population_size(std::size_t n) {
-        require(n >= 1, "population cannot be empty");
+        require(n >= 2, "population must contain at least two agents");
+        require(n <= max_agent_population,
+                "a population of agents holds at most 2^32 - 1 agents");
         n_ = n;
-        ordered_pairs_ = 0;
-        if (n_ >= 2 && n_ <= (std::uint64_t{1} << 32U)) {
-            ordered_pairs_ = static_cast<std::uint64_t>(n_) * (n_ - 1);
-        }
+        ordered_pairs_ = static_cast<std::uint64_t>(n_) * (n_ - 1);
     }
 
     /// Access to the underlying generator, e.g. to fork auxiliary streams.
@@ -85,8 +69,8 @@ public:
     [[nodiscard]] const Rng& rng() const noexcept { return rng_; }
 
 private:
-    std::size_t n_;
-    std::uint64_t ordered_pairs_ = 0;  ///< n(n−1) when it fits in 64 bits, else 0
+    std::size_t n_ = 0;
+    std::uint64_t ordered_pairs_ = 0;  ///< n(n−1); below 2^64 since n < 2^32
     Rng rng_;
 };
 

@@ -88,10 +88,8 @@ std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(const std::string&
 
 std::unique_ptr<Simulation> ProtocolRegistry::make_simulation(
     const CheckpointHeader& header) const {
-    // A crash fault can checkpoint a single survivor; engine constructors
-    // demand two agents, and restore overwrites the population anyway.
-    const auto n = static_cast<std::size_t>(std::max<std::uint64_t>(header.population, 2));
-    return make_simulation(header.protocol, n, header.seed, parse_engine_kind(header.engine));
+    return make_simulation(header.protocol, static_cast<std::size_t>(header.population),
+                           header.seed, parse_engine_kind(header.engine));
 }
 
 std::unique_ptr<Simulation> ProtocolRegistry::resume_simulation(

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/args.hpp"
 #include "core/plot.hpp"
@@ -32,6 +33,7 @@ TEST(ArgParser, ParsesSpaceAndEqualsForms) {
     EXPECT_TRUE(args.get_bool("verbose", false));
     EXPECT_TRUE(args.has("n"));
     EXPECT_FALSE(args.has("factor"));
+    EXPECT_EQ(args.given(), (std::vector<std::string>{"n", "protocol", "verbose"}));
 }
 
 TEST(ArgParser, DefaultsApplyWhenAbsent) {

@@ -1,5 +1,5 @@
 // Fault-injection tests: spec parsing, exact count surgery on every engine,
-// boundary cases (t=0, post-stabilisation faults, crash to n=1), silence
+// boundary cases (t=0, post-stabilisation faults, crash to n=2), silence
 // windows, seeded determinism of post-fault streams, recovery measurement,
 // and golden-seed pins of whole chaos scenarios per engine.
 #include <gtest/gtest.h>
@@ -84,8 +84,16 @@ TEST(FaultSpec, ResolvesCountsAgainstThePopulation) {
     EXPECT_EQ(resolve_fault_count(FaultAction::crash_count(7), 100), 7U);
     EXPECT_EQ(resolve_fault_count(FaultAction::crash_fraction(0.5), 100), 50U);
     EXPECT_EQ(resolve_fault_count(FaultAction::reset_fraction(0.3), 10), 3U);
-    // A scheduled fault always does something: tiny fractions floor at one.
+    // Tiny fractions floor at one agent.
     EXPECT_EQ(resolve_fault_count(FaultAction::crash_fraction(0.001), 100), 1U);
+    // A crash leaves at least the two agents an interaction needs; a reset
+    // may touch every agent.
+    EXPECT_EQ(resolve_fault_count(FaultAction::crash_fraction(1.0), 32), 30U);
+    EXPECT_EQ(resolve_fault_count(FaultAction::crash_count(5), 3), 1U);
+    EXPECT_EQ(resolve_fault_count(FaultAction::crash_count(1), 2), 0U);
+    EXPECT_EQ(resolve_fault_count(FaultAction::crash_fraction(0.001), 2), 0U);
+    EXPECT_EQ(resolve_fault_count(FaultAction::reset_fraction(1.0), 32), 32U);
+    EXPECT_EQ(resolve_fault_count(FaultAction::reset_count(50), 32), 32U);
 }
 
 // --- count surgery ----------------------------------------------------------
@@ -191,21 +199,29 @@ TEST(FaultBoundary, FaultAfterStabilizationForcesReelection) {
     }
 }
 
-TEST(FaultBoundary, CrashToSingleSurvivorIsSafe) {
+TEST(FaultBoundary, CrashLeavesTwoAgents) {
     const std::size_t n = 32;
-    for (const EngineKind kind : kEngines) {
-        SCOPED_TRACE(to_string(kind));
-        const auto sim = make_lottery(n, 909, kind);
+    for (const EngineDescriptor& engine : engine_table) {
+        SCOPED_TRACE(engine.name);
+        const auto sim = make_lottery(n, 909, engine.kind);
         FaultPlan plan;
-        plan.add(1.0, FaultAction::crash_fraction(1.0));  // clamps to n−1 victims
+        plan.add(1.0, FaultAction::crash_fraction(1.0));  // resolves to n − 2 victims
+        plan.add(3.0, FaultAction::crash_count(5));       // removes no one at n = 2
         sim->set_fault_plan(plan);
-        const StepCount budget = 6 * static_cast<StepCount>(n);
+        const StepCount budget = 2 * static_cast<StepCount>(n);
         (void)sim->run_for(budget);
-        EXPECT_EQ(sim->population_size(), 1U);
-        EXPECT_EQ(sim->steps(), budget);  // steps keep ticking below n = 2
-        const ConfigurationSnapshot census = sim->state_counts();
-        EXPECT_EQ(census.total(), 1U);
-        EXPECT_LE(sim->leader_count(), 1U);
+        EXPECT_EQ(sim->faults_applied(), 1U);
+        EXPECT_EQ(sim->population_size(), 2U);
+        EXPECT_EQ(sim->state_counts().total(), 2U);
+        EXPECT_EQ(sim->steps(), budget);  // two agents still interact
+        EXPECT_LE(sim->leader_count(), 2U);
+
+        (void)sim->run_for(budget);
+        EXPECT_EQ(sim->faults_applied(), 2U);
+        EXPECT_EQ(sim->population_size(), 2U);
+        EXPECT_EQ(sim->state_counts().total(), 2U);
+        EXPECT_EQ(sim->steps(), 2 * budget);
+        EXPECT_LE(sim->leader_count(), 2U);
     }
 }
 

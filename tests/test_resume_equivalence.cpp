@@ -23,10 +23,11 @@
 // both applied and pending), periodic-cadence checkpoints, observer
 // progress across the resume boundary (DeadlineObserver fires exactly once,
 // RecoveryObserver resolves identically), and loud rejection of mismatched
-// resumes.
+// resumes and of payloads whose population lies outside the model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <ostream>
 #include <string>
@@ -34,6 +35,7 @@
 #include "core/engine.hpp"
 #include "core/fault.hpp"
 #include "core/gillespie_engine.hpp"
+#include "core/hybrid_engine.hpp"
 #include "core/observer.hpp"
 #include "core/persist.hpp"
 #include "core/simulation.hpp"
@@ -477,6 +479,61 @@ TEST(ResumeEquivalenceRejects, MismatchedSimulationOrObserversAreRejected) {
     EXPECT_THROW(extra_observer->restore_checkpoint_file(path), InvalidArgument);
 
     std::filesystem::remove(path);
+}
+
+/// The `save_state` payload of `engine` with its leading population word
+/// replaced by `n`.
+template <typename EngineT>
+std::string payload_with_population(const EngineT& engine, std::uint64_t n) {
+    CheckpointWriter w;
+    engine.save_state(w);
+    std::string payload = w.take();
+    std::memcpy(payload.data(), &n, sizeof n);
+    return payload;
+}
+
+TEST(ResumeEquivalenceRejects, PopulationsOutsideTheModelAreRejected) {
+    const std::size_t n = 256;
+    const auto restore = [](auto& engine, std::string payload) {
+        CheckpointReader r(std::move(payload));
+        engine.restore_state(r);
+    };
+    Engine<Pll> agent(Pll::for_population(n), n, 3);
+    GillespieEngine<Pll> gillespie(Pll::for_population(n), n, 3);
+    HybridEngine<Pll> hybrid(Pll::for_population(n), n, 3);
+    (void)agent.run_for(4 * n);
+    (void)gillespie.run_for(4 * n);
+    (void)hybrid.run_for(4 * n);
+
+    // Every step schedules two distinct agents, so no engine restores a
+    // population below two.
+    for (const std::uint64_t word : {0, 1}) {
+        SCOPED_TRACE(word);
+        Engine<Pll> a(Pll::for_population(n), n, 5);
+        EXPECT_THROW(restore(a, payload_with_population(agent, word)), InvalidArgument);
+        GillespieEngine<Pll> g(Pll::for_population(n), n, 5);
+        EXPECT_THROW(restore(g, payload_with_population(gillespie, word)),
+                     InvalidArgument);
+        HybridEngine<Pll> h(Pll::for_population(n), n, 5);
+        EXPECT_THROW(restore(h, payload_with_population(hybrid, word)), InvalidArgument);
+    }
+
+    // A count payload's counts must sum to its population word.
+    for (const std::uint64_t word : {n - 1, n + 1}) {
+        SCOPED_TRACE(word);
+        GillespieEngine<Pll> g(Pll::for_population(n), n, 5);
+        EXPECT_THROW(restore(g, payload_with_population(gillespie, word)),
+                     InvalidArgument);
+    }
+
+    // The unpatched payloads restore.
+    Engine<Pll> a(Pll::for_population(n), n, 5);
+    EXPECT_NO_THROW(restore(a, payload_with_population(agent, n)));
+    GillespieEngine<Pll> g(Pll::for_population(n), n, 5);
+    EXPECT_NO_THROW(restore(g, payload_with_population(gillespie, n)));
+    HybridEngine<Pll> h(Pll::for_population(n), n, 5);
+    EXPECT_NO_THROW(restore(h, payload_with_population(hybrid, n)));
+    EXPECT_EQ(h.steps(), hybrid.steps());
 }
 
 }  // namespace

@@ -14,6 +14,21 @@ TEST(UniformScheduler, RejectsDegeneratePopulations) {
     EXPECT_THROW(UniformScheduler(0, 1), InvalidArgument);
     EXPECT_THROW(UniformScheduler(1, 1), InvalidArgument);
     EXPECT_NO_THROW(UniformScheduler(2, 1));
+    // Agent ids are 32-bit: 2^32 − 1 agents is the ceiling, and the
+    // scheduler allocates nothing, so both sides of it are cheap to try.
+    EXPECT_NO_THROW(UniformScheduler(max_agent_population, 1));
+    EXPECT_THROW(UniformScheduler(max_agent_population + 1, 1), InvalidArgument);
+
+    UniformScheduler scheduler(8, 1);
+    EXPECT_THROW(scheduler.set_population_size(1), InvalidArgument);
+    EXPECT_THROW(scheduler.set_population_size(max_agent_population + 1),
+                 InvalidArgument);
+    EXPECT_EQ(scheduler.population_size(), 8U);
+    scheduler.set_population_size(2);
+    for (int i = 0; i < 16; ++i) {
+        const Interaction pair = scheduler.next();
+        EXPECT_EQ(pair.initiator + pair.responder, 1U);
+    }
 }
 
 TEST(UniformScheduler, ProducesDistinctAgentsInRange) {

@@ -68,7 +68,7 @@ ArgParser make_parser() {
                  "0");
     args.declare("resume",
                  "resume a run from a PPCK checkpoint file and continue it to "
-                 "a single leader (protocol, engine and seed come from the "
+                 "a single leader (protocol, engine, n and seed come from the "
                  "file; combine with --checkpoint to keep checkpointing)",
                  "");
     args.declare("inject",
@@ -90,6 +90,53 @@ ArgParser make_parser() {
     args.declare("list", "list registered protocols and exit");
     args.declare("help", "show this help");
     return args;
+}
+
+/// A run mode: the flag that selects it and every other flag it reads.
+struct Mode {
+    std::string flag;                ///< empty for the sweep, the default mode
+    std::vector<std::string> reads;
+};
+
+/// The modes in the order they are tried: the first whose flag is given
+/// runs. `--resume` takes protocol, engine, n and seed from its file.
+const std::vector<Mode>& modes() {
+    static const std::vector<Mode> table = {
+        {"list", {}},
+        {"list-scenarios", {}},
+        {"model-check", {"protocol", "n", "max-configs"}},
+        {"trajectory",
+         {"protocol", "engine", "n", "seed", "budget-factor", "inject", "scenario",
+          "trajectory-every", "trajectory-live-states"}},
+        {"resume", {"budget-factor", "checkpoint", "checkpoint-every"}},
+        {"checkpoint",
+         {"protocol", "engine", "n", "seed", "budget-factor", "inject", "scenario",
+          "checkpoint-every"}},
+        {"snapshot-at",
+         {"protocol", "engine", "n", "seed", "budget-factor", "inject", "scenario",
+          "snapshot-csv"}},
+        {"",
+         {"protocol", "engine", "n", "seed", "budget-factor", "inject", "scenario", "reps",
+          "verify", "json", "deadline", "recovery-csv", "states"}},
+    };
+    return table;
+}
+
+/// The mode the command line selects. Throws InvalidArgument, naming the
+/// flag and the mode, when a flag is given that the mode would not read.
+const Mode& select_mode(const ArgParser& args) {
+    const Mode& mode = *std::ranges::find_if(
+        modes(), [&args](const Mode& m) { return m.flag.empty() || args.has(m.flag); });
+    for (const std::string& flag : args.given()) {
+        if (flag == mode.flag || std::ranges::find(mode.reads, flag) != mode.reads.end()) continue;
+        std::string message = "--" + flag + " is not read in " +
+                              (mode.flag.empty() ? "sweep" : "--" + mode.flag) + " mode";
+        for (std::size_t i = 0; i < mode.reads.size(); ++i) {
+            message += (i == 0 ? ", which reads --" : ", --") + mode.reads[i];
+        }
+        throw InvalidArgument(message);
+    }
+    return mode;
 }
 
 std::vector<double> parse_time_points(const std::string& csv) {
@@ -175,8 +222,9 @@ bool write_trajectory(const std::string& protocol, std::size_t n, std::uint64_t 
 
 int run(const ArgParser& args) {
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
+    const std::string& mode = select_mode(args).flag;
 
-    if (args.get_bool("list", false)) {
+    if (mode == "list") {
         TextTable table;
         table.add_column("protocol", Align::left);
         table.add_column("citation", Align::left);
@@ -190,7 +238,7 @@ int run(const ArgParser& args) {
         return 0;
     }
 
-    if (args.get_bool("list-scenarios", false)) {
+    if (mode == "list-scenarios") {
         TextTable table;
         table.add_column("scenario", Align::left);
         table.add_column("protocol", Align::left);
@@ -225,10 +273,7 @@ int run(const ArgParser& args) {
         validate_fault_action(fault.action);
     }
 
-    if (args.get_bool("model-check", false)) {
-        require(fault_plan.empty(),
-                "--model-check explores the fault-free transition relation; "
-                "it cannot be combined with --inject or --scenario");
+    if (mode == "model-check") {
         const auto protocol_instance = registry.make(protocol, n);
         const auto budget = static_cast<std::size_t>(args.get_u64("max-configs", 200000));
         const ModelCheckReport report = model_check(*protocol_instance, n, budget);
@@ -253,23 +298,16 @@ int run(const ArgParser& args) {
         "budget-factor", scenario != nullptr ? scenario->budget_factor : 3000.0);
     const double deadline_time = args.get_double("deadline", 0.0);
     require(deadline_time >= 0.0, "--deadline must be non-negative");
-    // The deadline census runs on the sweep path; the single-run recording
-    // modes would silently drop it, so reject the combination outright.
-    require(deadline_time == 0.0 || (args.get_string("trajectory", "").empty() &&
-                                     args.get_string("snapshot-at", "").empty()),
-            "--deadline cannot be combined with --trajectory or --snapshot-at");
+    require(!args.has("recovery-csv") || !fault_plan.empty(),
+            "--recovery-csv needs faults to recover from (--inject or --scenario)");
 
     const std::string checkpoint_path = args.get_string("checkpoint", "");
     const StepCount checkpoint_every = args.get_u64("checkpoint-every", 0);
     require(checkpoint_every == 0 || !checkpoint_path.empty(),
             "--checkpoint-every needs --checkpoint (the file to write)");
-    require((checkpoint_path.empty() && args.get_string("resume", "").empty()) ||
-                (args.get_string("trajectory", "").empty() &&
-                 args.get_string("snapshot-at", "").empty()),
-            "--checkpoint/--resume run a single seeded election; they cannot "
-            "be combined with --trajectory or --snapshot-at");
 
-    if (const std::string path = args.get_string("trajectory", ""); !path.empty()) {
+    if (mode == "trajectory") {
+        const std::string path = args.get_string("trajectory", "");
         StepCount stride = args.get_u64("trajectory-every", 0);
         if (stride == 0) stride = std::max<StepCount>(1, n / 4);
         return write_trajectory(protocol, n, seed, engine, StepBudget::n_log_n(n, factor),
@@ -279,10 +317,8 @@ int run(const ArgParser& args) {
                    : 1;
     }
 
-    if (const std::string resume = args.get_string("resume", ""); !resume.empty()) {
-        require(fault_plan.empty(),
-                "--resume continues the checkpointed run (its fault plan "
-                "included); it cannot be combined with --inject or --scenario");
+    if (mode == "resume") {
+        const std::string resume = args.get_string("resume", "");
         const auto sim = registry.resume_simulation(resume);
         const StepCount resumed_at = sim->steps();
         if (!checkpoint_path.empty() && checkpoint_every > 0) {
@@ -301,7 +337,7 @@ int run(const ArgParser& args) {
         return result.converged ? 0 : 1;
     }
 
-    if (!checkpoint_path.empty()) {
+    if (mode == "checkpoint") {
         const auto sim = registry.make_simulation(protocol, n, seed, engine);
         if (!fault_plan.empty()) sim->set_fault_plan(fault_plan);
         if (checkpoint_every > 0) sim->set_checkpoint(checkpoint_path, checkpoint_every);
@@ -315,10 +351,10 @@ int run(const ArgParser& args) {
         return result.converged ? 0 : 1;
     }
 
-    if (const std::string at = args.get_string("snapshot-at", ""); !at.empty()) {
+    if (mode == "snapshot-at") {
         return write_timed_snapshots(protocol, n, seed, engine,
                                      StepBudget::n_log_n(n, factor),
-                                     parse_time_points(at),
+                                     parse_time_points(args.get_string("snapshot-at", "")),
                                      args.get_string("snapshot-csv", "snapshots.csv"),
                                      fault_plan)
                    ? 0
