@@ -60,22 +60,22 @@ public:
     using std::logic_error::logic_error;
 };
 
-/// Throws InvalidArgument with a formatted message when `cond` is false.
-/// Used to validate user-facing API preconditions; never compiled out.
-inline void require(bool cond, const std::string& message,
-                    std::source_location loc = std::source_location::current()) {
-    if (!cond) {
-        throw InvalidArgument(std::string(loc.file_name()) + ":" +
-                              std::to_string(loc.line()) + ": " + message);
-    }
+/// Throws InvalidArgument with `message` alone when `cond` is false. Used
+/// to validate user-facing API preconditions; never compiled out. The
+/// message is the caller's error as users read it, so it names no source
+/// location.
+inline void require(bool cond, const std::string& message) {
+    if (!cond) throw InvalidArgument(message);
 }
 
 /// Throws InvariantViolation when `cond` is false. Checks internal
-/// invariants that indicate a library bug rather than user error.
+/// invariants that indicate a library bug rather than user error; the
+/// message starts with the source file's name (no directory) and line.
 inline void ensure(bool cond, const std::string& message,
                    std::source_location loc = std::source_location::current()) {
     if (!cond) {
-        throw InvariantViolation(std::string(loc.file_name()) + ":" +
+        const std::string_view path = loc.file_name();
+        throw InvariantViolation(std::string(path.substr(path.find_last_of('/') + 1)) + ":" +
                                  std::to_string(loc.line()) + ": " + message);
     }
 }

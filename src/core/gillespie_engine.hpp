@@ -53,13 +53,19 @@
 ///    initiators of each state a move to f(a), the responders of each b to
 ///    g(b), in O(d) with no pairing draws. `CellFactorisation` counts the
 ///    non-factorising live cells, updated only as states are born or die
-///    and only while d² ≤ `separable_cell_factor`·L. A leap that over-draws
-///    a state (where the clamp needs cells) or crosses to a single leader
-///    (where the replay needs pairs) is paired instead, so separable leaps
-///    sample exactly what paired leaps sample and add no approximation of
-///    their own. PLL's count-up wait, where timer agents advance whatever
-///    they meet, is separable almost throughout. Rated protocols, which
-///    thin per cell, always pair.
+///    and only while d² ≤ `separable_cell_factor`·L. Such a leap draws its
+///    2L step slots as one multiset T ~ Mult(2L, c/n), the law of the sum
+///    of the two sides' Mult(L, c/n) draws. Where every live state has
+///    f = g, only T matters and it moves through f. Otherwise T is split
+///    into the initiator side X ~ MVH(T; L) and the responder side
+///    Y = T − X, their exact joint law. A leap that over-draws a state
+///    (where the clamp needs cells) or crosses to a single leader (where
+///    the replay needs pairs) splits T if it has not and is paired, so
+///    separable leaps sample exactly what paired leaps sample and add no
+///    approximation of their own. PLL's count-up wait, where timer agents
+///    advance whatever they meet, is separable and symmetric (f = g)
+///    almost throughout. Rated protocols, which thin per cell, always
+///    pair.
 ///
 /// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are this
 /// engine's native habitat: a channel's propensity simply becomes
@@ -119,16 +125,18 @@ struct ChannelFiredCount {
 /// the responder's from g(b) = out_b(b, b). While the count is 0 the output
 /// of every cell is (f(a), g(b)), so pairing a leap's initiator and
 /// responder multisets cannot change what the leap does — the gillespie
-/// engine's separable leaps.
+/// engine's separable leaps. A second count, of the tracked states with
+/// f(a) ≠ g(a), tells whether the two sides differ at all: while it is 0
+/// too, a separable leap depends only on how many slots each state fills.
 ///
 /// `update` brings the tracked set up to the store's live set: a dead state
 /// takes its cells out of the count, a newborn adds its own, and a leap
 /// that neither kills nor births a state costs O(d). Cells are checked by
 /// running the protocol on state copies and comparing canonical keys, which
-/// interns nothing. The count is therefore a pure function of the live set,
-/// and the engine's id assignment — part of its seeded stream — never
-/// depends on when, or from what tracked set, the count was brought up to
-/// date (a resumed run starts from an empty one).
+/// interns nothing. Both counts are therefore pure functions of the live
+/// set, and the engine's id assignment — part of its seeded stream — never
+/// depends on when, or from what tracked set, they were brought up to date
+/// (a resumed run starts from an empty one).
 template <typename P>
     requires InternableProtocol<P>
 class CellFactorisation {
@@ -155,6 +163,7 @@ public:
             tracked_[i] = tracked_.back();
             tracked_.pop_back();
             bad_ -= mismatches(proto, index, s);
+            asymmetric_ -= f_key_[s] != g_key_[s] ? 1 : 0;
         }
         for (const StateId s : store.live_ids()) {
             if (tracked_flag_[s] != 0) continue;
@@ -164,11 +173,16 @@ public:
             f_key_[s] = state_key_of(proto, initiator);
             g_key_[s] = state_key_of(proto, responder);
             bad_ += mismatches(proto, index, s);
+            asymmetric_ += f_key_[s] != g_key_[s] ? 1 : 0;
             tracked_flag_[s] = 1;
             tracked_.push_back(s);
         }
         return bad_;
     }
+
+    /// Tracked states a with f(a) ≠ g(a) — an initiator and a responder in
+    /// state a leave it for different states — as of the last `update`.
+    [[nodiscard]] std::uint64_t asymmetric_states() const noexcept { return asymmetric_; }
 
     /// Forgets the tracked set (its ids may no longer name the same states).
     void clear() noexcept {
@@ -177,6 +191,7 @@ public:
         f_key_.clear();
         g_key_.clear();
         bad_ = 0;
+        asymmetric_ = 0;
     }
 
 private:
@@ -206,7 +221,35 @@ private:
     std::vector<std::uint64_t> f_key_;         ///< per id: key of out_a(id, id)
     std::vector<std::uint64_t> g_key_;         ///< per id: key of out_b(id, id)
     std::uint64_t bad_ = 0;                    ///< non-factorising cells in tracked_²
+    std::uint64_t asymmetric_ = 0;             ///< tracked states with f_key ≠ g_key
 };
+
+/// Splits the 2·`len` step slots of a separable leap into its two sides. On
+/// entry `initiators` holds T, the states drawn for all 2·`len` slots; on
+/// exit it holds X ~ MVH(T; `len`), the `len` of them drawn without
+/// replacement, and `responders` holds Y = T − X, both in T's order and
+/// without zero entries. For T ~ Mult(2·len, p) that is exactly the joint
+/// law of two independent Mult(len, p) draws: given their sum T, X is
+/// multivariate hypergeometric. A T over one state splits as (len, len)
+/// with no draw for len ≥ 2. `scratch` is reused storage. Kept out of line
+/// like the engine's once-per-leap helpers (see there).
+template <typename Generator>
+__attribute__((noinline)) void split_leap_multiset(Generator& gen, std::uint64_t len,
+                                                   StateMultiset& initiators,
+                                                   StateMultiset& responders,
+                                                   std::vector<std::uint64_t>& scratch) {
+    scratch.clear();
+    for (const auto& [id, t] : initiators) scratch.push_back(t);
+    multivariate_hypergeometric(gen, scratch.data(), scratch.size(), len, scratch.data());
+    responders.clear();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < scratch.size(); ++i) {
+        const auto [id, t] = initiators[i];
+        if (t > scratch[i]) responders.emplace_back(id, t - scratch[i]);
+        if (scratch[i] > 0) initiators[kept++] = {id, scratch[i]};
+    }
+    initiators.resize(kept);
+}
 
 /// Reaction-rate (Gillespie SSA + τ-leaping) simulation engine. Drop-in
 /// alternative to Engine<P> / BatchedEngine<P> for the run/verify surface
@@ -564,14 +607,27 @@ private:
     /// the batch-pairing layer, and clamped per-cell application (plus a
     /// binomial thinning per cell for rated protocols, identical in
     /// distribution to the batched engine's thinning). When every live cell
-    /// factorises, `separable_leap` applies the two multisets without the
-    /// pairing.
+    /// factorises, one Mult(2·len) draw T replaces the two Mult(len) draws —
+    /// their sum has that law — and `separable_leap` applies it without the
+    /// pairing. T is split into its sides X and Y = T − X only when they
+    /// differ (some live state has f ≠ g) or when the leap declines to the
+    /// pairing; the split draws X from its exact law given T.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
-        const bool factorises = live_cells_factorise();
-        sample_leap_multiset(len, initiators_);
-        sample_leap_multiset(len, responders_);
-        if (factorises && separable_leap(len)) return len;
+        const bool separable = live_cells_factorise();
+        // A separable leap draws its 2·len slots as one multiset T into
+        // `initiators_` and leaves `responders_` empty until T is split.
+        sample_leap_multiset(separable ? 2 * len : len, initiators_);
+        sample_leap_multiset(separable ? 0 : len, responders_);
+        if (separable) {
+            if (factorisation_.asymmetric_states() != 0) {
+                split_leap_multiset(rng_, len, initiators_, responders_, split_scratch_);
+            }
+            if (separable_leap(len)) return len;
+            if (responders_.empty()) {
+                split_leap_multiset(rng_, len, initiators_, responders_, split_scratch_);
+            }
+        }
         sample_batch_pairing(BatchMode::automatic, rng_, initiators_, responders_, len,
                              pairs_);
 
@@ -629,10 +685,14 @@ private:
         return len;
     }
 
-    // The two separable-leap helpers below run once per leap and are kept
-    // out of line: inlined into leap_round, either one spends registry.cpp's
-    // inlining budget, and leap_round then calls its multiset sampler out of
-    // line.
+    // The two separable-leap helpers below, and `split_leap_multiset`, run
+    // once per leap and are kept out of line: inlined into leap_round, any
+    // one spends registry.cpp's inlining budget, and leap_round then calls
+    // its multiset sampler out of line. For the same reason leap_round calls
+    // that sampler from two sites, both on every leap: with the responder
+    // draw on the paired path only, GCC 12 compiled it as an out-of-line
+    // call there (leap_round<Pll> 0x6a1 bytes plus a 0x144-byte sampler,
+    // against 0x7c5 bytes with both sites inline).
 
     /// Whether every ordered cell over the live set factorises (see
     /// CellFactorisation), under the `separable_cell_factor` gate. A pure
@@ -653,12 +713,14 @@ private:
     /// The separable leap: with every live cell factorising, each sampled
     /// initiator of state a moves to f(a) = out_a(a, a) and each responder of
     /// state b to g(b) = out_b(b, b) — one count update, one touch and one
-    /// leader/role delta per sampled state, and no pairing draws. That is
-    /// what the pairing path would apply, pair for pair, provided no state
-    /// is over-drawn in total (x_a + y_a ≤ c_a, so the clamp never bites).
-    /// Declines, changing no count, when a state is over-drawn or when the
-    /// leap would cross to a single leader (the crossing replay needs the
-    /// pairs); the caller then pairs the same multisets.
+    /// leader/role delta per sampled state, and no pairing draws. With
+    /// `responders_` empty, `initiators_` holds both sides' slots T (every
+    /// live state has f = g) and moves through f. That is what the pairing
+    /// path would apply, pair for pair, provided no state is over-drawn in
+    /// total (x_a + y_a ≤ c_a, so the clamp never bites). Declines, changing
+    /// no count, when a state is over-drawn or when the leap would cross to
+    /// a single leader (the crossing replay needs the pairs); the caller
+    /// then splits T if it has not, and pairs the two sides.
     __attribute__((noinline)) bool separable_leap(StepCount len) {
         std::vector<std::uint64_t>& counts = store_.counts();
         // Both multisets list their states in live-list order.
@@ -740,6 +802,7 @@ private:
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
     CellFactorisation<P> factorisation_;  ///< non-factorising live cells (not persisted)
     std::vector<StateId> separable_out_;  ///< per sampled state: f(a), then g(b)
+    std::vector<std::uint64_t> split_scratch_;  ///< split_leap_multiset's draw counts
     std::uint64_t leaps_ = 0;
     std::uint64_t separable_leaps_ = 0;
     std::uint64_t exact_events_ = 0;

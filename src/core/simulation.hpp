@@ -154,6 +154,12 @@ public:
         return to_parallel_time(steps(), population_size());
     }
 
+    /// The population size the simulation was built with, which a crash or
+    /// rejoin since may have moved away from `population_size()`. The
+    /// protocol was built for it (PLL's m = ⌈log₂ n⌉), so checkpoint
+    /// headers record it and `--resume` rebuilds the run from it.
+    [[nodiscard]] std::size_t run_population() const noexcept { return run_population_; }
+
     // --- execution --------------------------------------------------------
 
     /// Executes exactly one interaction (batched: a batch clamped to 1).
@@ -340,7 +346,7 @@ public:
         CheckpointHeader header;
         header.protocol = protocol_name();
         header.engine = std::string(to_string(engine_kind()));
-        header.population = population_size();
+        header.population = run_population_;
         header.seed = run_seed_;
         header.step = steps();
         ppsim::save_checkpoint(path, header, w.buffer());
@@ -371,12 +377,14 @@ public:
         checkpoint_every_ = every;
     }
 
-    /// Records the seed the simulation was built with, for checkpoint
-    /// headers. `make_simulation` sets it; adapters constructed directly
-    /// default to 0.
-    void set_run_identity(std::uint64_t seed) noexcept { run_seed_ = seed; }
-
 protected:
+    /// Records the seed and population size the simulation was built with,
+    /// for checkpoint headers. The adapter sets them at construction.
+    void set_run_identity(std::uint64_t seed, std::size_t population) noexcept {
+        run_seed_ = seed;
+        run_population_ = population;
+    }
+
     virtual RunResult run_for_impl(StepCount count) = 0;
     virtual RunResult run_until_one_leader_impl(StepCount max_steps) = 0;
     virtual bool verify_outputs_stable_impl(StepCount count) = 0;
@@ -506,6 +514,7 @@ private:
     StepCount checkpoint_every_ = 0; ///< cadence in steps (0 = disabled)
     StepCount last_checkpoint_step_ = 0;  ///< last cadence multiple written
     std::uint64_t run_seed_ = 0;     ///< root seed, for checkpoint headers
+    std::size_t run_population_ = 0; ///< population at construction, likewise
 };
 
 /// Runs `sim` to a single leader within `max_steps`, then (optionally)
@@ -537,7 +546,9 @@ template <Protocol P, typename EngineT, EngineKind kind_v>
 class EngineSimulation final : public Simulation {
 public:
     EngineSimulation(P proto, std::size_t n, std::uint64_t seed)
-        : engine_(std::move(proto), n, seed) {}
+        : engine_(std::move(proto), n, seed) {
+        set_run_identity(seed, n);
+    }
 
     [[nodiscard]] std::size_t population_size() const noexcept override {
         return engine_.population_size();
@@ -646,31 +657,21 @@ template <typename Factory>
                                                           EngineKind kind) {
     using P = std::decay_t<decltype(factory(std::size_t{2}))>;
     static_assert(Protocol<P>, "factory must produce a Protocol");
-    // Record the run identity on whatever we hand out, so checkpoint headers
-    // can name the seed the run was built with.
-    const auto with_identity = [seed](std::unique_ptr<Simulation> sim) {
-        sim->set_run_identity(seed);
-        return sim;
-    };
     if constexpr (InternableProtocol<P>) {
         switch (kind) {
             case EngineKind::batched:
-                return with_identity(
-                    std::make_unique<detail::BatchedSimulation<P>>(factory(n), n, seed));
+                return std::make_unique<detail::BatchedSimulation<P>>(factory(n), n, seed);
             case EngineKind::gillespie:
-                return with_identity(
-                    std::make_unique<detail::GillespieSimulation<P>>(factory(n), n, seed));
+                return std::make_unique<detail::GillespieSimulation<P>>(factory(n), n, seed);
             case EngineKind::hybrid:
-                return with_identity(
-                    std::make_unique<detail::HybridSimulation<P>>(factory(n), n, seed));
+                return std::make_unique<detail::HybridSimulation<P>>(factory(n), n, seed);
             case EngineKind::agent: break;
         }
     } else if (kind != EngineKind::agent) {
         throw InvalidArgument("protocol has no injective state key: " +
                               std::string(to_string(kind)) + " engine unavailable");
     }
-    return with_identity(
-        std::make_unique<detail::AgentSimulation<P>>(factory(n), n, seed));
+    return std::make_unique<detail::AgentSimulation<P>>(factory(n), n, seed);
 }
 
 }  // namespace ppsim

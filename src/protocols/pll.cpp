@@ -89,7 +89,7 @@ void Pll::initialize_epoch_variables(State& s) const noexcept {
             // Φ-flip nonce draw; followers join the epidemic immediately
             // (index = Φ), mirroring QuickElimination's done = true.
             s.rand = 0;
-            s.index = s.leader ? 0 : static_cast<std::uint8_t>(config_.phi());
+            s.index = s.leader ? 0 : phi_;
             // levelQ/done belong to the abandoned V1 group; zero them so the
             // stored state is canonical (the paper calls them "undefined").
             s.level_q = 0;
@@ -110,13 +110,15 @@ void Pll::initialize_epoch_variables(State& s) const noexcept {
 // --- Algorithm 2: CountUp -----------------------------------------------------
 
 void Pll::count_up(State& a0, State& a1) const noexcept {
-    const unsigned cmax = config_.cmax();
-
     // Lines 23–29: every timer agent advances its count; a wrap-around to 0
-    // mints the next colour and raises the tick flag.
+    // mints the next colour and raises the tick flag. Reducing only at or
+    // past cmax is (count + 1) mod cmax for every count, without a division
+    // per step.
     const auto advance_timer = [&](State& s) {
         if (s.status != PllStatus::b) return;
-        s.count = static_cast<std::uint16_t>((s.count + 1U) % cmax);
+        unsigned next = s.count + 1U;
+        if (next >= cmax_) next %= cmax_;
+        s.count = static_cast<std::uint16_t>(next);
         if (s.count == 0) {
             s.color = next_color(s.color);
             s.tick = true;
@@ -143,13 +145,11 @@ void Pll::count_up(State& a0, State& a1) const noexcept {
 // --- Algorithm 3: QuickElimination --------------------------------------------
 
 void Pll::quick_elimination(State& a0, State& a1) const noexcept {
-    const unsigned lmax = config_.lmax();
-
     // Lines 35–38: a leader that has not finished the lottery flips a coin
     // whenever it meets a follower: initiator = head (levelQ += 1),
     // responder = tail (done). Exactly one agent can satisfy the guard.
     if (a0.leader && !a1.leader && !a0.done && a0.status == PllStatus::a) {
-        a0.level_q = saturating_increment(a0.level_q, lmax);  // line 36
+        a0.level_q = saturating_increment(a0.level_q, lmax_);  // line 36
     } else if (a1.leader && !a0.leader && !a1.done && a1.status == PllStatus::a) {
         a1.done = true;  // line 37
     }
@@ -168,23 +168,21 @@ void Pll::quick_elimination(State& a0, State& a1) const noexcept {
 // --- Algorithm 4: Tournament ----------------------------------------------------
 
 void Pll::tournament(State& a0, State& a1) const noexcept {
-    const auto phi = static_cast<std::uint8_t>(config_.phi());
-
     // Lines 43–46: a leader that still owes coin flips appends one nonce bit
     // per meeting with a follower: bit 0 as initiator, bit 1 as responder.
-    if (a0.leader && !a1.leader && a0.index < phi) {
+    if (a0.leader && !a1.leader && a0.index < phi_) {
         a0.rand = static_cast<std::uint16_t>(2U * a0.rand + 0U);  // line 44 (i = 0)
         a0.index = static_cast<std::uint8_t>(
-            saturating_increment(a0.index, phi));  // line 45
-    } else if (a1.leader && !a0.leader && a1.index < phi) {
+            saturating_increment(a0.index, phi_));  // line 45
+    } else if (a1.leader && !a0.leader && a1.index < phi_) {
         a1.rand = static_cast<std::uint16_t>(2U * a1.rand + 1U);  // line 44 (i = 1)
-        a1.index = static_cast<std::uint8_t>(saturating_increment(a1.index, phi));
+        a1.index = static_cast<std::uint8_t>(saturating_increment(a1.index, phi_));
     }
 
     // Lines 47–50: one-way epidemic of the maximum finished nonce across VA;
     // a finished leader holding a smaller nonce leaves the race.
-    if (a0.status == PllStatus::a && a1.status == PllStatus::a && a0.index == phi &&
-        a1.index == phi && a0.rand != a1.rand) {
+    if (a0.status == PllStatus::a && a1.status == PllStatus::a && a0.index == phi_ &&
+        a1.index == phi_ && a0.rand != a1.rand) {
         State& smaller = a0.rand < a1.rand ? a0 : a1;
         const State& larger = a0.rand < a1.rand ? a1 : a0;
         smaller.leader = false;        // line 48
@@ -195,12 +193,10 @@ void Pll::tournament(State& a0, State& a1) const noexcept {
 // --- Algorithm 5: BackUp ----------------------------------------------------------
 
 void Pll::back_up(State& a0, State& a1) const noexcept {
-    const unsigned lmax = config_.lmax();
-
     // Lines 51–53: a leader whose tick was raised in this very interaction
     // flips one coin against a follower; head = initiator = climb a level.
     if (a0.tick && a0.leader && !a1.leader) {
-        a0.level_b = saturating_increment(a0.level_b, lmax);  // line 52
+        a0.level_b = saturating_increment(a0.level_b, lmax_);  // line 52
     }
 
     // Lines 54–57: one-way epidemic of the maximum levelB across VA; any VA
@@ -235,7 +231,7 @@ std::uint64_t Pll::state_key(const State& s) const noexcept {
             case 2:
             case 3:
                 aux = static_cast<std::uint64_t>(s.rand) *
-                          (static_cast<std::uint64_t>(config_.phi()) + 1U) +
+                          (static_cast<std::uint64_t>(phi_) + 1U) +
                       s.index;
                 break;
             default: aux = s.level_b; break;

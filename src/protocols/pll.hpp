@@ -159,7 +159,11 @@ class Pll {
 public:
     using State = PllState;
 
-    explicit Pll(PllConfig config) : config_(config) {
+    explicit Pll(PllConfig config)
+        : config_(config),
+          cmax_(config.cmax()),
+          lmax_(config.lmax()),
+          phi_(static_cast<std::uint8_t>(config.phi())) {
         require(config.m >= 2, "PLL requires m >= 2");
         require(config.cmax() >= 2 && config.cmax() < 65536,
                 "timer period cmax out of the representable range");
@@ -227,6 +231,10 @@ private:
     void initialize_epoch_variables(State& s) const noexcept;          // lines 11–15
 
     PllConfig config_;
+    // cmax, lmax and Φ of config_, computed once: Φ takes a log2.
+    unsigned cmax_;
+    unsigned lmax_;
+    std::uint8_t phi_;
 };
 
 static_assert(sizeof(PllState) <= 16, "PLL state should stay within 16 bytes");

@@ -9,7 +9,9 @@
 //    property the KS harness in test_statistical.cpp relies on);
 //  * separable leaps: taken only where a brute-force check finds every live
 //    cell factorising, nearly always in PLL's count-up wait, never for rated
-//    protocols, and for angluin06 only while no follower is live;
+//    protocols, and for angluin06 only while no follower is live; the split
+//    of one Mult(2L) draw into the law of two Mult(L) draws; the count of
+//    live states whose two sides differ;
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
 //  * the count engines' population ceiling, at construction and on rejoin;
 //  * the engine-table row, registry dispatch and Simulation adapter
@@ -19,6 +21,8 @@
 // test_statistical.cpp; golden seeded replays in test_golden_seeds.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -26,11 +30,14 @@
 #include <vector>
 
 #include "core/count_engine.hpp"
+#include "core/count_store.hpp"
 #include "core/engine.hpp"
 #include "core/fault.hpp"
 #include "core/gillespie_engine.hpp"
 #include "core/observer.hpp"
+#include "core/random.hpp"
 #include "core/simulation.hpp"
+#include "core/stats.hpp"
 #include "protocols/angluin.hpp"
 #include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
@@ -233,6 +240,163 @@ TEST(GillespieEngine, LeaderMeetsLeaderAndRatedProtocolsKeepPairing) {
     (void)rated.run_for(static_cast<StepCount>(n) * 8);
     EXPECT_GT(rated.leaps_taken(), 0U);
     EXPECT_EQ(rated.separable_leaps(), 0U);
+}
+
+TEST(GillespieLeapSplit, OneMultinomialSplitHasTheLawOfTwo) {
+    // A separable leap draws T ~ Mult(2·len, p) and splits it into X and
+    // Y = T − X. Against the exact moments of two independent Mult(len, p)
+    // draws, within 5 standard errors of each per-draw statistic: means and
+    // variances of X_a, Y_a and X_a + Y_a, Cov(X_a, Y_b) = 0 for every a, b,
+    // and Cov(X_a, X_b) = Cov(Y_a, Y_b) = −len·p_a·p_b for a ≠ b.
+    const std::vector<std::uint64_t> census = {1, 3, 9, 27, 60};
+    const std::size_t d = census.size();
+    const std::uint64_t len = 12;
+    const int draws = 200000;
+    std::vector<double> p(d);
+    for (std::size_t a = 0; a < d; ++a) p[a] = static_cast<double>(census[a]) / 100.0;
+    const auto mean_of = [&](std::size_t a) { return static_cast<double>(len) * p[a]; };
+    const auto var_of = [&](std::size_t a) { return mean_of(a) * (1.0 - p[a]); };
+
+    std::vector<RunningStats> x_mean(d), y_mean(d), sum_mean(d), x_var(d), y_var(d),
+        sum_var(d);
+    std::vector<RunningStats> cov_xy(d * d), cov_xx(d * d), cov_yy(d * d);
+    Rng rng(2024);
+    StateMultiset initiators;
+    StateMultiset responders;
+    std::vector<std::uint64_t> scratch;
+    std::vector<double> x(d), y(d);
+    for (int i = 0; i < draws; ++i) {
+        const std::vector<std::uint64_t> t = multinomial(rng, census, 2 * len);
+        initiators.clear();
+        for (std::size_t a = 0; a < d; ++a) {
+            if (t[a] > 0) initiators.emplace_back(static_cast<StateId>(a), t[a]);
+        }
+        split_leap_multiset(rng, len, initiators, responders, scratch);
+        std::fill(x.begin(), x.end(), 0.0);
+        std::fill(y.begin(), y.end(), 0.0);
+        std::uint64_t x_total = 0;
+        std::uint64_t y_total = 0;
+        for (std::size_t k = 0; k < initiators.size(); ++k) {
+            const auto [id, mult] = initiators[k];
+            ASSERT_GT(mult, 0U);
+            if (k > 0) ASSERT_LT(initiators[k - 1].first, id) << "X left T's order";
+            x[id] = static_cast<double>(mult);
+            x_total += mult;
+        }
+        for (std::size_t k = 0; k < responders.size(); ++k) {
+            const auto [id, mult] = responders[k];
+            ASSERT_GT(mult, 0U);
+            if (k > 0) ASSERT_LT(responders[k - 1].first, id) << "Y left T's order";
+            y[id] = static_cast<double>(mult);
+            y_total += mult;
+        }
+        ASSERT_EQ(x_total, len);
+        ASSERT_EQ(y_total, len);
+        for (std::size_t a = 0; a < d; ++a) {
+            ASSERT_EQ(x[a] + y[a], static_cast<double>(t[a])) << "the split lost slots";
+            const double dx = x[a] - mean_of(a);
+            const double dy = y[a] - mean_of(a);
+            x_mean[a].add(x[a]);
+            y_mean[a].add(y[a]);
+            sum_mean[a].add(x[a] + y[a]);
+            x_var[a].add(dx * dx);
+            y_var[a].add(dy * dy);
+            sum_var[a].add((dx + dy) * (dx + dy));
+            for (std::size_t b = 0; b < d; ++b) {
+                const double dyb = y[b] - mean_of(b);
+                const double dxb = x[b] - mean_of(b);
+                cov_xy[a * d + b].add(dx * dyb);
+                cov_xx[a * d + b].add(dx * dxb);
+                cov_yy[a * d + b].add(dy * dyb);
+            }
+        }
+    }
+
+    const auto expect_near_exact = [](const RunningStats& stat, double exact, const char* what,
+                                      std::size_t a, std::size_t b) {
+        EXPECT_LE(std::abs(stat.mean() - exact), 5.0 * stat.sem())
+            << what << " at (" << a << ", " << b << "): " << stat.mean() << " vs exact "
+            << exact << " (se " << stat.sem() << ")";
+    };
+    for (std::size_t a = 0; a < d; ++a) {
+        expect_near_exact(x_mean[a], mean_of(a), "E[X]", a, a);
+        expect_near_exact(y_mean[a], mean_of(a), "E[Y]", a, a);
+        expect_near_exact(sum_mean[a], 2.0 * mean_of(a), "E[X + Y]", a, a);
+        expect_near_exact(x_var[a], var_of(a), "Var X", a, a);
+        expect_near_exact(y_var[a], var_of(a), "Var Y", a, a);
+        expect_near_exact(sum_var[a], 2.0 * var_of(a), "Var(X + Y)", a, a);
+        for (std::size_t b = 0; b < d; ++b) {
+            expect_near_exact(cov_xy[a * d + b], 0.0, "Cov(X_a, Y_b)", a, b);
+            if (a == b) continue;
+            const double exact = -static_cast<double>(len) * p[a] * p[b];
+            expect_near_exact(cov_xx[a * d + b], exact, "Cov(X_a, X_b)", a, b);
+            expect_near_exact(cov_yy[a * d + b], exact, "Cov(Y_a, Y_b)", a, b);
+        }
+    }
+}
+
+TEST(GillespieLeapSplit, OneStateSplitsEvenlyWithoutADraw) {
+    // Every protocol's first leap runs over its one initial state; its
+    // split must leave the stream where two Mult(len) draws over one state
+    // (which draw nothing) left it.
+    for (const std::uint64_t len : {std::uint64_t{2}, std::uint64_t{12}, std::uint64_t{16384}}) {
+        Rng rng(7);
+        const Rng before = rng;
+        StateMultiset initiators = {{3, 2 * len}};
+        StateMultiset responders = {{1, 5}};
+        std::vector<std::uint64_t> scratch;
+        split_leap_multiset(rng, len, initiators, responders, scratch);
+        EXPECT_EQ(initiators, (StateMultiset{{3, len}}));
+        EXPECT_EQ(responders, (StateMultiset{{3, len}}));
+        EXPECT_EQ(rng.state(), before.state()) << "the split drew at len = " << len;
+    }
+}
+
+TEST(CellFactorisation, CountsTheLiveStatesWhoseSidesDiffer) {
+    // angluin06 {L}: L meets L → (L, F), so the one cell factorises but
+    // f(L) = L ≠ g(L) = F.
+    const Angluin angluin;
+    const AngluinState leader{true};
+    const AngluinState follower{false};
+    InternedCountStore<Angluin> store;
+    CellFactorisation<Angluin> cells;
+    (void)store.adopt_census(angluin, {{leader, 10}});
+    EXPECT_EQ(cells.update(angluin, store), 0U);
+    EXPECT_EQ(cells.asymmetric_states(), 1U);
+    // L dies: F meets F → (F, F), symmetric.
+    (void)store.adopt_census(angluin, {{follower, 10}});
+    EXPECT_EQ(cells.update(angluin, store), 0U);
+    EXPECT_EQ(cells.asymmetric_states(), 0U);
+    // L is reborn beside F; (F, L) leaves the responder a leader, so that
+    // cell does not factorise either.
+    (void)store.adopt_census(angluin, {{leader, 3}, {follower, 7}});
+    EXPECT_EQ(cells.update(angluin, store), 1U);
+    EXPECT_EQ(cells.asymmetric_states(), 1U);
+    cells.clear();
+    EXPECT_EQ(cells.asymmetric_states(), 0U);
+    EXPECT_EQ(cells.update(angluin, store), 1U);
+    EXPECT_EQ(cells.asymmetric_states(), 1U);
+
+    // PLL in the count-up wait: timer agents advance whatever they meet,
+    // and finished epoch-1 candidates meet no one they react to, so every
+    // live state has f = g.
+    const std::size_t n = std::size_t{1} << 20U;
+    const Pll pll = Pll::for_population(n);
+    const PllState timer{.count = 7, .status = PllStatus::b, .leader = false};
+    const PllState later_timer{.count = 8, .status = PllStatus::b, .leader = false};
+    const PllState candidate{.level_q = 4, .status = PllStatus::a, .done = true};
+    const PllState follower_a{
+        .level_q = 4, .status = PllStatus::a, .done = true, .leader = false};
+    InternedCountStore<Pll> pll_store;
+    CellFactorisation<Pll> pll_cells;
+    (void)pll_store.adopt_census(
+        pll, {{timer, 400}, {later_timer, 300}, {candidate, 2}, {follower_a, 322}});
+    EXPECT_EQ(pll_cells.update(pll, pll_store), 0U);
+    EXPECT_EQ(pll_cells.asymmetric_states(), 0U);
+    // An unassigned agent joins as initiator A, responder B: f ≠ g.
+    (void)pll_store.adopt_census(pll, {{timer, 400}, {PllState{}, 624}});
+    (void)pll_cells.update(pll, pll_store);
+    EXPECT_EQ(pll_cells.asymmetric_states(), 1U);
 }
 
 TEST(GillespieEngine, RunForExecutesExactlyTheRequestedSteps) {

@@ -299,6 +299,44 @@ TEST(ResumeEquivalenceFaults, MidPlanCheckpointResumesRemainingFaults) {
     }
 }
 
+TEST(ResumeEquivalenceFaults, CrashThatMovesMResumesWithTheProtocolTheRunWasBuiltWith) {
+    // pll takes its knowledge parameter m = ⌈log₂ n⌉ from the population it
+    // is built for. A crash from 128 agents to 51 moves that to 6; the
+    // resumed run must still be built for n = 128, as the run it continues
+    // was, or it continues with another timer period (cmax = 41m). The runs
+    // continue long enough for the timer to wrap several times.
+    const std::size_t n = 128;
+    const std::uint64_t seed = 4;
+    const auto more = static_cast<StepCount>(n) * 400;
+    FaultPlan plan;
+    plan.add(2.0, FaultAction::crash_fraction(0.6));  // step 256
+
+    const EngineKind engines[] = {EngineKind::agent, EngineKind::batched,
+                                  EngineKind::gillespie, EngineKind::hybrid};
+    for (const EngineKind engine : engines) {
+        const ProtocolRegistry& registry = ProtocolRegistry::instance();
+        const auto reference = registry.make_simulation("pll", n, seed, engine);
+        reference->set_fault_plan(plan);
+        (void)reference->run_for(600);
+        ASSERT_LT(ceil_log2(reference->population_size()), ceil_log2(n))
+            << "on engine " << to_string(engine);
+
+        const std::string path =
+            temp_path(std::string("ppsim_resume_crash_m_") +
+                      std::string(to_string(engine)) + ".ppck");
+        reference->write_checkpoint(path);
+
+        const auto resumed = registry.resume_simulation(path);
+        EXPECT_EQ(resumed->run_population(), n) << "on engine " << to_string(engine);
+        expect_same_run_state(*resumed, *reference);
+
+        (void)reference->run_for(more);
+        (void)resumed->run_for(more);
+        expect_same_run_state(*resumed, *reference);
+        std::filesystem::remove(path);
+    }
+}
+
 // --- periodic cadence checkpoints -------------------------------------------
 
 TEST(ResumeEquivalencePeriodic, CadenceCheckpointResumesBitIdentically) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/stats.hpp"
@@ -68,7 +69,7 @@ TEST(RunningStats, CiHalfWidthLevels) {
     const double ci99 = stats.ci_half_width(0.99);
     EXPECT_LT(ci90, ci95);
     EXPECT_LT(ci95, ci99);
-    EXPECT_THROW(stats.ci_half_width(0.5), InvalidArgument);
+    EXPECT_THROW((void)stats.ci_half_width(0.5), InvalidArgument);
 }
 
 TEST(SampleSet, PercentilesInterpolate) {
@@ -253,6 +254,25 @@ TEST(CommonHelpers, CeilAndFloorLog2) {
     EXPECT_EQ(floor_log2(1), 0U);
     EXPECT_EQ(floor_log2(1023), 9U);
     EXPECT_EQ(floor_log2(1024), 10U);
+}
+
+TEST(CommonHelpers, RequireThrowsTheMessageAloneEnsureNamesItsSource) {
+    // require reports a caller's error: the message is all users read.
+    try {
+        require(false, "--n must be positive");
+        FAIL() << "require(false, ...) did not throw";
+    } catch (const InvalidArgument& e) {
+        EXPECT_STREQ(e.what(), "--n must be positive");
+    }
+    // ensure reports a library bug: the file's name and line lead, with no
+    // directory, so the text does not depend on where the code was built.
+    const std::string line = std::to_string(__LINE__ + 2);
+    try {
+        ensure(false, "invariant broken");
+        FAIL() << "ensure(false, ...) did not throw";
+    } catch (const InvariantViolation& e) {
+        EXPECT_EQ(std::string(e.what()), "test_stats.cpp:" + line + ": invariant broken");
+    }
 }
 
 TEST(CommonHelpers, ParallelTimeConversion) {

@@ -325,7 +325,7 @@ int run(const ArgParser& args) {
             sim->set_checkpoint(checkpoint_path, checkpoint_every);
         }
         const RunResult result = sim->run_until_one_leader(
-            StepBudget::n_log_n(sim->population_size(), factor));
+            StepBudget::n_log_n(sim->run_population(), factor));
         if (!checkpoint_path.empty()) sim->write_checkpoint(checkpoint_path);
         std::cout << "resumed " << sim->protocol_name() << " from " << resume
                   << " at step " << resumed_at << " (engine "
