@@ -51,9 +51,10 @@
 ///    = f(a) = out_a(a, a) and out_b(a, b) = g(b) = out_b(b, b) for all
 ///    live a, b — the pairing cannot change what a leap does: the sampled
 ///    initiators of each state a move to f(a), the responders of each b to
-///    g(b), in O(d) with no pairing draws. `CellFactorisation` counts the
-///    non-factorising live cells, updated only as states are born or die
-///    and only while d² ≤ `separable_cell_factor`·L. Such a leap draws its
+///    g(b), in O(d) with no pairing draws. `CellFactorisation` counts each
+///    live state's cells whose own output is not f or g, updated only as
+///    states are born or die and only while d² ≤ `separable_cell_factor`·L;
+///    every cell factorises when every count is 0. Such a leap draws its
 ///    2L step slots as one multiset T ~ Mult(2L, c/n), the law of the sum
 ///    of the two sides' Mult(L, c/n) draws. Where every live state has
 ///    f = g, only T matters and it moves through f. Otherwise T is split
@@ -66,6 +67,28 @@
 ///    advance whatever they meet, is separable and symmetric (f = g)
 ///    almost throughout. Rated protocols, which thin per cell, always
 ///    pair.
+///
+///  * **Folded leaps.** Where only some live states are *self-determined*
+///    (SD: against every live partner a state becomes f(a) as initiator and
+///    g(a) as responder), a leap pairs only the states whose next state
+///    depends on the partner. `CellFactorisation` groups the SD states into
+///    *partner classes* — states that every partner-dependent state, in
+///    either role, treats alike — each named by a token, its first member.
+///    A leap folds when some class holds two or more live states: it draws
+///    X and Y ~ Mult(L) as a paired leap does, replaces each SD state by
+///    its class token in both, pairs the much smaller folded table through
+///    the unchanged pairing layer, applies only the partner-dependent side
+///    of each cell (through the transition cache, against the token) and
+///    moves every SD slot through f or g, as a separable leap does. The
+///    folded table has exactly the law of the image of the paired table,
+///    and every table over states that folds into it applies the same way,
+///    so a folded leap samples what a paired leap samples. A leap that
+///    over-draws a state pairs unfolded; one that would cross to a single
+///    leader refines the folded table into a table over states, from its
+///    exact conditional law, and goes through the paired application and
+///    crossing replay. PLL's QuickElimination folds: its timers and its
+///    finished status-A agents at the top level are SD and fall into a few
+///    classes.
 ///
 /// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are this
 /// engine's native habitat: a channel's propensity simply becomes
@@ -120,108 +143,303 @@ struct ChannelFiredCount {
     std::uint64_t fired = 0;
 };
 
-/// Count of the ordered cells (a, b) over a set of live states that do not
-/// *factorise*: the initiator's output differs from f(a) = out_a(a, a), or
-/// the responder's from g(b) = out_b(b, b). While the count is 0 the output
-/// of every cell is (f(a), g(b)), so pairing a leap's initiator and
-/// responder multisets cannot change what the leap does — the gillespie
-/// engine's separable leaps. A second count, of the tracked states with
-/// f(a) ≠ g(a), tells whether the two sides differ at all: while it is 0
-/// too, a separable leap depends only on how many slots each state fills.
+/// Which live states need a partner to know their next state, and how the
+/// others group by what they do to those that do. Over the tracked states:
 ///
-/// `update` brings the tracked set up to the store's live set: a dead state
-/// takes its cells out of the count, a newborn adds its own, and a leap
-/// that neither kills nor births a state costs O(d). Cells are checked by
-/// running the protocol on state copies and comparing canonical keys, which
-/// interns nothing. Both counts are therefore pure functions of the live
-/// set, and the engine's id assignment — part of its seeded stream — never
-/// depends on when, or from what tracked set, they were brought up to date
-/// (a resumed run starts from an empty one).
+///  * a state s is *self-determined* (SD) when, against every tracked
+///    partner, it becomes f(s) = out_a(s, s) as initiator and g(s) =
+///    out_b(s, s) as responder, and *partner-dependent* otherwise. Each
+///    state keeps its count of own-side mismatches — cells where its own
+///    output differs from f or g — and is SD while the count is 0. Every
+///    state is SD exactly when every cell *factorises* into (f(a), g(b)):
+///    then pairing a leap's initiator and responder multisets cannot change
+///    what the leap does (the gillespie engine's separable leaps);
+///  * SD states fall into *partner classes*: two share a class when every
+///    partner-dependent state, as initiator and as responder, ends in the
+///    same state whichever of the two it meets. Classes are formed in
+///    live-list order and each is named by its first member, its *token*:
+///    a folded leap pairs each class as one token;
+///  * the states with f(s) ≠ g(s) are counted: while none is, a separable
+///    leap depends only on how many slots each state fills.
+///
+/// `update` brings the tracked set up to the store's live set. A newborn
+/// runs its cells against every tracked state in both orders (2·d protocol
+/// calls), and a state that this turns partner-dependent runs its own (2·d
+/// more). Each partner-dependent state keeps its own output keys against
+/// every tracked state, as initiator and as responder: d_dep·d key pairs,
+/// none while every state is SD. A death therefore runs no cell, and the
+/// classes are regrouped, whenever the live list changed, by comparing
+/// stored keys. Cells are run on state copies and compared by canonical
+/// key, which interns nothing. Everything here is therefore a pure function
+/// of the live list, and the engine's id assignment — part of its seeded
+/// stream — never depends on when, or from what tracked set, it was brought
+/// up to date (a resumed run starts from an empty one).
 template <typename P>
     requires InternableProtocol<P>
 class CellFactorisation {
 public:
+    /// `class_of` of a partner-dependent state.
+    static constexpr std::uint32_t no_class = std::numeric_limits<std::uint32_t>::max();
+
     /// Brings the tracked set up to the live ids of `store` (which must be
     /// compacted: every listed id alive) and returns the number of
-    /// non-factorising ordered cells among them.
-    std::uint64_t update(const P& proto, const InternedCountStore<P>& store) {
+    /// partner-dependent states among them: 0 when every cell factorises.
+    std::size_t update(const P& proto, const InternedCountStore<P>& store) {
         const StateIndex<P>& index = store.index();
-        if (tracked_flag_.size() < index.size()) {
-            tracked_flag_.resize(index.size(), 0);
+        if (slot_.size() < index.size()) {
+            slot_.resize(index.size(), untracked);
             f_key_.resize(index.size(), 0);
             g_key_.resize(index.size(), 0);
+            own_mismatches_.resize(index.size(), 0);
+            rows_.resize(index.size());
+            class_of_.resize(index.size(), no_class);
         }
         const std::vector<std::uint64_t>& counts = store.counts();
         std::size_t i = 0;
         while (i < tracked_.size()) {
-            const StateId s = tracked_[i];
-            if (counts[s] != 0) {
+            if (counts[tracked_[i]] != 0) {
                 ++i;
                 continue;
             }
-            tracked_flag_[s] = 0;
-            tracked_[i] = tracked_.back();
-            tracked_.pop_back();
-            bad_ -= mismatches(proto, index, s);
-            asymmetric_ -= f_key_[s] != g_key_[s] ? 1 : 0;
+            remove_at(i);
         }
-        for (const StateId s : store.live_ids()) {
-            if (tracked_flag_[s] != 0) continue;
-            typename P::State initiator = index.state(s);
-            typename P::State responder = index.state(s);
-            proto.interact(initiator, responder);
-            f_key_[s] = state_key_of(proto, initiator);
-            g_key_[s] = state_key_of(proto, responder);
-            bad_ += mismatches(proto, index, s);
-            asymmetric_ += f_key_[s] != g_key_[s] ? 1 : 0;
-            tracked_flag_[s] = 1;
-            tracked_.push_back(s);
+        // The classes stay current while the live list is the one they
+        // were built from, checked in the same pass as the births.
+        const std::vector<StateId>& live = store.live_ids();
+        bool classes_current = live.size() == grouped_order_.size();
+        for (std::size_t j = 0; j < live.size(); ++j) {
+            if (slot_[live[j]] == untracked) add(proto, index, live[j]);
+            classes_current = classes_current && grouped_order_[j] == live[j];
         }
-        return bad_;
+        if (!classes_current) regroup(live);
+        return dependent_;
     }
 
     /// Tracked states a with f(a) ≠ g(a) — an initiator and a responder in
     /// state a leave it for different states — as of the last `update`.
     [[nodiscard]] std::uint64_t asymmetric_states() const noexcept { return asymmetric_; }
 
+    /// Whether a leap over the tracked set folds: some but not all of its
+    /// states are SD, and some partner class holds two or more of them.
+    [[nodiscard]] bool folds() const noexcept { return folds_; }
+
+    /// The partner class of live state `s`, an index below `class_count()`,
+    /// or `no_class` when `s` is partner-dependent (as of the last
+    /// `update`).
+    [[nodiscard]] std::uint32_t class_of(StateId s) const noexcept { return class_of_[s]; }
+    [[nodiscard]] std::size_t class_count() const noexcept { return tokens_.size(); }
+    /// The first member of class `c` in live-list order.
+    [[nodiscard]] StateId class_token(std::uint32_t c) const noexcept { return tokens_[c]; }
+
     /// Forgets the tracked set (its ids may no longer name the same states).
     void clear() noexcept {
         tracked_.clear();
-        tracked_flag_.clear();
+        slot_.clear();
         f_key_.clear();
         g_key_.clear();
-        bad_ = 0;
+        own_mismatches_.clear();
+        rows_.clear();
+        class_of_.clear();
+        tokens_.clear();
+        class_size_.clear();
+        grouped_order_.clear();
+        dependent_ = 0;
         asymmetric_ = 0;
+        folds_ = false;
     }
 
 private:
-    /// Non-factorising cells between `s` (not tracked) and the tracked set,
-    /// in both orders.
-    [[nodiscard]] std::uint64_t mismatches(const P& proto, const StateIndex<P>& index,
-                                           StateId s) const {
-        std::uint64_t bad = 0;
-        for (const StateId t : tracked_) {
-            bad += factorises(proto, index, s, t) ? 0 : 1;
-            bad += factorises(proto, index, t, s) ? 0 : 1;
-        }
-        return bad;
-    }
+    static constexpr std::uint32_t untracked = std::numeric_limits<std::uint32_t>::max();
 
-    [[nodiscard]] bool factorises(const P& proto, const StateIndex<P>& index, StateId a,
-                                  StateId b) const {
+    /// What one state becomes against one partner, by canonical key.
+    struct OwnOutputs {
+        std::uint64_t as_initiator;
+        std::uint64_t as_responder;
+        friend bool operator==(const OwnOutputs&, const OwnOutputs&) = default;
+    };
+
+    /// Runs the cell (a, b) and returns what `a` becomes as initiator and
+    /// `b` as responder.
+    [[nodiscard]] static std::pair<std::uint64_t, std::uint64_t> run_cell(
+        const P& proto, const StateIndex<P>& index, StateId a, StateId b) {
         typename P::State initiator = index.state(a);
         typename P::State responder = index.state(b);
         proto.interact(initiator, responder);
-        return state_key_of(proto, initiator) == f_key_[a] &&
-               state_key_of(proto, responder) == g_key_[b];
+        return {state_key_of(proto, initiator), state_key_of(proto, responder)};
     }
 
-    std::vector<StateId> tracked_;             ///< states the count covers
-    std::vector<std::uint8_t> tracked_flag_;   ///< membership flags for tracked_
-    std::vector<std::uint64_t> f_key_;         ///< per id: key of out_a(id, id)
-    std::vector<std::uint64_t> g_key_;         ///< per id: key of out_b(id, id)
-    std::uint64_t bad_ = 0;                    ///< non-factorising cells in tracked_²
-    std::uint64_t asymmetric_ = 0;             ///< tracked states with f_key ≠ g_key
+    /// Own-side mismatches of `outputs`, the outputs of state `s`.
+    [[nodiscard]] std::uint32_t mismatches_of(StateId s, const OwnOutputs& outputs) const {
+        return static_cast<std::uint32_t>(outputs.as_initiator != f_key_[s]) +
+               static_cast<std::uint32_t>(outputs.as_responder != g_key_[s]);
+    }
+
+    // `add`, `remove_at` and `regroup` run only when the live list changes
+    // and are kept out of line, so the per-leap path through `update` stays
+    // its two scans of the live list.
+
+    /// Tracks newborn `s`: runs its cells against every tracked state in
+    /// both orders, and gives each state this turns partner-dependent its
+    /// row.
+    __attribute__((noinline)) void add(const P& proto, const StateIndex<P>& index, StateId s) {
+        const auto [f, g] = run_cell(proto, index, s, s);
+        f_key_[s] = f;
+        g_key_[s] = g;
+        asymmetric_ += f != g ? 1 : 0;
+        const std::size_t column = tracked_.size();
+        newborn_row_.resize(column + 1);
+        flipped_.clear();
+        std::uint32_t mismatches = 0;
+        for (std::size_t j = 0; j < column; ++j) {
+            const StateId t = tracked_[j];
+            const auto [s_initiator, t_responder] = run_cell(proto, index, s, t);
+            const auto [t_initiator, s_responder] = run_cell(proto, index, t, s);
+            newborn_row_[j] = OwnOutputs{s_initiator, s_responder};
+            mismatches += mismatches_of(s, newborn_row_[j]);
+            const OwnOutputs theirs{t_initiator, t_responder};
+            const std::uint32_t their_mismatches = mismatches_of(t, theirs);
+            if (own_mismatches_[t] != 0) {
+                rows_[t].push_back(theirs);
+            } else if (their_mismatches != 0) {
+                flipped_.push_back(t);
+            }
+            own_mismatches_[t] += their_mismatches;
+        }
+        newborn_row_[column] = OwnOutputs{f, g};
+        slot_[s] = static_cast<std::uint32_t>(column);
+        tracked_.push_back(s);
+        own_mismatches_[s] = mismatches;
+        if (mismatches != 0) {
+            rows_[s] = newborn_row_;
+            ++dependent_;
+        }
+        for (const StateId t : flipped_) {
+            std::vector<OwnOutputs>& row = rows_[t];
+            row.resize(tracked_.size());
+            for (std::size_t j = 0; j < tracked_.size(); ++j) {
+                const StateId u = tracked_[j];
+                row[j] = OwnOutputs{run_cell(proto, index, t, u).first,
+                                    run_cell(proto, index, u, t).second};
+            }
+            ++dependent_;
+        }
+    }
+
+    /// Untracks the dead state at `tracked_[i]`: takes its cells out of the
+    /// other states' counts through their stored rows (a state that is SD
+    /// has no mismatch to take out) and swap-removes its column.
+    __attribute__((noinline)) void remove_at(std::size_t i) {
+        const StateId s = tracked_[i];
+        const std::size_t last = tracked_.size() - 1;
+        asymmetric_ -= f_key_[s] != g_key_[s] ? 1 : 0;
+        if (own_mismatches_[s] != 0) {
+            own_mismatches_[s] = 0;
+            std::vector<OwnOutputs>().swap(rows_[s]);
+            --dependent_;
+        }
+        for (const StateId t : tracked_) {
+            if (own_mismatches_[t] == 0) continue;
+            std::vector<OwnOutputs>& row = rows_[t];
+            own_mismatches_[t] -= mismatches_of(t, row[i]);
+            row[i] = row[last];
+            row.pop_back();
+            if (own_mismatches_[t] == 0) {  // t is SD again
+                std::vector<OwnOutputs>().swap(row);
+                --dependent_;
+            }
+        }
+        tracked_[i] = tracked_[last];
+        slot_[tracked_[i]] = static_cast<std::uint32_t>(i);
+        tracked_.pop_back();
+        slot_[s] = untracked;
+    }
+
+    /// Groups the SD states of `live` into partner classes: states whose
+    /// columns agree in every partner-dependent row share a class, named by
+    /// its first member in `live`. Sorting by a hash of the column and live
+    /// position keeps this O(d log d + d_SD·d_dep) however many classes
+    /// there are.
+    __attribute__((noinline)) void regroup(const std::vector<StateId>& live) {
+        grouped_order_ = live;
+        tokens_.clear();
+        class_size_.clear();
+        folds_ = false;
+        if (dependent_ == 0) {  // no partner to tell SD states apart: one class
+            tokens_.push_back(live.front());
+            class_size_.push_back(static_cast<std::uint32_t>(live.size()));
+            for (const StateId s : live) class_of_[s] = 0;
+            return;
+        }
+        dependent_rows_.clear();
+        for (const StateId t : tracked_) {
+            if (own_mismatches_[t] != 0) dependent_rows_.push_back(&rows_[t]);
+        }
+        signatures_.clear();
+        for (std::uint32_t pos = 0; pos < live.size(); ++pos) {
+            const StateId s = live[pos];
+            class_of_[s] = no_class;
+            if (own_mismatches_[s] != 0) continue;
+            std::uint64_t hash = 0;
+            for (const std::vector<OwnOutputs>* row : dependent_rows_) {
+                const OwnOutputs& out = (*row)[slot_[s]];
+                hash = (hash ^ out.as_initiator) * 0x9E3779B97F4A7C15ULL;
+                hash = (hash ^ out.as_responder) * 0xBF58476D1CE4E5B9ULL;
+            }
+            signatures_.emplace_back(hash, pos);
+        }
+        std::sort(signatures_.begin(), signatures_.end());
+        std::size_t run_begin = 0;  // first signature of the current equal-hash run
+        for (std::size_t k = 0; k < signatures_.size(); ++k) {
+            if (signatures_[k].first != signatures_[run_begin].first) run_begin = k;
+            const StateId s = live[signatures_[k].second];
+            // Positions ascend within a run, so a class's first member here
+            // is its first in `live`.
+            std::uint32_t c = no_class;
+            for (std::size_t r = run_begin; r < k && c == no_class; ++r) {
+                const StateId other = live[signatures_[r].second];
+                if (tokens_[class_of_[other]] == other && same_partners(s, other)) {
+                    c = class_of_[other];
+                }
+            }
+            if (c == no_class) {
+                c = static_cast<std::uint32_t>(tokens_.size());
+                tokens_.push_back(s);
+                class_size_.push_back(0);
+            }
+            class_of_[s] = c;
+            ++class_size_[c];
+            folds_ = folds_ || class_size_[c] == 2;
+        }
+    }
+
+    /// Whether every partner-dependent state ends in the same state against
+    /// SD states `a` and `b`, in both roles.
+    [[nodiscard]] bool same_partners(StateId a, StateId b) const {
+        for (const std::vector<OwnOutputs>* row : dependent_rows_) {
+            if (!((*row)[slot_[a]] == (*row)[slot_[b]])) return false;
+        }
+        return true;
+    }
+
+    std::vector<StateId> tracked_;               ///< the states the counts cover
+    std::vector<std::uint32_t> slot_;            ///< per id: position in tracked_, or untracked
+    std::vector<std::uint64_t> f_key_;           ///< per id: key of out_a(id, id)
+    std::vector<std::uint64_t> g_key_;           ///< per id: key of out_b(id, id)
+    std::vector<std::uint32_t> own_mismatches_;  ///< per id: own-side mismatching cells
+    /// Per partner-dependent id: its outputs against tracked_[j] at [j].
+    std::vector<std::vector<OwnOutputs>> rows_;
+    std::vector<std::uint32_t> class_of_;        ///< per live id: partner class or no_class
+    std::vector<StateId> tokens_;                ///< per class: its first member
+    std::vector<std::uint32_t> class_size_;      ///< per class: its members
+    std::vector<StateId> grouped_order_;         ///< the live list the classes were built from
+    std::size_t dependent_ = 0;                  ///< tracked states that are not SD
+    std::uint64_t asymmetric_ = 0;               ///< tracked states with f_key ≠ g_key
+    bool folds_ = false;
+    // Scratch.
+    std::vector<OwnOutputs> newborn_row_;
+    std::vector<StateId> flipped_;
+    std::vector<const std::vector<OwnOutputs>*> dependent_rows_;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> signatures_;
 };
 
 /// Splits the 2·`len` step slots of a separable leap into its two sides. On
@@ -249,6 +467,33 @@ __attribute__((noinline)) void split_leap_multiset(Generator& gen, std::uint64_t
         if (scratch[i] > 0) initiators[kept++] = {id, scratch[i]};
     }
     initiators.resize(kept);
+}
+
+/// Spreads the slots of one partner class's members over the cells of a
+/// folded table that hold its token on one side (the initiator side when
+/// `initiator_side`). Given the folded table, the members fill the token's
+/// slots on that side in a uniformly random order, so the refined cells are
+/// one contingency table between the token's cells and `members`, drawn by
+/// `ContingencyTablePairing` and appended to `out`. Refining every class on
+/// one side, then on the other, draws the table over states from its exact
+/// conditional law given the folded table. `members` is consumed on the
+/// responder side; `scratch` is reused storage.
+template <typename Generator>
+void spread_class_members(Generator& gen, const std::vector<PairCount>& cells,
+                          bool initiator_side, StateId token, StateMultiset& members,
+                          BatchPairs& out, StateMultiset& scratch) {
+    scratch.clear();
+    std::uint64_t total = 0;
+    for (const PairCount& pc : cells) {
+        if ((initiator_side ? pc.a : pc.b) != token) continue;
+        scratch.emplace_back(initiator_side ? pc.b : pc.a, pc.mult);
+        total += pc.mult;
+    }
+    if (initiator_side) {
+        ContingencyTablePairing::pair(gen, members, scratch, total, out);
+    } else {
+        ContingencyTablePairing::pair(gen, scratch, members, total, out);
+    }
 }
 
 /// Reaction-rate (Gillespie SSA + τ-leaping) simulation engine. Drop-in
@@ -283,11 +528,12 @@ public:
     /// Expected non-null firings per leap below which exact SSA (geometric
     /// null-skipping) replaces leaping — the near-stabilisation fallback.
     static constexpr double ssa_event_threshold = 4.0;
-    /// Separable leaps are considered only while d² ≤ separable_cell_factor
-    /// × n/leap_divisor (d = live states): bringing the factorisation count
-    /// up to a new live set from scratch checks d² cells, which this bounds
-    /// by a few leaps' worth of pair work. Wide-state configurations skip
-    /// the bookkeeping and pair every leap.
+    /// Separable and folded leaps are considered only while d² ≤
+    /// separable_cell_factor × n/leap_divisor (d = live states): bringing
+    /// the factorisation up to a new live set from scratch checks d² cells,
+    /// which this bounds by a few leaps' worth of pair work, and it bounds
+    /// the partner-dependent states' stored rows (d_dep·d key pairs) too.
+    /// Wide-state configurations skip the bookkeeping and pair every leap.
     static constexpr std::uint64_t separable_cell_factor = 4;
     /// Steps per round of the exact per-step categorical form (wide d at
     /// small n), so callers regain control at a bounded cadence.
@@ -307,6 +553,15 @@ public:
     /// counted since construction or the last `restore_state` (introspection
     /// only; not checkpointed).
     [[nodiscard]] std::uint64_t separable_leaps() const noexcept { return separable_leaps_; }
+    /// τ-leaps that paired only the partner-dependent states and one token
+    /// per partner class (see CellFactorisation), counted like
+    /// `separable_leaps()`.
+    [[nodiscard]] std::uint64_t folded_leaps() const noexcept { return folded_leaps_; }
+    /// The self-determined states and partner classes as of the last leap
+    /// that consulted them (test introspection).
+    [[nodiscard]] const CellFactorisation<P>& factorisation() const noexcept {
+        return factorisation_;
+    }
     /// Exact SSA firings executed so far (both enumerated and categorical).
     [[nodiscard]] std::uint64_t exact_events() const noexcept { return exact_events_; }
     /// Over-drawn pairs dropped by τ-leap clamping — the engine's measure of
@@ -388,14 +643,16 @@ private:
         w.u64(dropped_pairs_);
     }
 
-    /// Reads the tallies back. The factorisation count is dropped (it is
-    /// rebuilt from the live set) and `separable_leaps()` restarts from 0.
+    /// Reads the tallies back. The factorisation is dropped (it is rebuilt
+    /// from the live set), and `separable_leaps()` and `folded_leaps()`
+    /// restart from 0.
     void restore_tail(CheckpointReader& r) {
         leaps_ = r.u64();
         exact_events_ = r.u64();
         dropped_pairs_ = r.u64();
         factorisation_.clear();
         separable_leaps_ = 0;
+        folded_leaps_ = 0;
     }
 
     /// One non-null reaction channel: the ordered state pair and its current
@@ -611,10 +868,16 @@ private:
     /// their sum has that law — and `separable_leap` applies it without the
     /// pairing. T is split into its sides X and Y = T − X only when they
     /// differ (some live state has f ≠ g) or when the leap declines to the
-    /// pairing; the split draws X from its exact law given T.
+    /// pairing; the split draws X from its exact law given T. When only
+    /// some live states are self-determined and some partner class holds
+    /// two or more, `fold_sides` folds each class into its token, the
+    /// folded sides are paired, and `folded_leap` applies them; a folded
+    /// leap that would cross to a single leader hands back `pairs_` refined
+    /// over states, which the paired application below then applies.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
-        const bool separable = live_cells_factorise();
+        const LeapKind kind = classify_leap();
+        const bool separable = kind == LeapKind::separable;
         // A separable leap draws its 2·len slots as one multiset T into
         // `initiators_` and leaves `responders_` empty until T is split.
         sample_leap_multiset(separable ? 2 * len : len, initiators_);
@@ -628,8 +891,11 @@ private:
                 split_leap_multiset(rng_, len, initiators_, responders_, split_scratch_);
             }
         }
-        sample_batch_pairing(BatchMode::automatic, rng_, initiators_, responders_, len,
-                             pairs_);
+        const bool folded = kind == LeapKind::folded && fold_sides();
+        sample_batch_pairing(BatchMode::automatic, rng_,
+                             folded ? folded_initiators_ : initiators_,
+                             folded ? folded_responders_ : responders_, len, pairs_);
+        if (folded && folded_leap(len)) return len;
 
         std::vector<std::uint64_t>& counts = store_.counts();
         applied_mult_.clear();
@@ -685,29 +951,63 @@ private:
         return len;
     }
 
-    // The two separable-leap helpers below, and `split_leap_multiset`, run
-    // once per leap and are kept out of line: inlined into leap_round, any
-    // one spends registry.cpp's inlining budget, and leap_round then calls
-    // its multiset sampler out of line. For the same reason leap_round calls
-    // that sampler from two sites, both on every leap: with the responder
-    // draw on the paired path only, GCC 12 compiled it as an out-of-line
-    // call there (leap_round<Pll> 0x6a1 bytes plus a 0x144-byte sampler,
-    // against 0x7c5 bytes with both sites inline).
+    // The separable- and folded-leap helpers below, and
+    // `split_leap_multiset`, run once per leap and are kept out of line:
+    // inlined into leap_round, any one spends registry.cpp's inlining
+    // budget, and leap_round then calls its multiset sampler out of line.
+    // For the same reason leap_round calls that sampler from two sites,
+    // both on every leap: with the responder draw on the paired path only,
+    // GCC 12 compiled it as an out-of-line call there (leap_round<Pll>
+    // 0x6a1 bytes plus a 0x144-byte sampler, against 0x7c5 bytes with both
+    // sites inline). The sampler is also forced inline: with the folded-leap
+    // helpers, moving one loop of `refine_side` tipped the budget into
+    // inlining the paired application's pair loop instead, and both sites
+    // called the sampler out of line (leap_round<Pll> 0x9e6). Forced, it is
+    // 0x72e with both sites inline; classify_leap 0x5f1, separable_leap
+    // 0x503, fold_sides 0x33b, folded_leap 0xb50 plus its 0x327-byte cell
+    // visitor, refine_side 0x4fd, and CellFactorisation's out-of-line add
+    // 0xcf6, remove_at 0x1c5 and regroup 0x723 (GCC 12.2, Release
+    // `registry.cpp.o`).
 
-    /// Whether every ordered cell over the live set factorises (see
-    /// CellFactorisation), under the `separable_cell_factor` gate. A pure
-    /// function of the live set and n, so a resumed run decides every leap
-    /// as the uninterrupted run did. Rated protocols thin per cell and never
-    /// take the separable path.
-    __attribute__((noinline)) bool live_cells_factorise() {
+    /// How a leap over the current live set is applied.
+    enum class LeapKind : std::uint8_t {
+        paired,     ///< pair the sampled multisets
+        separable,  ///< every live state is self-determined: no pairing
+        folded,     ///< pair the partner-dependent states and class tokens
+    };
+
+    /// Classifies the next leap through `CellFactorisation`, under the
+    /// `separable_cell_factor` gate: separable when every live cell
+    /// factorises, folded when the factorisation folds, paired otherwise. A
+    /// pure function of the live list and n, so a resumed run decides every
+    /// leap as the uninterrupted run did. Rated protocols thin per cell and
+    /// always pair.
+    __attribute__((noinline)) LeapKind classify_leap() {
         if constexpr (RatedProtocol<P>) {
-            return false;
+            return LeapKind::paired;
         } else {
             const std::uint64_t d = store_.live_ids().size();
             const std::uint64_t leap = std::max<std::uint64_t>(1, n_ / leap_divisor);
-            if (d * d > separable_cell_factor * leap) return false;
-            return factorisation_.update(protocol_, store_) == 0;
+            if (d * d > separable_cell_factor * leap) return LeapKind::paired;
+            if (factorisation_.update(protocol_, store_) == 0) return LeapKind::separable;
+            return factorisation_.folds() ? LeapKind::folded : LeapKind::paired;
         }
+    }
+
+    /// Whether the sampled sides draw some state past its count
+    /// (x_a + y_a > c_a), where the paired application's clamp would drop
+    /// pairs. Both multisets list their states in live-list order.
+    [[nodiscard]] bool overdrawn() const {
+        const std::vector<std::uint64_t>& counts = store_.counts();
+        auto x = initiators_.cbegin();
+        auto y = responders_.cbegin();
+        for (const StateId id : store_.live_ids()) {
+            std::uint64_t drawn = 0;
+            if (x != initiators_.cend() && x->first == id) drawn += (x++)->second;
+            if (y != responders_.cend() && y->first == id) drawn += (y++)->second;
+            if (drawn > counts[id]) return true;
+        }
+        return false;
     }
 
     /// The separable leap: with every live cell factorising, each sampled
@@ -722,50 +1022,206 @@ private:
     /// a single leader (the crossing replay needs the pairs); the caller
     /// then splits T if it has not, and pairs the two sides.
     __attribute__((noinline)) bool separable_leap(StepCount len) {
-        std::vector<std::uint64_t>& counts = store_.counts();
-        // Both multisets list their states in live-list order.
-        auto x = initiators_.cbegin();
-        auto y = responders_.cbegin();
-        for (const StateId id : store_.live_ids()) {
-            std::uint64_t drawn = 0;
-            if (x != initiators_.cend() && x->first == id) drawn += (x++)->second;
-            if (y != responders_.cend() && y->first == id) drawn += (y++)->second;
-            if (drawn > counts[id]) return false;
-        }
-        const StateMultiset* const sides[] = {&initiators_, &responders_};
-        separable_out_.clear();
-        std::int64_t delta_total = 0;
+        if (overdrawn()) return false;
         bool role_changed = false;
-        for (const StateMultiset* side : sides) {
-            for (const auto& [id, mult] : *side) {
-                const CachedTransition& tr = transition(id, id);
-                const StateId out = side == &initiators_ ? tr.out_a : tr.out_b;
-                const StateIndex<P>& index = store_.index();
-                separable_out_.push_back(out);
-                delta_total += static_cast<std::int64_t>(mult) *
-                               (static_cast<std::int64_t>(index.is_leader(out)) -
-                                static_cast<std::int64_t>(index.is_leader(id)));
-                role_changed |= index.role(out) != index.role(id);
-            }
-        }
+        const std::int64_t delta_total =
+            self_determined_moves(initiators_, responders_, role_changed);
         const auto post = static_cast<std::size_t>(
             static_cast<std::int64_t>(leader_count_) + delta_total);
         if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) return false;
+        apply_self_determined_moves(initiators_, responders_);
+        finish_unpaired_leap(len, post, role_changed);
+        ++separable_leaps_;
+        return true;
+    }
 
-        std::size_t i = 0;
-        for (const StateMultiset* side : sides) {
+    /// The moves of self-determined slots: each slot of state a in `x` to
+    /// f(a) = out_a(a, a), each slot of state b in `y` to g(b) =
+    /// out_b(b, b). Records the targets for `apply_self_determined_moves`
+    /// and returns their leader delta; raises `role_changed` when an output
+    /// symbol changes. The one loop over such slots, for separable and
+    /// folded leaps alike.
+    std::int64_t self_determined_moves(const StateMultiset& x, const StateMultiset& y,
+                                       bool& role_changed) {
+        self_determined_out_.clear();
+        std::int64_t delta_total = 0;
+        for (const StateMultiset* side : {&x, &y}) {
             for (const auto& [id, mult] : *side) {
-                counts[id] -= mult;
-                store_.touch(separable_out_[i++], mult);
+                const CachedTransition& tr = transition(id, id);
+                const StateId out = side == &x ? tr.out_a : tr.out_b;
+                self_determined_out_.push_back(out);
+                count_move(id, out, mult, delta_total, role_changed);
             }
         }
+        return delta_total;
+    }
+
+    /// Adds to `delta_total` and `role_changed` what `mult` agents moving
+    /// from state `in` to state `out` do to the leader count and the
+    /// output symbols.
+    void count_move(StateId in, StateId out, std::uint64_t mult, std::int64_t& delta_total,
+                    bool& role_changed) const {
+        const StateIndex<P>& index = store_.index();
+        delta_total += static_cast<std::int64_t>(mult) *
+                       (static_cast<std::int64_t>(index.is_leader(out)) -
+                        static_cast<std::int64_t>(index.is_leader(in)));
+        role_changed |= index.role(out) != index.role(in);
+    }
+
+    /// Moves the slots of `x` and `y` to the targets `self_determined_moves`
+    /// recorded for them.
+    void apply_self_determined_moves(const StateMultiset& x, const StateMultiset& y) {
+        std::vector<std::uint64_t>& counts = store_.counts();
+        std::size_t i = 0;
+        for (const StateMultiset* side : {&x, &y}) {
+            for (const auto& [id, mult] : *side) {
+                counts[id] -= mult;
+                store_.touch(self_determined_out_[i++], mult);
+            }
+        }
+    }
+
+    /// Books a separable or folded leap that moved its slots without the
+    /// paired application.
+    void finish_unpaired_leap(StepCount len, std::size_t post, bool role_changed) {
         steps_ += len;
         role_change_seen_ = role_change_seen_ || role_changed;
         leader_count_ = post;
         store_.merge_touched();
         ++leaps_;
-        ++separable_leaps_;
+    }
+
+    /// Folds the sampled sides for a folded leap: the slots of every
+    /// self-determined state leave `initiators_` / `responders_` for
+    /// `self_determined_initiators_` / `self_determined_responders_`, and
+    /// each partner class appears in `folded_initiators_` /
+    /// `folded_responders_` as one entry under its token, beside the
+    /// partner-dependent states, where its first sampled member stood.
+    /// Pairing the folded sides samples exactly the image, under that map,
+    /// of the table the unfolded sides would pair into. Declines, folding
+    /// nothing, when a state is over-drawn (the clamp needs the cells over
+    /// states); the caller then pairs the unfolded sides.
+    __attribute__((noinline)) bool fold_sides() {
+        if (overdrawn()) return false;
+        fold_side(initiators_, folded_initiators_, self_determined_initiators_);
+        fold_side(responders_, folded_responders_, self_determined_responders_);
         return true;
+    }
+
+    void fold_side(const StateMultiset& side, StateMultiset& folded,
+                   StateMultiset& self_determined) {
+        folded.clear();
+        self_determined.clear();
+        class_entry_.assign(factorisation_.class_count(), no_entry);
+        for (const auto& [id, mult] : side) {
+            const std::uint32_t c = factorisation_.class_of(id);
+            if (c == CellFactorisation<P>::no_class) {
+                folded.emplace_back(id, mult);
+                continue;
+            }
+            self_determined.emplace_back(id, mult);
+            if (class_entry_[c] == no_entry) {
+                class_entry_[c] = folded.size();
+                folded.emplace_back(factorisation_.class_token(c), mult);
+            } else {
+                folded[class_entry_[c]].second += mult;
+            }
+        }
+    }
+
+    /// The folded leap, over the folded table in `pairs_`: in every cell
+    /// each partner-dependent side moves to what it becomes against the
+    /// other side — the same against every member of a class, so against
+    /// its token — and every self-determined slot moves through f or g.
+    /// That is what the paired leap applies, pair for pair, to any table
+    /// over states that folds into this one; no state is over-drawn, so no
+    /// pair is dropped. A leap that would cross to a single leader changes
+    /// no count: it refines `pairs_` into a table over states and declines,
+    /// and the caller applies that table and replays the crossing.
+    __attribute__((noinline)) bool folded_leap(StepCount len) {
+        ++folded_leaps_;
+        constexpr std::uint32_t no_class = CellFactorisation<P>::no_class;
+        folded_out_.clear();
+        std::int64_t delta_total = 0;
+        bool role_changed = false;
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+            const bool a_depends = factorisation_.class_of(a) == no_class;
+            const bool b_depends = factorisation_.class_of(b) == no_class;
+            StateId out_a = invalid_state_id;
+            StateId out_b = invalid_state_id;
+            if (a_depends || b_depends) {
+                const CachedTransition& tr = transition(a, b);
+                if (a_depends) out_a = tr.out_a;
+                if (b_depends) out_b = tr.out_b;
+            }
+            folded_out_.emplace_back(out_a, out_b);
+            if (a_depends) count_move(a, out_a, mult, delta_total, role_changed);
+            if (b_depends) count_move(b, out_b, mult, delta_total, role_changed);
+        });
+        delta_total += self_determined_moves(self_determined_initiators_,
+                                             self_determined_responders_, role_changed);
+        const auto post = static_cast<std::size_t>(
+            static_cast<std::int64_t>(leader_count_) + delta_total);
+        if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
+            refine_folded_pairs();
+            return false;
+        }
+        std::vector<std::uint64_t>& counts = store_.counts();
+        std::size_t i = 0;
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+            const auto [out_a, out_b] = folded_out_[i++];
+            if (out_a != invalid_state_id) {
+                counts[a] -= mult;
+                store_.touch(out_a, mult);
+            }
+            if (out_b != invalid_state_id) {
+                counts[b] -= mult;
+                store_.touch(out_b, mult);
+            }
+        });
+        apply_self_determined_moves(self_determined_initiators_, self_determined_responders_);
+        finish_unpaired_leap(len, post, role_changed);
+        return true;
+    }
+
+    /// Refines the folded table in `pairs_` into a table over states, drawn
+    /// from its exact conditional law given the folded table (see
+    /// `spread_class_members`): responder classes first, then initiator
+    /// classes, whose cells by then name responder states. Runs at most
+    /// once per run.
+    void refine_folded_pairs() {
+        refined_cells_.clear();
+        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+            refined_cells_.push_back(PairCount{a, b, mult});
+        });
+        refine_side(self_determined_responders_, /*initiator_side=*/false);
+        refine_side(self_determined_initiators_, /*initiator_side=*/true);
+        pairs_.clear();
+        pairs_.aggregated = true;
+        pairs_.cells.swap(refined_cells_);
+    }
+
+    /// Spreads every class of one side's self-determined slots `members`
+    /// over `refined_cells_`.
+    void refine_side(const StateMultiset& members, bool initiator_side) {
+        spread_.clear();
+        for (std::uint32_t c = 0; c < factorisation_.class_count(); ++c) {
+            class_members_.clear();
+            for (const auto& [id, mult] : members) {
+                if (factorisation_.class_of(id) == c) class_members_.emplace_back(id, mult);
+            }
+            if (class_members_.empty()) continue;
+            spread_class_members(rng_, refined_cells_, initiator_side,
+                                 factorisation_.class_token(c), class_members_, spread_,
+                                 token_cells_);
+        }
+        for (const PairCount& pc : refined_cells_) {
+            if (factorisation_.class_of(initiator_side ? pc.a : pc.b) ==
+                CellFactorisation<P>::no_class) {
+                spread_.cells.push_back(pc);
+            }
+        }
+        refined_cells_.swap(spread_.cells);
     }
 
     /// Draws a with-replacement multiset of `len` step slots over the live
@@ -773,8 +1229,10 @@ private:
     /// Sparse specialisation of `multinomial` (random.hpp): that primitive
     /// is the dense reference form whose distribution tests pin the chain
     /// math; this loop fuses sparse emission and the live-list walk a dense
-    /// out-array cannot express. Mirror changes across both chains.
-    void sample_leap_multiset(std::uint64_t len, StateMultiset& out) {
+    /// out-array cannot express. Mirror changes across both chains. Forced
+    /// inline into both of leap_round's call sites (see there).
+    __attribute__((always_inline)) void sample_leap_multiset(std::uint64_t len,
+                                                             StateMultiset& out) {
         out.clear();
         const std::vector<std::uint64_t>& counts = store_.counts();
         std::uint64_t pool = n_;
@@ -800,11 +1258,26 @@ private:
     std::uint64_t w_nonnull_ = 0;         ///< Σ weights of channels_ (unrated)
     double w_rated_ = 0.0;                ///< Σ rated weights of channels_ (rated)
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
-    CellFactorisation<P> factorisation_;  ///< non-factorising live cells (not persisted)
-    std::vector<StateId> separable_out_;  ///< per sampled state: f(a), then g(b)
+    CellFactorisation<P> factorisation_;  ///< self-determined states, classes (not persisted)
+    std::vector<StateId> self_determined_out_;  ///< per self-determined slot entry: f or g
     std::vector<std::uint64_t> split_scratch_;  ///< split_leap_multiset's draw counts
+    // Folded leaps: the folded sides, the self-determined slots each side
+    // folded away, each folded cell's partner-dependent outputs (or
+    // invalid_state_id) and the crossing refinement's scratch.
+    StateMultiset folded_initiators_;
+    StateMultiset folded_responders_;
+    StateMultiset self_determined_initiators_;
+    StateMultiset self_determined_responders_;
+    std::vector<std::pair<StateId, StateId>> folded_out_;
+    static constexpr std::size_t no_entry = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> class_entry_;  ///< per class: its folded entry, or no_entry
+    std::vector<PairCount> refined_cells_;
+    BatchPairs spread_;
+    StateMultiset class_members_;
+    StateMultiset token_cells_;
     std::uint64_t leaps_ = 0;
     std::uint64_t separable_leaps_ = 0;
+    std::uint64_t folded_leaps_ = 0;
     std::uint64_t exact_events_ = 0;
     std::uint64_t dropped_pairs_ = 0;
     bool tally_enabled_ = false;

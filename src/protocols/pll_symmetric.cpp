@@ -116,7 +116,7 @@ void SymmetricPll::initialize_candidate_variables(State& s, bool as_leader) cons
     switch (s.epoch) {
         case 1: s.done = !as_leader; break;
         case 2:
-        case 3: s.index = as_leader ? 0 : static_cast<std::uint8_t>(config_.phi()); break;
+        case 3: s.index = as_leader ? 0 : static_cast<std::uint8_t>(phi_); break;
         default: break;  // epoch 4: levelB = 0 for everyone
     }
     s.init = s.epoch;
@@ -126,7 +126,7 @@ void SymmetricPll::initialize_group_variables(State& s) const noexcept {
     if (s.status == SymStatus::a) {
         if (s.epoch == 2 || s.epoch == 3) {
             s.rand = 0;
-            s.index = s.leader ? 0 : static_cast<std::uint8_t>(config_.phi());
+            s.index = s.leader ? 0 : static_cast<std::uint8_t>(phi_);
             s.level_q = 0;
             s.done = false;
         } else if (s.epoch == 4) {
@@ -142,10 +142,13 @@ void SymmetricPll::initialize_group_variables(State& s) const noexcept {
 }
 
 void SymmetricPll::count_up(State& a0, State& a1) const noexcept {
-    const unsigned cmax = config_.cmax();
+    // Reducing only at or past cmax is (count + 1) mod cmax for every
+    // count, without a division per step.
     const auto advance_timer = [&](State& s) {
         if (s.status != SymStatus::b) return;
-        s.count = static_cast<std::uint16_t>((s.count + 1U) % cmax);
+        unsigned next = s.count + 1U;
+        if (next >= cmax_) next %= cmax_;
+        s.count = static_cast<std::uint16_t>(next);
         if (s.count == 0) {
             s.color = next_color(s.color);
             s.tick = true;
@@ -187,14 +190,13 @@ void SymmetricPll::coin_substrate(State& a0, State& a1) const noexcept {
 }
 
 void SymmetricPll::quick_elimination(State& a0, State& a1) const noexcept {
-    const unsigned lmax = config_.lmax();
 
     // Lottery flips via the coin substrate: F0 = head, F1 = tail, J/K = no
     // observation (the leader waits for a minted coin).
     if (State* leader = sole_leader(a0, a1); leader != nullptr && !leader->done) {
         const State& follower = partner_of(leader, a0, a1);
         if (follower.coin == CoinStatus::f0) {
-            leader->level_q = saturating_increment(leader->level_q, lmax);
+            leader->level_q = saturating_increment(leader->level_q, lmax_);
         } else if (follower.coin == CoinStatus::f1) {
             leader->done = true;
         }
@@ -212,7 +214,7 @@ void SymmetricPll::quick_elimination(State& a0, State& a1) const noexcept {
 }
 
 void SymmetricPll::tournament(State& a0, State& a1) const noexcept {
-    const auto phi = static_cast<std::uint8_t>(config_.phi());
+    const auto phi = static_cast<std::uint8_t>(phi_);
 
     if (State* leader = sole_leader(a0, a1); leader != nullptr && leader->index < phi) {
         const State& follower = partner_of(leader, a0, a1);
@@ -235,13 +237,12 @@ void SymmetricPll::tournament(State& a0, State& a1) const noexcept {
 }
 
 void SymmetricPll::back_up(State& a0, State& a1) const noexcept {
-    const unsigned lmax = config_.lmax();
 
     if (State* leader = sole_leader(a0, a1); leader != nullptr) {
         const State& follower = partner_of(leader, a0, a1);
         // One coin per synchroniser tick: F0 = head = climb one level.
         if (leader->tick && follower.coin == CoinStatus::f0) {
-            leader->level_b = saturating_increment(leader->level_b, lmax);
+            leader->level_b = saturating_increment(leader->level_b, lmax_);
         }
         // Duel-bit refresh on every minted-coin meeting (completion 1).
         if (follower.coin == CoinStatus::f0) {
@@ -285,7 +286,7 @@ std::uint64_t SymmetricPll::state_key(const State& s) const noexcept {
             case 2:
             case 3:
                 aux = static_cast<std::uint64_t>(s.rand) *
-                          (static_cast<std::uint64_t>(config_.phi()) + 1U) +
+                          (static_cast<std::uint64_t>(phi_) + 1U) +
                       s.index;
                 break;
             default: aux = s.level_b; break;

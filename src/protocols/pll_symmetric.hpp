@@ -92,7 +92,8 @@ class SymmetricPll {
 public:
     using State = SymPllState;
 
-    explicit SymmetricPll(PllConfig config) : config_(config) {
+    explicit SymmetricPll(PllConfig config)
+        : config_(config), cmax_(config.cmax()), lmax_(config.lmax()), phi_(config.phi()) {
         require(config.m >= 2, "symmetric PLL requires m >= 2");
     }
 
@@ -140,6 +141,10 @@ private:
     void back_up(State& a0, State& a1) const noexcept;
 
     PllConfig config_;
+    // cmax, lmax and Φ of config_, computed once: Φ takes a log2.
+    unsigned cmax_;
+    unsigned lmax_;
+    unsigned phi_;
 };
 
 static_assert(sizeof(SymPllState) <= 24, "symmetric PLL state should stay within 24 bytes");

@@ -3,7 +3,7 @@
 //
 //  * agent-count conservation and incremental-leader-count consistency
 //    across the execution paths (exact SSA below the leap threshold,
-//    paired and separable τ-leaps above it);
+//    paired, separable and folded τ-leaps above it);
 //  * seeded determinism of full runs;
 //  * exactness guarantee at small n (the engine must never leap there — the
 //    property the KS harness in test_statistical.cpp relies on);
@@ -12,6 +12,12 @@
 //    protocols, and for angluin06 only while no follower is live; the split
 //    of one Mult(2L) draw into the law of two Mult(L) draws; the count of
 //    live states whose two sides differ;
+//  * folded leaps: self-determined states and partner classes against a
+//    brute-force partition; one folded leap against a test-side paired
+//    leap on fixed PLL censuses; the crossing refinement, by the
+//    stabilisation offset's law and the refined table's law; a brute-force
+//    check of every folded leap's classes through QuickElimination at
+//    2^20; which protocols fold;
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
 //  * the count engines' population ceiling, at construction and on rejoin;
 //  * the engine-table row, registry dispatch and Simulation adapter
@@ -22,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -29,6 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch_pairing.hpp"
+#include "core/batched_engine.hpp"
 #include "core/count_engine.hpp"
 #include "core/count_store.hpp"
 #include "core/engine.hpp"
@@ -39,6 +48,7 @@
 #include "core/simulation.hpp"
 #include "core/stats.hpp"
 #include "protocols/angluin.hpp"
+#include "protocols/loose.hpp"
 #include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
 #include "protocols/rated.hpp"
@@ -368,7 +378,7 @@ TEST(CellFactorisation, CountsTheLiveStatesWhoseSidesDiffer) {
     EXPECT_EQ(cells.update(angluin, store), 0U);
     EXPECT_EQ(cells.asymmetric_states(), 0U);
     // L is reborn beside F; (F, L) leaves the responder a leader, so that
-    // cell does not factorise either.
+    // cell does not factorise either, and L becomes partner-dependent.
     (void)store.adopt_census(angluin, {{leader, 3}, {follower, 7}});
     EXPECT_EQ(cells.update(angluin, store), 1U);
     EXPECT_EQ(cells.asymmetric_states(), 1U);
@@ -397,6 +407,577 @@ TEST(CellFactorisation, CountsTheLiveStatesWhoseSidesDiffer) {
     (void)pll_store.adopt_census(pll, {{timer, 400}, {PllState{}, 624}});
     (void)pll_cells.update(pll, pll_store);
     EXPECT_EQ(pll_cells.asymmetric_states(), 1U);
+}
+
+// --- folded leaps -------------------------------------------------------------
+
+/// Brute-force restatement of CellFactorisation over one live list (in
+/// live-list order): runs every ordered cell, marks the self-determined
+/// states, and groups them into partner classes named by their first
+/// member. `token[i]` is the live index of the class token of live[i], or
+/// `dependent` when live[i] is partner-dependent.
+template <typename P>
+struct BrutePartition {
+    static constexpr std::size_t dependent = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> token;
+
+    BrutePartition(const P& proto, const std::vector<typename P::State>& live) {
+        const std::size_t d = live.size();
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> out(d * d);
+        for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t j = 0; j < d; ++j) {
+                typename P::State x = live[i];
+                typename P::State y = live[j];
+                proto.interact(x, y);
+                out[i * d + j] = {state_key_of(proto, x), state_key_of(proto, y)};
+            }
+        }
+        std::vector<bool> self_determined(d, true);
+        for (std::size_t i = 0; i < d; ++i) {
+            for (std::size_t j = 0; j < d; ++j) {
+                if (out[i * d + j].first != out[i * d + i].first ||
+                    out[j * d + i].second != out[i * d + i].second) {
+                    self_determined[i] = false;
+                }
+            }
+        }
+        const auto same_partners = [&](std::size_t i, std::size_t k) {
+            for (std::size_t a = 0; a < d; ++a) {
+                if (self_determined[a]) continue;
+                if (out[a * d + i].first != out[a * d + k].first ||
+                    out[i * d + a].second != out[k * d + a].second) {
+                    return false;
+                }
+            }
+            return true;
+        };
+        token.assign(d, dependent);
+        for (std::size_t i = 0; i < d; ++i) {
+            if (!self_determined[i]) continue;
+            token[i] = i;
+            for (std::size_t k = 0; k < i; ++k) {
+                if (token[k] == k && same_partners(i, k)) {
+                    token[i] = k;
+                    break;
+                }
+            }
+        }
+    }
+
+    [[nodiscard]] std::size_t dependents() const {
+        return static_cast<std::size_t>(std::count(token.begin(), token.end(), dependent));
+    }
+
+    /// The fold rule: some but not all states are SD, and some class holds
+    /// two or more.
+    [[nodiscard]] bool folds() const {
+        if (dependents() == 0) return false;
+        std::vector<std::size_t> size(token.size(), 0);
+        for (const std::size_t t : token) {
+            if (t != dependent && ++size[t] == 2) return true;
+        }
+        return false;
+    }
+};
+
+/// Drives a CellFactorisation through the censuses of one gillespie run,
+/// one leap apart, adopting each into a store of its own (so births, deaths
+/// and SD flips reach it incrementally), and checks it against the brute
+/// force after every update. Clears it once halfway. Returns the SD flips
+/// seen: states that stayed live while their status changed.
+template <typename P>
+std::size_t expect_factorisation_matches_brute_force(const P& proto, std::size_t n,
+                                                     std::uint64_t seed, double until) {
+    GillespieEngine<P> engine(proto, n, seed);
+    InternedCountStore<P> store;
+    CellFactorisation<P> cells;
+    std::unordered_map<std::uint64_t, bool> was_self_determined;
+    std::size_t flips = 0;
+    bool cleared = false;
+    while (engine.parallel_time() < until) {
+        std::vector<std::pair<typename P::State, std::uint64_t>> census;
+        engine.visit_counts(
+            [&](const typename P::State& s, std::uint64_t c, Role) { census.emplace_back(s, c); });
+        (void)store.adopt_census(proto, census);
+        if (!cleared && engine.parallel_time() >= until / 2) {
+            cells.clear();
+            cleared = true;
+        }
+        const std::size_t dependents = cells.update(proto, store);
+        std::vector<typename P::State> live;
+        for (const StateId id : store.live_ids()) live.push_back(store.index().state(id));
+        const BrutePartition<P> brute(proto, live);
+        const double t = engine.parallel_time();
+        EXPECT_EQ(dependents, brute.dependents()) << "at t = " << t;
+        EXPECT_EQ(cells.folds(), brute.folds()) << "at t = " << t;
+        std::unordered_map<std::uint64_t, bool> self_determined;
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            const StateId id = store.live_ids()[i];
+            const std::uint32_t c = cells.class_of(id);
+            const bool sd = brute.token[i] != BrutePartition<P>::dependent;
+            EXPECT_EQ(c != CellFactorisation<P>::no_class, sd) << "state " << i << " at t = " << t;
+            if (sd && c != CellFactorisation<P>::no_class) {
+                EXPECT_EQ(cells.class_token(c), store.live_ids()[brute.token[i]])
+                    << "state " << i << " at t = " << t;
+            }
+            const std::uint64_t key = state_key_of(proto, live[i]);
+            self_determined.emplace(key, sd);
+            if (const auto it = was_self_determined.find(key);
+                it != was_self_determined.end() && it->second != sd) {
+                ++flips;
+            }
+        }
+        was_self_determined = std::move(self_determined);
+        (void)engine.run_for(n / GillespieEngine<P>::leap_divisor);
+    }
+    return flips;
+}
+
+TEST(CellFactorisation, MatchesABruteForcePartition) {
+    // PLL through QuickElimination at 2^16, where timers and finished
+    // top-level agents are SD; angluin06 and lottery, whose classes are
+    // singletons. Every update must agree with the brute force on which
+    // states are SD, on the classes and their tokens, and on the fold rule.
+    const std::size_t n = std::size_t{1} << 16U;
+    EXPECT_GT(expect_factorisation_matches_brute_force(Pll::for_population(n), n, 3, 20.0), 0U)
+        << "no state flipped between SD and partner-dependent";
+    const std::size_t m = std::size_t{1} << 14U;
+    (void)expect_factorisation_matches_brute_force(Angluin{}, m, 5, 6.0);
+    (void)expect_factorisation_matches_brute_force(Lottery::for_population(m), m, 5, 12.0);
+}
+
+/// The statistics the single-leap law tests compare, summed over agents.
+struct PllLeapStats {
+    double leaders = 0;
+    double finished_a = 0;  ///< status-A agents with done = true
+    double level_q = 0;     ///< Σ level_q
+    double timer_count = 0; ///< Σ count over timer agents
+
+    void add(const PllState& s, double c) {
+        leaders += s.leader ? c : 0.0;
+        finished_a += s.status == PllStatus::a && s.done ? c : 0.0;
+        level_q += c * static_cast<double>(s.level_q);
+        timer_count += s.status == PllStatus::b ? c * static_cast<double>(s.count) : 0.0;
+    }
+    [[nodiscard]] std::array<double, 4> values() const {
+        return {leaders, finished_a, level_q, timer_count};
+    }
+};
+
+using PllCensus = std::vector<std::pair<PllState, std::uint64_t>>;
+
+/// A PLL census at model time t, from the batched engine, so that the
+/// census does not depend on the leap code under test.
+PllCensus pll_census_at(std::size_t n, std::uint64_t seed, double t) {
+    BatchedEngine<Pll> engine(Pll::for_population(n), n, seed);
+    (void)engine.run_for(model_time_to_step(t, n));
+    PllCensus census;
+    engine.visit_counts([&](const PllState& s, std::uint64_t c, Role) { census.emplace_back(s, c); });
+    return census;
+}
+
+/// Test-side paired leap over `census`: X, Y ~ Mult(len) drawn by the
+/// dense `multinomial`, paired by `sample_batch_pairing`, clamped to the
+/// running counts as `leap_round` clamps, and applied through `interact`.
+/// Returns the leap's pairs, in pairing order, as census-index pairs with
+/// their applied and drawn multiplicities.
+struct ReferenceCell {
+    std::size_t a;
+    std::size_t b;
+    std::uint64_t applied;
+    std::uint64_t drawn;
+};
+
+std::vector<ReferenceCell> reference_paired_leap(Rng& rng, const PllCensus& census,
+                                                 std::uint64_t len) {
+    std::vector<std::uint64_t> counts;
+    for (const auto& [s, c] : census) counts.push_back(c);
+    StateMultiset sides[2];
+    for (StateMultiset& side : sides) {
+        const std::vector<std::uint64_t> drawn = multinomial(rng, counts, len);
+        for (std::size_t i = 0; i < drawn.size(); ++i) {
+            if (drawn[i] > 0) side.emplace_back(static_cast<StateId>(i), drawn[i]);
+        }
+    }
+    BatchPairs pairs;
+    (void)sample_batch_pairing(BatchMode::automatic, rng, sides[0], sides[1], len, pairs);
+    std::vector<ReferenceCell> cells;
+    pairs.for_each([&](StateId a, StateId b, std::uint64_t mult) {
+        const std::uint64_t avail = a == b ? counts[a] / 2 : std::min(counts[a], counts[b]);
+        const std::uint64_t m = std::min(mult, avail);
+        counts[a] -= m;
+        counts[b] -= m;
+        cells.push_back(ReferenceCell{a, b, m, mult});
+    });
+    return cells;
+}
+
+/// Compares two samples' means, and their variances as mean squared
+/// deviations from the pooled mean, within 5 standard errors.
+void expect_same_mean_and_variance(const std::vector<double>& engine,
+                                   const std::vector<double>& reference, const char* what,
+                                   double t) {
+    double pooled = 0;
+    for (const double x : engine) pooled += x;
+    for (const double x : reference) pooled += x;
+    pooled /= static_cast<double>(engine.size() + reference.size());
+    RunningStats mean[2];
+    RunningStats spread[2];
+    const std::vector<double>* samples[] = {&engine, &reference};
+    for (int side = 0; side < 2; ++side) {
+        for (const double x : *samples[side]) {
+            mean[side].add(x);
+            spread[side].add((x - pooled) * (x - pooled));
+        }
+    }
+    const auto within = [&](const RunningStats* s, const char* moment) {
+        const double se = std::sqrt(s[0].sem() * s[0].sem() + s[1].sem() * s[1].sem());
+        EXPECT_LE(std::abs(s[0].mean() - s[1].mean()), 5.0 * se)
+            << moment << " of " << what << " at t = " << t << ": engine " << s[0].mean()
+            << ", reference " << s[1].mean() << " (se " << se << ")";
+    };
+    within(mean, "mean");
+    within(spread, "variance");
+}
+
+TEST(GillespieFoldedLeap, OneLeapHasThePairedLeapsLaw) {
+    // Fixed PLL censuses at 2^16 in QuickElimination. The engine takes one
+    // leap from each, folded; the reference pairs the unfolded multisets.
+    // Leaders, finished status-A agents, Σ level_q and Σ timer count after
+    // the leap must agree in mean and variance. At t = 14 the finished
+    // agents at the top level form one class of 13 484 agents beside the
+    // timers' class of 16 399, and the 35 653 finished agents below the top
+    // depend on which of the two they meet: a fold into a wrong class
+    // fails there.
+    const std::size_t n = std::size_t{1} << 16U;
+    const std::uint64_t len = n / GillespieEngine<Pll>::leap_divisor;
+    const Pll pll = Pll::for_population(n);
+    const int leaps = 10000;
+    for (const double t : {1.0, 3.0, 10.0, 14.0}) {
+        const PllCensus census = pll_census_at(n, 11, t);
+        std::array<std::vector<double>, 4> engine_side;
+        std::array<std::vector<double>, 4> reference_side;
+        GillespieEngine<Pll> engine(pll, n, 2024);
+        for (int i = 0; i < leaps; ++i) {
+            engine.adopt_census(census, 0, std::nullopt);
+            (void)engine.run_for(len);
+            PllLeapStats stats;
+            engine.visit_counts([&](const PllState& s, std::uint64_t c, Role) {
+                stats.add(s, static_cast<double>(c));
+            });
+            for (std::size_t k = 0; k < 4; ++k) engine_side[k].push_back(stats.values()[k]);
+        }
+        EXPECT_GE(static_cast<double>(engine.folded_leaps()), 0.9 * leaps)
+            << "the census at t = " << t << " did not fold";
+        Rng rng(7);
+        for (int i = 0; i < leaps; ++i) {
+            PllLeapStats stats;
+            for (const auto& [s, c] : census) stats.add(s, static_cast<double>(c));
+            for (const ReferenceCell& cell : reference_paired_leap(rng, census, len)) {
+                PllState x = census[cell.a].first;
+                PllState y = census[cell.b].first;
+                const auto m = static_cast<double>(cell.applied);
+                stats.add(x, -m);
+                stats.add(y, -m);
+                pll.interact(x, y);
+                stats.add(x, m);
+                stats.add(y, m);
+            }
+            for (std::size_t k = 0; k < 4; ++k) reference_side[k].push_back(stats.values()[k]);
+        }
+        const char* names[] = {"leaders", "finished status-A agents", "sum of level_q",
+                               "sum of timer counts"};
+        for (std::size_t k = 0; k < 4; ++k) {
+            expect_same_mean_and_variance(engine_side[k], reference_side[k], names[k], t);
+        }
+    }
+}
+
+TEST(GillespieFoldedLeap, CrossingOffsetHasThePairedLeapsLaw) {
+    // Two leaders left in QuickElimination: one finished at the top level,
+    // which is SD, beside the bulk of finished top-level followers, and one
+    // finished a level below, which drops out on meeting any of them. A
+    // leap that demotes it crosses to a single leader; the engine refines
+    // its folded table to replay the crossing, and the offset of the
+    // stabilisation step inside the leap must have the reference's law.
+    const std::size_t n = std::size_t{1} << 16U;
+    const std::uint64_t len = n / GillespieEngine<Pll>::leap_divisor;
+    const Pll pll = Pll::for_population(n);
+    const PllState top_leader{.level_q = 6, .status = PllStatus::a, .done = true};
+    const PllState low_leader{.level_q = 5, .status = PllStatus::a, .done = true};
+    const PllState top_follower{
+        .level_q = 6, .status = PllStatus::a, .done = true, .leader = false};
+    PllCensus census = {{top_leader, 1}, {low_leader, 1}, {top_follower, 40000}};
+    std::uint64_t placed = 40002;
+    for (std::uint16_t count = 0; placed < n; ++count) {
+        const std::uint64_t c = std::min<std::uint64_t>(2000, n - placed);
+        census.emplace_back(PllState{.count = count, .status = PllStatus::b, .leader = false}, c);
+        placed += c;
+    }
+    const std::size_t crossings = 1500;
+    std::vector<double> engine_offsets;
+    GillespieEngine<Pll> engine(pll, n, 99);
+    std::uint64_t leaps = 0;
+    while (engine_offsets.size() < crossings) {
+        engine.adopt_census(census, 0, std::nullopt);
+        (void)engine.run_for(len);
+        ++leaps;
+        if (engine.stabilization_step()) {
+            engine_offsets.push_back(static_cast<double>(*engine.stabilization_step()));
+        }
+    }
+    // A leap that draws one of the two leaders twice pairs unfolded.
+    EXPECT_GE(static_cast<double>(engine.folded_leaps()), 0.99 * static_cast<double>(leaps));
+    std::vector<double> reference_offsets;
+    Rng rng(5);
+    std::vector<std::int8_t> deltas;
+    while (reference_offsets.size() < crossings) {
+        deltas.clear();
+        std::int64_t leaders = 2;
+        for (const ReferenceCell& cell : reference_paired_leap(rng, census, len)) {
+            PllState x = census[cell.a].first;
+            PllState y = census[cell.b].first;
+            const int before = static_cast<int>(x.leader) + static_cast<int>(y.leader);
+            pll.interact(x, y);
+            const auto delta =
+                static_cast<std::int8_t>(static_cast<int>(x.leader) + static_cast<int>(y.leader) -
+                                         before);
+            deltas.insert(deltas.end(), cell.applied, delta);
+            deltas.insert(deltas.end(), cell.drawn - cell.applied, 0);
+            leaders += delta * static_cast<std::int64_t>(cell.applied);
+        }
+        if (leaders != 1) continue;
+        reference_offsets.push_back(static_cast<double>(locate_leader_crossing(deltas, rng, 2)));
+    }
+    const KsTestResult ks = ks_two_sample(engine_offsets, reference_offsets);
+    EXPECT_GT(ks.p_value, 1e-3) << "crossing offsets: KS statistic " << ks.statistic;
+}
+
+TEST(GillespieFoldedLeap, RefinedTableHasThePairedTablesLaw) {
+    // States 0 and 1 depend on their partner; {2, 3} and {4, 5} are two
+    // partner classes with tokens 2 and 4. Pairing the folded sides and
+    // spreading each class's members over its token's cells — responder
+    // classes, then initiator classes — must give the table over states
+    // the law of pairing the unfolded sides: each cell N(a, b) is
+    // hypergeometric, with mean x_a·y_b/L and variance
+    // x_a·(y_b/L)·(1 − y_b/L)·(L − x_a)/(L − 1).
+    const StateMultiset x = {{0, 3}, {1, 2}, {2, 4}, {3, 1}, {4, 2}, {5, 3}};
+    const StateMultiset y = {{0, 2}, {1, 4}, {2, 1}, {3, 3}, {4, 3}, {5, 2}};
+    const std::uint64_t len = 15;
+    const std::size_t d = 6;
+    const auto token_of = [](StateId s) -> StateId { return s < 2 ? s : s < 4 ? 2 : 4; };
+    const auto fold = [&](const StateMultiset& side) {
+        StateMultiset folded;
+        for (const auto& [id, mult] : side) {
+            const StateId t = token_of(id);
+            if (!folded.empty() && folded.back().first == t) {
+                folded.back().second += mult;
+            } else {
+                folded.emplace_back(t, mult);
+            }
+        }
+        return folded;
+    };
+    const auto members_of = [&](const StateMultiset& side, StateId token) {
+        StateMultiset members;
+        for (const auto& [id, mult] : side) {
+            if (id >= 2 && token_of(id) == token) members.emplace_back(id, mult);
+        }
+        return members;
+    };
+    std::vector<RunningStats> mean(d * d);
+    std::vector<RunningStats> var(d * d);
+    const auto exact_mean = [&](std::size_t a, std::size_t b) {
+        return static_cast<double>(x[a].second * y[b].second) / static_cast<double>(len);
+    };
+    const auto exact_var = [&](std::size_t a, std::size_t b) {
+        const double xa = static_cast<double>(x[a].second);
+        const double q = static_cast<double>(y[b].second) / static_cast<double>(len);
+        const double l = static_cast<double>(len);
+        return xa * q * (1.0 - q) * (l - xa) / (l - 1.0);
+    };
+    Rng rng(31);
+    BatchPairs folded_pairs;
+    BatchPairs spread;
+    StateMultiset scratch;
+    std::vector<PairCount> cells;
+    for (int draw = 0; draw < 100000; ++draw) {
+        StateMultiset folded_x = fold(x);
+        StateMultiset folded_y = fold(y);
+        (void)sample_batch_pairing(BatchMode::bulk, rng, folded_x, folded_y, len, folded_pairs);
+        cells = folded_pairs.cells;
+        for (const bool initiator_side : {false, true}) {
+            spread.clear();
+            for (const StateId token : {StateId{2}, StateId{4}}) {
+                StateMultiset members = members_of(initiator_side ? x : y, token);
+                spread_class_members(rng, cells, initiator_side, token, members, spread,
+                                     scratch);
+            }
+            for (const PairCount& pc : cells) {
+                if ((initiator_side ? pc.a : pc.b) < 2) spread.cells.push_back(pc);
+            }
+            cells = spread.cells;
+        }
+        std::vector<double> table(d * d, 0.0);
+        for (const PairCount& pc : cells) table[pc.a * d + pc.b] += static_cast<double>(pc.mult);
+        for (std::size_t a = 0; a < d; ++a) {
+            for (std::size_t b = 0; b < d; ++b) {
+                const double dev = table[a * d + b] - exact_mean(a, b);
+                mean[a * d + b].add(table[a * d + b]);
+                var[a * d + b].add(dev * dev);
+            }
+        }
+    }
+    for (std::size_t a = 0; a < d; ++a) {
+        for (std::size_t b = 0; b < d; ++b) {
+            EXPECT_LE(std::abs(mean[a * d + b].mean() - exact_mean(a, b)),
+                      5.0 * mean[a * d + b].sem())
+                << "E[N(" << a << ", " << b << ")]";
+            EXPECT_LE(std::abs(var[a * d + b].mean() - exact_var(a, b)),
+                      5.0 * var[a * d + b].sem())
+                << "Var N(" << a << ", " << b << ")";
+        }
+    }
+}
+
+TEST(GillespieFoldedLeap, OnlyProtocolsWithSharedPartnerClassesFold) {
+    // angluin06, lottery and loose_sud12 have SD states, but never two in
+    // one partner class; rated_election thins per cell and always pairs.
+    // PLL's QuickElimination at 2^20 folds nearly every leap.
+    const std::size_t m = std::size_t{1} << 16U;
+    const auto expect_no_fold = [&](auto engine, double until, const char* name) {
+        (void)engine.run_for(model_time_to_step(until, m));
+        EXPECT_GT(engine.leaps_taken(), 0U) << name;
+        EXPECT_EQ(engine.folded_leaps(), 0U) << name;
+    };
+    expect_no_fold(GillespieEngine<Angluin>(Angluin{}, m, 3), 16.0, "angluin06");
+    expect_no_fold(GillespieEngine<Lottery>(Lottery::for_population(m), m, 3), 16.0, "lottery");
+    expect_no_fold(GillespieEngine<LooselyStabilizing>(LooselyStabilizing::for_population(m), m, 3),
+                   16.0, "loose_sud12");
+    expect_no_fold(GillespieEngine<TwoRateElection>(TwoRateElection::for_population(m), m, 3), 16.0,
+                   "rated_election");
+
+    const std::size_t n = std::size_t{1} << 20U;
+    GillespieEngine<Pll> pll(Pll::for_population(n), n, 1);
+    (void)pll.run_for(model_time_to_step(20.0, n));
+    EXPECT_GE(static_cast<double>(pll.folded_leaps()), 0.9 * static_cast<double>(pll.leaps_taken()))
+        << pll.folded_leaps() << " of " << pll.leaps_taken() << " leaps in t < 20 folded";
+}
+
+/// Incremental brute-force check of the classes a folded leap used: every
+/// state in a class must be SD over the pre-leap live set, and partner-
+/// equivalent to its class token; every other state must be partner-
+/// dependent. Cells are memoised by the keys of their input states, so each
+/// distinct cell runs once, and a live set whose keys and classes match the
+/// last one checked is not checked again.
+template <typename P>
+class FoldReference {
+public:
+    using State = typename P::State;
+
+    /// `classes[i]` is the class of `live[i]` (CellFactorisation::no_class
+    /// for a partner-dependent state); `tokens[c]` the state naming class c.
+    ::testing::AssertionResult check(const P& proto, const std::vector<State>& live,
+                                     const std::vector<std::uint32_t>& classes,
+                                     const std::vector<State>& tokens) {
+        std::vector<std::uint64_t> keys;
+        for (const State& s : live) keys.push_back(state_key_of(proto, s));
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> claims;
+        for (std::size_t i = 0; i < live.size(); ++i) {
+            claims.emplace_back(keys[i], classes[i] == CellFactorisation<P>::no_class
+                                             ? 0
+                                             : state_key_of(proto, tokens[classes[i]]) + 1);
+        }
+        std::sort(claims.begin(), claims.end());
+        if (claims == last_claims_) return ::testing::AssertionSuccess();
+        const std::size_t d = live.size();
+        std::vector<bool> self_determined(d, true);
+        for (std::size_t i = 0; i < d; ++i) {
+            const auto own = cell(proto, live[i], live[i]);
+            for (std::size_t j = 0; j < d && self_determined[i]; ++j) {
+                self_determined[i] = cell(proto, live[i], live[j]).first == own.first &&
+                                     cell(proto, live[j], live[i]).second == own.second;
+            }
+            const bool claimed = classes[i] != CellFactorisation<P>::no_class;
+            if (claimed != self_determined[i]) {
+                return ::testing::AssertionFailure()
+                       << "state " << i << " of " << d << " is "
+                       << (self_determined[i] ? "SD" : "partner-dependent") << " but "
+                       << (claimed ? "was" : "was not") << " folded";
+            }
+        }
+        for (std::size_t i = 0; i < d; ++i) {
+            if (!self_determined[i]) continue;
+            const State& token = tokens[classes[i]];
+            for (std::size_t a = 0; a < d; ++a) {
+                if (self_determined[a]) continue;
+                if (cell(proto, live[a], live[i]).first != cell(proto, live[a], token).first ||
+                    cell(proto, live[i], live[a]).second != cell(proto, token, live[a]).second) {
+                    return ::testing::AssertionFailure()
+                           << "state " << i << " of " << d
+                           << " was folded into a class whose token a partner-dependent state "
+                           << a << " treats otherwise";
+                }
+            }
+        }
+        last_claims_ = std::move(claims);
+        return ::testing::AssertionSuccess();
+    }
+
+private:
+    std::pair<std::uint64_t, std::uint64_t> cell(const P& proto, const State& a, const State& b) {
+        const std::pair<std::uint64_t, std::uint64_t> in{state_key_of(proto, a),
+                                                         state_key_of(proto, b)};
+        if (const auto it = cells_.find(in); it != cells_.end()) return it->second;
+        State x = a;
+        State y = b;
+        proto.interact(x, y);
+        return cells_[in] = {state_key_of(proto, x), state_key_of(proto, y)};
+    }
+
+    struct PairHash {
+        std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& p) const {
+            return std::hash<std::uint64_t>{}(p.first * 0x9E3779B97F4A7C15ULL ^ p.second);
+        }
+    };
+    std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
+                       std::pair<std::uint64_t, std::uint64_t>, PairHash>
+        cells_;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> last_claims_;
+};
+
+TEST(GillespieEngine, FoldedLeapsFoldOnlySelfDeterminedStatesIntoPartnerClasses) {
+    // One leap per call through PLL's QuickElimination at 2^20. Whenever
+    // the folded counter advances, the classes the leap folded by must
+    // pass the brute-force check over the pre-leap census.
+    const std::size_t n = std::size_t{1} << 20U;
+    const StepCount leap = n / GillespieEngine<Pll>::leap_divisor;
+    GillespieEngine<Pll> engine(Pll::for_population(n), n, 2023);
+    FoldReference<Pll> reference;
+    std::uint64_t checked = 0;
+    while (engine.parallel_time() < 26.0) {
+        std::vector<StateId> ids;
+        std::vector<PllState> live;
+        for (const StateId id : engine.store().live_ids()) {
+            if (engine.store().counts()[id] == 0) continue;
+            ids.push_back(id);
+            live.push_back(engine.store().index().state(id));
+        }
+        const double t = engine.parallel_time();
+        const std::uint64_t folded_before = engine.folded_leaps();
+        (void)engine.run_for(leap);
+        if (engine.folded_leaps() == folded_before) continue;
+        const CellFactorisation<Pll>& cells = engine.factorisation();
+        std::vector<std::uint32_t> classes;
+        for (const StateId id : ids) classes.push_back(cells.class_of(id));
+        std::vector<PllState> tokens;
+        for (std::uint32_t c = 0; c < cells.class_count(); ++c) {
+            tokens.push_back(engine.store().index().state(cells.class_token(c)));
+        }
+        ASSERT_TRUE(reference.check(engine.protocol(), live, classes, tokens)) << "at t = " << t;
+        ++checked;
+    }
+    EXPECT_GT(checked, 1000U);
 }
 
 TEST(GillespieEngine, RunForExecutesExactlyTheRequestedSteps) {

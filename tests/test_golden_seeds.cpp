@@ -103,9 +103,9 @@ INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplay, ::testing::ValuesIn(golden_run
 // The table above runs at n = 128, below GillespieEngine::leap_min_population,
 // so it pins only the gillespie engine's exact SSA forms. These cells pin its
 // τ-leap stream: pll at 2^20 on a seed whose election waits for the count-up
-// timer, so the run crosses thousands of separable leaps and the first
-// wrap's paired leaps; lottery at 2^14, whose leaps pair and whose last two
-// leaders meet on the exact-SSA fallback.
+// timer, so the run crosses QuickElimination's folded leaps, thousands of
+// separable leaps and the first wrap's paired leaps; lottery at 2^14, whose
+// leaps pair and whose last two leaders meet on the exact-SSA fallback.
 struct LeapGoldenRun {
     const char* protocol;
     std::size_t n;
@@ -120,11 +120,15 @@ void PrintTo(const LeapGoldenRun& run, std::ostream* os) {
 // Budget 50·n², as above (every run converges). The pll cell moved from
 // 382959320 when a separable leap began drawing its 2L step slots as one
 // Mult(2L) multiset, split into sides only where needed, instead of two
-// Mult(L) multisets: same chain, another stream. Still a timer election
-// (t ≈ 366.7). The lottery cell did not move: its only separable leap is
-// the first, over one state, whose split draws nothing.
+// Mult(L) multisets: same chain, another stream. It moved again, from seed
+// 2023 (384552551) to seed 2024, when QuickElimination's leaps began to
+// fold: on the folded stream seed 2023 settles in QuickElimination
+// (t ≈ 15.3), and 2024 is the first seed from 2023 up that still waits
+// for the timer (t ≈ 365.4). The lottery cell did not move: its only
+// separable leap is the first, over one state, whose split draws nothing,
+// and its partner classes are singletons, so it never folds.
 constexpr LeapGoldenRun leap_golden_runs[] = {
-    {"pll", std::size_t{1} << 20U, 2023, 384552551ULL},
+    {"pll", std::size_t{1} << 20U, 2024, 383105822ULL},
     {"lottery", std::size_t{1} << 14U, 2019, 58934560ULL},
 };
 

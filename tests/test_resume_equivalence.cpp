@@ -150,13 +150,17 @@ INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_ce
 // The grid above runs below GillespieEngine::leap_min_population, where the
 // gillespie engine is an exact SSA. These cases resume a τ-leaping engine:
 // pll at 2^20 on a seed whose election waits for the count-up timer
-// (stabilising at t ≈ 365), paused once in QuickElimination and once in the
-// timer wait, where nearly every leap is separable. The factorisation count
-// behind that choice is not checkpointed; a resumed engine rebuilds it from
-// the live set and must decide every later leap as the uninterrupted run
-// did.
+// (stabilising at t ≈ 365), paused once in QuickElimination, where nearly
+// every leap folds, and once in the timer wait, where nearly every leap is
+// separable. The factorisation behind those choices — the self-determined
+// states and their partner classes — is not checkpointed; a resumed engine
+// rebuilds it from the live list and must decide and fold every later leap
+// as the uninterrupted run did. The seed moved from 2023 when
+// QuickElimination's leaps began to fold: on the folded stream 2023
+// settles in QuickElimination (t ≈ 15.3), and 2024 is the first seed from
+// 2023 up that still waits for the timer.
 constexpr std::size_t leap_regime_n = std::size_t{1} << 20U;
-constexpr std::uint64_t timer_election_seed = 2023;
+constexpr std::uint64_t timer_election_seed = 2024;
 
 void expect_leap_regime_resume(double pause_time, const std::string& tag) {
     const std::size_t n = leap_regime_n;
@@ -190,8 +194,8 @@ TEST(ResumeEquivalenceLeapRegime, PllGillespiePausedInTheTimerWait) {
 }
 
 TEST(ResumeEquivalenceLeapRegime, RestoreIntoAnEngineThatRanAnotherSeed) {
-    // restore_state must drop the factorisation count with the transition
-    // cache: an engine whose count covers its own run's state ids restores
+    // restore_state must drop the factorisation with the transition cache:
+    // an engine whose factorisation covers its own run's state ids restores
     // another run's payload, re-assigning those ids, and must continue
     // exactly as the checkpointed engine does.
     const std::size_t n = leap_regime_n;
@@ -207,9 +211,11 @@ TEST(ResumeEquivalenceLeapRegime, RestoreIntoAnEngineThatRanAnotherSeed) {
     GillespieEngine<Pll> other(Pll::for_population(n), n, 7);
     (void)other.run_for(pause);
     ASSERT_GT(other.separable_leaps(), 0U);
+    ASSERT_GT(other.folded_leaps(), 0U);
     CheckpointReader r(payload_of(original));
     other.restore_state(r);
     EXPECT_EQ(other.separable_leaps(), 0U);
+    EXPECT_EQ(other.folded_leaps(), 0U);
     EXPECT_EQ(payload_of(other), payload_of(original));
 
     const StepCount more = model_time_to_step(60.0, n);
