@@ -82,11 +82,12 @@
 ///    moves every SD slot through f or g, as a separable leap does. The
 ///    folded table has exactly the law of the image of the paired table,
 ///    and every table over states that folds into it applies the same way,
-///    so a folded leap samples what a paired leap samples. A leap that
-///    over-draws a state pairs unfolded; one that would cross to a single
-///    leader refines the folded table into a table over states, from its
-///    exact conditional law, and goes through the paired application and
-///    crossing replay. PLL's QuickElimination folds: its timers and its
+///    so a folded leap samples what a paired leap samples. A leap pairs
+///    unfolded when it over-draws a state, or when its sides hold so many
+///    leader slots that it could end at a single leader, where the
+///    crossing replay needs the pairs over states. Both tests read only X
+///    and Y, never the pairing, so either way the leap has the paired
+///    leap's law. PLL's QuickElimination folds: its timers and its
 ///    finished status-A agents at the top level are SD and fall into a few
 ///    classes.
 ///
@@ -358,7 +359,9 @@ private:
     /// columns agree in every partner-dependent row share a class, named by
     /// its first member in `live`. Sorting by a hash of the column and live
     /// position keeps this O(d log d + d_SD·d_dep) however many classes
-    /// there are.
+    /// there are. The hash reads the rows in live-list order, not in the
+    /// order births and deaths left `tracked_`, so the class numbers too
+    /// depend on the live list alone.
     __attribute__((noinline)) void regroup(const std::vector<StateId>& live) {
         grouped_order_ = live;
         tokens_.clear();
@@ -371,7 +374,7 @@ private:
             return;
         }
         dependent_rows_.clear();
-        for (const StateId t : tracked_) {
+        for (const StateId t : live) {
             if (own_mismatches_[t] != 0) dependent_rows_.push_back(&rows_[t]);
         }
         signatures_.clear();
@@ -467,33 +470,6 @@ __attribute__((noinline)) void split_leap_multiset(Generator& gen, std::uint64_t
         if (scratch[i] > 0) initiators[kept++] = {id, scratch[i]};
     }
     initiators.resize(kept);
-}
-
-/// Spreads the slots of one partner class's members over the cells of a
-/// folded table that hold its token on one side (the initiator side when
-/// `initiator_side`). Given the folded table, the members fill the token's
-/// slots on that side in a uniformly random order, so the refined cells are
-/// one contingency table between the token's cells and `members`, drawn by
-/// `ContingencyTablePairing` and appended to `out`. Refining every class on
-/// one side, then on the other, draws the table over states from its exact
-/// conditional law given the folded table. `members` is consumed on the
-/// responder side; `scratch` is reused storage.
-template <typename Generator>
-void spread_class_members(Generator& gen, const std::vector<PairCount>& cells,
-                          bool initiator_side, StateId token, StateMultiset& members,
-                          BatchPairs& out, StateMultiset& scratch) {
-    scratch.clear();
-    std::uint64_t total = 0;
-    for (const PairCount& pc : cells) {
-        if ((initiator_side ? pc.a : pc.b) != token) continue;
-        scratch.emplace_back(initiator_side ? pc.b : pc.a, pc.mult);
-        total += pc.mult;
-    }
-    if (initiator_side) {
-        ContingencyTablePairing::pair(gen, members, scratch, total, out);
-    } else {
-        ContingencyTablePairing::pair(gen, scratch, members, total, out);
-    }
 }
 
 /// Reaction-rate (Gillespie SSA + τ-leaping) simulation engine. Drop-in
@@ -871,9 +847,8 @@ private:
     /// pairing; the split draws X from its exact law given T. When only
     /// some live states are self-determined and some partner class holds
     /// two or more, `fold_sides` folds each class into its token, the
-    /// folded sides are paired, and `folded_leap` applies them; a folded
-    /// leap that would cross to a single leader hands back `pairs_` refined
-    /// over states, which the paired application below then applies.
+    /// folded sides are paired, and `folded_leap` applies them, unless the
+    /// sides over-draw a state or could end at a single leader.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
         const LeapKind kind = classify_leap();
@@ -895,7 +870,10 @@ private:
         sample_batch_pairing(BatchMode::automatic, rng_,
                              folded ? folded_initiators_ : initiators_,
                              folded ? folded_responders_ : responders_, len, pairs_);
-        if (folded && folded_leap(len)) return len;
+        if (folded) {
+            folded_leap(len);
+            return len;
+        }
 
         std::vector<std::uint64_t>& counts = store_.counts();
         applied_mult_.clear();
@@ -960,14 +938,14 @@ private:
     // GCC 12 compiled it as an out-of-line call there (leap_round<Pll>
     // 0x6a1 bytes plus a 0x144-byte sampler, against 0x7c5 bytes with both
     // sites inline). The sampler is also forced inline: with the folded-leap
-    // helpers, moving one loop of `refine_side` tipped the budget into
+    // helpers, moving one loop inside one of them tipped the budget into
     // inlining the paired application's pair loop instead, and both sites
     // called the sampler out of line (leap_round<Pll> 0x9e6). Forced, it is
-    // 0x72e with both sites inline; classify_leap 0x5f1, separable_leap
-    // 0x503, fold_sides 0x33b, folded_leap 0xb50 plus its 0x327-byte cell
-    // visitor, refine_side 0x4fd, and CellFactorisation's out-of-line add
-    // 0xcf6, remove_at 0x1c5 and regroup 0x723 (GCC 12.2, Release
-    // `registry.cpp.o`).
+    // 0x7cd with both sites inline and the pair loop out of line;
+    // classify_leap 0x5f1, separable_leap 0x503, fold_sides 0x299 calling
+    // fold_side (0x247) twice, folded_leap 0x752 with its cell visitor
+    // inline, and CellFactorisation's out-of-line add 0xcf6, remove_at 0x1c5
+    // and regroup 0x76a (GCC 12.2, Release `registry.cpp.o`).
 
     /// How a leap over the current live set is applied.
     enum class LeapKind : std::uint8_t {
@@ -1100,12 +1078,30 @@ private:
     /// Pairing the folded sides samples exactly the image, under that map,
     /// of the table the unfolded sides would pair into. Declines, folding
     /// nothing, when a state is over-drawn (the clamp needs the cells over
-    /// states); the caller then pairs the unfolded sides.
+    /// states) or when the leap could end at a single leader (the crossing
+    /// replay needs them too); the caller then pairs the unfolded sides.
+    /// Both tests read only the sampled sides, never the pairing, so the
+    /// leaps that fold and those that pair each sample the paired leap's
+    /// law.
     __attribute__((noinline)) bool fold_sides() {
-        if (overdrawn()) return false;
+        if (overdrawn() || could_cross()) return false;
         fold_side(initiators_, folded_initiators_, self_determined_initiators_);
         fold_side(responders_, folded_responders_, self_determined_responders_);
         return true;
+    }
+
+    /// Whether the sampled sides could take the leader count to 1 from
+    /// another count before the stabilisation step is recorded. Only the
+    /// agents in the leap's slots change, so at least leader_count_ minus
+    /// the leader slots stay leaders.
+    [[nodiscard]] bool could_cross() const {
+        if (first_single_leader_step_ || leader_count_ == 1) return false;
+        const StateIndex<P>& index = store_.index();
+        std::uint64_t leader_slots = 0;
+        for (const StateMultiset* side : {&initiators_, &responders_}) {
+            for (const auto& [id, mult] : *side) leader_slots += index.is_leader(id) ? mult : 0;
+        }
+        return leader_count_ < leader_slots + 2;
     }
 
     void fold_side(const StateMultiset& side, StateMultiset& folded,
@@ -1135,93 +1131,33 @@ private:
     /// its token — and every self-determined slot moves through f or g.
     /// That is what the paired leap applies, pair for pair, to any table
     /// over states that folds into this one; no state is over-drawn, so no
-    /// pair is dropped. A leap that would cross to a single leader changes
-    /// no count: it refines `pairs_` into a table over states and declines,
-    /// and the caller applies that table and replays the crossing.
-    __attribute__((noinline)) bool folded_leap(StepCount len) {
-        ++folded_leaps_;
+    /// pair is dropped, and the leader count cannot reach 1, so no crossing
+    /// is replayed.
+    __attribute__((noinline)) void folded_leap(StepCount len) {
         constexpr std::uint32_t no_class = CellFactorisation<P>::no_class;
-        folded_out_.clear();
+        std::vector<std::uint64_t>& counts = store_.counts();
         std::int64_t delta_total = 0;
         bool role_changed = false;
+        const auto move = [&](StateId in, StateId out, std::uint64_t mult) {
+            count_move(in, out, mult, delta_total, role_changed);
+            counts[in] -= mult;
+            store_.touch(out, mult);
+        };
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
             const bool a_depends = factorisation_.class_of(a) == no_class;
             const bool b_depends = factorisation_.class_of(b) == no_class;
-            StateId out_a = invalid_state_id;
-            StateId out_b = invalid_state_id;
-            if (a_depends || b_depends) {
-                const CachedTransition& tr = transition(a, b);
-                if (a_depends) out_a = tr.out_a;
-                if (b_depends) out_b = tr.out_b;
-            }
-            folded_out_.emplace_back(out_a, out_b);
-            if (a_depends) count_move(a, out_a, mult, delta_total, role_changed);
-            if (b_depends) count_move(b, out_b, mult, delta_total, role_changed);
+            if (!a_depends && !b_depends) return;
+            const CachedTransition tr = transition(a, b);  // copy: cache may grow
+            if (a_depends) move(a, tr.out_a, mult);
+            if (b_depends) move(b, tr.out_b, mult);
         });
         delta_total += self_determined_moves(self_determined_initiators_,
                                              self_determined_responders_, role_changed);
+        apply_self_determined_moves(self_determined_initiators_, self_determined_responders_);
         const auto post = static_cast<std::size_t>(
             static_cast<std::int64_t>(leader_count_) + delta_total);
-        if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
-            refine_folded_pairs();
-            return false;
-        }
-        std::vector<std::uint64_t>& counts = store_.counts();
-        std::size_t i = 0;
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
-            const auto [out_a, out_b] = folded_out_[i++];
-            if (out_a != invalid_state_id) {
-                counts[a] -= mult;
-                store_.touch(out_a, mult);
-            }
-            if (out_b != invalid_state_id) {
-                counts[b] -= mult;
-                store_.touch(out_b, mult);
-            }
-        });
-        apply_self_determined_moves(self_determined_initiators_, self_determined_responders_);
         finish_unpaired_leap(len, post, role_changed);
-        return true;
-    }
-
-    /// Refines the folded table in `pairs_` into a table over states, drawn
-    /// from its exact conditional law given the folded table (see
-    /// `spread_class_members`): responder classes first, then initiator
-    /// classes, whose cells by then name responder states. Runs at most
-    /// once per run.
-    void refine_folded_pairs() {
-        refined_cells_.clear();
-        pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult) {
-            refined_cells_.push_back(PairCount{a, b, mult});
-        });
-        refine_side(self_determined_responders_, /*initiator_side=*/false);
-        refine_side(self_determined_initiators_, /*initiator_side=*/true);
-        pairs_.clear();
-        pairs_.aggregated = true;
-        pairs_.cells.swap(refined_cells_);
-    }
-
-    /// Spreads every class of one side's self-determined slots `members`
-    /// over `refined_cells_`.
-    void refine_side(const StateMultiset& members, bool initiator_side) {
-        spread_.clear();
-        for (std::uint32_t c = 0; c < factorisation_.class_count(); ++c) {
-            class_members_.clear();
-            for (const auto& [id, mult] : members) {
-                if (factorisation_.class_of(id) == c) class_members_.emplace_back(id, mult);
-            }
-            if (class_members_.empty()) continue;
-            spread_class_members(rng_, refined_cells_, initiator_side,
-                                 factorisation_.class_token(c), class_members_, spread_,
-                                 token_cells_);
-        }
-        for (const PairCount& pc : refined_cells_) {
-            if (factorisation_.class_of(initiator_side ? pc.a : pc.b) ==
-                CellFactorisation<P>::no_class) {
-                spread_.cells.push_back(pc);
-            }
-        }
-        refined_cells_.swap(spread_.cells);
+        ++folded_leaps_;
     }
 
     /// Draws a with-replacement multiset of `len` step slots over the live
@@ -1261,20 +1197,14 @@ private:
     CellFactorisation<P> factorisation_;  ///< self-determined states, classes (not persisted)
     std::vector<StateId> self_determined_out_;  ///< per self-determined slot entry: f or g
     std::vector<std::uint64_t> split_scratch_;  ///< split_leap_multiset's draw counts
-    // Folded leaps: the folded sides, the self-determined slots each side
-    // folded away, each folded cell's partner-dependent outputs (or
-    // invalid_state_id) and the crossing refinement's scratch.
+    // Folded leaps: the folded sides and the self-determined slots each
+    // side folded away.
     StateMultiset folded_initiators_;
     StateMultiset folded_responders_;
     StateMultiset self_determined_initiators_;
     StateMultiset self_determined_responders_;
-    std::vector<std::pair<StateId, StateId>> folded_out_;
     static constexpr std::size_t no_entry = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> class_entry_;  ///< per class: its folded entry, or no_entry
-    std::vector<PairCount> refined_cells_;
-    BatchPairs spread_;
-    StateMultiset class_members_;
-    StateMultiset token_cells_;
     std::uint64_t leaps_ = 0;
     std::uint64_t separable_leaps_ = 0;
     std::uint64_t folded_leaps_ = 0;

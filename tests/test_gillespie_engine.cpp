@@ -13,11 +13,11 @@
 //    of one Mult(2L) draw into the law of two Mult(L) draws; the count of
 //    live states whose two sides differ;
 //  * folded leaps: self-determined states and partner classes against a
-//    brute-force partition; one folded leap against a test-side paired
-//    leap on fixed PLL censuses; the crossing refinement, by the
-//    stabilisation offset's law and the refined table's law; a brute-force
-//    check of every folded leap's classes through QuickElimination at
-//    2^20; which protocols fold;
+//    brute-force partition and a rebuild from scratch; one folded leap
+//    against a test-side paired leap on fixed PLL censuses; a leap that
+//    could cross to one leader pairing unfolded, by the stabilisation
+//    offset's law; a brute-force check of every folded leap's classes
+//    through QuickElimination at 2^20; which protocols fold;
 //  * the run/verify surface (run_for step exactness, verify_outputs_stable);
 //  * the count engines' population ceiling, at construction and on rejoin;
 //  * the engine-table row, registry dispatch and Simulation adapter
@@ -483,8 +483,10 @@ struct BrutePartition {
 /// Drives a CellFactorisation through the censuses of one gillespie run,
 /// one leap apart, adopting each into a store of its own (so births, deaths
 /// and SD flips reach it incrementally), and checks it against the brute
-/// force after every update. Clears it once halfway. Returns the SD flips
-/// seen: states that stayed live while their status changed.
+/// force after every update. Clears it once halfway. After every update it
+/// must also number the classes as one rebuilt from scratch over the same
+/// live list does, as a resumed run rebuilds it. Returns the SD flips seen:
+/// states that stayed live while their status changed.
 template <typename P>
 std::size_t expect_factorisation_matches_brute_force(const P& proto, std::size_t n,
                                                      std::uint64_t seed, double until) {
@@ -504,16 +506,20 @@ std::size_t expect_factorisation_matches_brute_force(const P& proto, std::size_t
             cleared = true;
         }
         const std::size_t dependents = cells.update(proto, store);
+        CellFactorisation<P> rebuilt;
+        (void)rebuilt.update(proto, store);
         std::vector<typename P::State> live;
         for (const StateId id : store.live_ids()) live.push_back(store.index().state(id));
         const BrutePartition<P> brute(proto, live);
         const double t = engine.parallel_time();
         EXPECT_EQ(dependents, brute.dependents()) << "at t = " << t;
         EXPECT_EQ(cells.folds(), brute.folds()) << "at t = " << t;
+        EXPECT_EQ(cells.class_count(), rebuilt.class_count()) << "at t = " << t;
         std::unordered_map<std::uint64_t, bool> self_determined;
         for (std::size_t i = 0; i < live.size(); ++i) {
             const StateId id = store.live_ids()[i];
             const std::uint32_t c = cells.class_of(id);
+            EXPECT_EQ(c, rebuilt.class_of(id)) << "state " << i << " at t = " << t;
             const bool sd = brute.token[i] != BrutePartition<P>::dependent;
             EXPECT_EQ(c != CellFactorisation<P>::no_class, sd) << "state " << i << " at t = " << t;
             if (sd && c != CellFactorisation<P>::no_class) {
@@ -537,7 +543,8 @@ TEST(CellFactorisation, MatchesABruteForcePartition) {
     // PLL through QuickElimination at 2^16, where timers and finished
     // top-level agents are SD; angluin06 and lottery, whose classes are
     // singletons. Every update must agree with the brute force on which
-    // states are SD, on the classes and their tokens, and on the fold rule.
+    // states are SD, on the classes and their tokens, and on the fold rule,
+    // and with a factorisation rebuilt from scratch on the class numbers.
     const std::size_t n = std::size_t{1} << 16U;
     EXPECT_GT(expect_factorisation_matches_brute_force(Pll::for_population(n), n, 3, 20.0), 0U)
         << "no state flipped between SD and partner-dependent";
@@ -697,9 +704,11 @@ TEST(GillespieFoldedLeap, CrossingOffsetHasThePairedLeapsLaw) {
     // Two leaders left in QuickElimination: one finished at the top level,
     // which is SD, beside the bulk of finished top-level followers, and one
     // finished a level below, which drops out on meeting any of them. A
-    // leap that demotes it crosses to a single leader; the engine refines
-    // its folded table to replay the crossing, and the offset of the
-    // stabilisation step inside the leap must have the reference's law.
+    // leap that demotes it crosses to a single leader. A leap whose sides
+    // hold a leader slot could cross, and pairs unfolded so that the
+    // crossing replay sees pairs over states; the others fold. No crossing
+    // leap may fold, and the offset of the stabilisation step inside the
+    // leap must have the reference's law.
     const std::size_t n = std::size_t{1} << 16U;
     const std::uint64_t len = n / GillespieEngine<Pll>::leap_divisor;
     const Pll pll = Pll::for_population(n);
@@ -718,16 +727,22 @@ TEST(GillespieFoldedLeap, CrossingOffsetHasThePairedLeapsLaw) {
     std::vector<double> engine_offsets;
     GillespieEngine<Pll> engine(pll, n, 99);
     std::uint64_t leaps = 0;
+    std::uint64_t folded_crossings = 0;
     while (engine_offsets.size() < crossings) {
+        ASSERT_LT(leaps, 200 * crossings) << "too few leaps crossed to a single leader";
         engine.adopt_census(census, 0, std::nullopt);
+        const std::uint64_t folded_before = engine.folded_leaps();
         (void)engine.run_for(len);
         ++leaps;
         if (engine.stabilization_step()) {
+            folded_crossings += engine.folded_leaps() - folded_before;
             engine_offsets.push_back(static_cast<double>(*engine.stabilization_step()));
         }
     }
-    // A leap that draws one of the two leaders twice pairs unfolded.
-    EXPECT_GE(static_cast<double>(engine.folded_leaps()), 0.99 * static_cast<double>(leaps));
+    EXPECT_EQ(folded_crossings, 0U);
+    // Each leader fills one of a leap's 2L slots with probability about
+    // 2L/n = 1/32, so about 15 leaps in 16 hold no leader slot and fold.
+    EXPECT_GE(static_cast<double>(engine.folded_leaps()), 0.9 * static_cast<double>(leaps));
     std::vector<double> reference_offsets;
     Rng rng(5);
     std::vector<std::int8_t> deltas;
@@ -751,93 +766,6 @@ TEST(GillespieFoldedLeap, CrossingOffsetHasThePairedLeapsLaw) {
     }
     const KsTestResult ks = ks_two_sample(engine_offsets, reference_offsets);
     EXPECT_GT(ks.p_value, 1e-3) << "crossing offsets: KS statistic " << ks.statistic;
-}
-
-TEST(GillespieFoldedLeap, RefinedTableHasThePairedTablesLaw) {
-    // States 0 and 1 depend on their partner; {2, 3} and {4, 5} are two
-    // partner classes with tokens 2 and 4. Pairing the folded sides and
-    // spreading each class's members over its token's cells — responder
-    // classes, then initiator classes — must give the table over states
-    // the law of pairing the unfolded sides: each cell N(a, b) is
-    // hypergeometric, with mean x_a·y_b/L and variance
-    // x_a·(y_b/L)·(1 − y_b/L)·(L − x_a)/(L − 1).
-    const StateMultiset x = {{0, 3}, {1, 2}, {2, 4}, {3, 1}, {4, 2}, {5, 3}};
-    const StateMultiset y = {{0, 2}, {1, 4}, {2, 1}, {3, 3}, {4, 3}, {5, 2}};
-    const std::uint64_t len = 15;
-    const std::size_t d = 6;
-    const auto token_of = [](StateId s) -> StateId { return s < 2 ? s : s < 4 ? 2 : 4; };
-    const auto fold = [&](const StateMultiset& side) {
-        StateMultiset folded;
-        for (const auto& [id, mult] : side) {
-            const StateId t = token_of(id);
-            if (!folded.empty() && folded.back().first == t) {
-                folded.back().second += mult;
-            } else {
-                folded.emplace_back(t, mult);
-            }
-        }
-        return folded;
-    };
-    const auto members_of = [&](const StateMultiset& side, StateId token) {
-        StateMultiset members;
-        for (const auto& [id, mult] : side) {
-            if (id >= 2 && token_of(id) == token) members.emplace_back(id, mult);
-        }
-        return members;
-    };
-    std::vector<RunningStats> mean(d * d);
-    std::vector<RunningStats> var(d * d);
-    const auto exact_mean = [&](std::size_t a, std::size_t b) {
-        return static_cast<double>(x[a].second * y[b].second) / static_cast<double>(len);
-    };
-    const auto exact_var = [&](std::size_t a, std::size_t b) {
-        const double xa = static_cast<double>(x[a].second);
-        const double q = static_cast<double>(y[b].second) / static_cast<double>(len);
-        const double l = static_cast<double>(len);
-        return xa * q * (1.0 - q) * (l - xa) / (l - 1.0);
-    };
-    Rng rng(31);
-    BatchPairs folded_pairs;
-    BatchPairs spread;
-    StateMultiset scratch;
-    std::vector<PairCount> cells;
-    for (int draw = 0; draw < 100000; ++draw) {
-        StateMultiset folded_x = fold(x);
-        StateMultiset folded_y = fold(y);
-        (void)sample_batch_pairing(BatchMode::bulk, rng, folded_x, folded_y, len, folded_pairs);
-        cells = folded_pairs.cells;
-        for (const bool initiator_side : {false, true}) {
-            spread.clear();
-            for (const StateId token : {StateId{2}, StateId{4}}) {
-                StateMultiset members = members_of(initiator_side ? x : y, token);
-                spread_class_members(rng, cells, initiator_side, token, members, spread,
-                                     scratch);
-            }
-            for (const PairCount& pc : cells) {
-                if ((initiator_side ? pc.a : pc.b) < 2) spread.cells.push_back(pc);
-            }
-            cells = spread.cells;
-        }
-        std::vector<double> table(d * d, 0.0);
-        for (const PairCount& pc : cells) table[pc.a * d + pc.b] += static_cast<double>(pc.mult);
-        for (std::size_t a = 0; a < d; ++a) {
-            for (std::size_t b = 0; b < d; ++b) {
-                const double dev = table[a * d + b] - exact_mean(a, b);
-                mean[a * d + b].add(table[a * d + b]);
-                var[a * d + b].add(dev * dev);
-            }
-        }
-    }
-    for (std::size_t a = 0; a < d; ++a) {
-        for (std::size_t b = 0; b < d; ++b) {
-            EXPECT_LE(std::abs(mean[a * d + b].mean() - exact_mean(a, b)),
-                      5.0 * mean[a * d + b].sem())
-                << "E[N(" << a << ", " << b << ")]";
-            EXPECT_LE(std::abs(var[a * d + b].mean() - exact_var(a, b)),
-                      5.0 * var[a * d + b].sem())
-                << "Var N(" << a << ", " << b << ")";
-        }
-    }
 }
 
 TEST(GillespieFoldedLeap, OnlyProtocolsWithSharedPartnerClassesFold) {

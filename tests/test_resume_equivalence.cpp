@@ -152,23 +152,27 @@ INSTANTIATE_TEST_SUITE_P(Cells, ResumeEquivalence, ::testing::ValuesIn(resume_ce
 // pll at 2^20 on a seed whose election waits for the count-up timer
 // (stabilising at t ≈ 365), paused once in QuickElimination, where nearly
 // every leap folds, and once in the timer wait, where nearly every leap is
-// separable. The factorisation behind those choices — the self-determined
-// states and their partner classes — is not checkpointed; a resumed engine
-// rebuilds it from the live list and must decide and fold every later leap
-// as the uninterrupted run did. The seed moved from 2023 when
-// QuickElimination's leaps began to fold: on the folded stream 2023
-// settles in QuickElimination (t ≈ 15.3), and 2024 is the first seed from
-// 2023 up that still waits for the timer.
+// separable; and on a seed whose election settles in QuickElimination
+// (t ≈ 15.3), paused before it does. The factorisation behind those
+// choices — the self-determined states and their partner classes — is not
+// checkpointed; a resumed engine rebuilds it from the live list and must
+// decide and fold every later leap as the uninterrupted run did. The timer
+// seed moved from 2023 when QuickElimination's leaps began to fold: on the
+// folded stream 2023 settles in QuickElimination, and 2024 is the first
+// seed from 2023 up that still waits for the timer.
 constexpr std::size_t leap_regime_n = std::size_t{1} << 20U;
 constexpr std::uint64_t timer_election_seed = 2024;
+constexpr std::uint64_t quick_elimination_seed = 2023;
 
-void expect_leap_regime_resume(double pause_time, const std::string& tag) {
+/// Pauses pll at 2^20 on `seed` at `pause_time`, resumes the checkpoint and
+/// runs both to one leader, which must fall before `settles_by`.
+void expect_leap_regime_resume(std::uint64_t seed, double pause_time, const std::string& tag,
+                               double settles_by = 2000.0) {
     const std::size_t n = leap_regime_n;
     const auto budget = static_cast<StepCount>(n) * 2000;
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
 
-    const auto reference =
-        registry.make_simulation("pll", n, timer_election_seed, EngineKind::gillespie);
+    const auto reference = registry.make_simulation("pll", n, seed, EngineKind::gillespie);
     (void)reference->run_for(model_time_to_step(pause_time, n));
     ASSERT_GE(reference->leader_count(), 2U) << "the election must still be open at the pause";
 
@@ -180,17 +184,26 @@ void expect_leap_regime_resume(double pause_time, const std::string& tag) {
     const RunResult expected = reference->run_until_one_leader(budget);
     const RunResult actual = resumed->run_until_one_leader(budget);
     ASSERT_TRUE(expected.converged);
+    ASSERT_LT(*expected.stabilization_step, model_time_to_step(settles_by, n))
+        << "the election must settle by t = " << settles_by;
     EXPECT_EQ(actual.stabilization_step, expected.stabilization_step);
     expect_same_run_state(*resumed, *reference);
     std::filesystem::remove(path);
 }
 
 TEST(ResumeEquivalenceLeapRegime, PllGillespiePausedInQuickElimination) {
-    expect_leap_regime_resume(8.0, "quick_elimination");
+    expect_leap_regime_resume(timer_election_seed, 8.0, "quick_elimination");
 }
 
 TEST(ResumeEquivalenceLeapRegime, PllGillespiePausedInTheTimerWait) {
-    expect_leap_regime_resume(160.0, "timer_wait");
+    expect_leap_regime_resume(timer_election_seed, 160.0, "timer_wait");
+}
+
+TEST(ResumeEquivalenceLeapRegime, PllGillespieSettlingInQuickElimination) {
+    // The crossing to one leader falls in QuickElimination, among folded
+    // leaps: the resumed run must report the same stabilisation step.
+    expect_leap_regime_resume(quick_elimination_seed, 8.0, "settling_in_quick_elimination",
+                              26.0);
 }
 
 TEST(ResumeEquivalenceLeapRegime, RestoreIntoAnEngineThatRanAnotherSeed) {
