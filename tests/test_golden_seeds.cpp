@@ -26,11 +26,13 @@
 // the table rather than treating a mismatch as an engine bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
 
 #include "core/engine.hpp"
+#include "protocols/pll.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -97,6 +99,59 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenRun>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplay, ::testing::ValuesIn(golden_runs),
                          golden_name);
+
+// --- every PLL module on the agent engine ------------------------------------
+
+// The pll/agent cell above settles at step 770, about 6 parallel time into
+// epoch 1, so it never runs a timer wrap, the Tournament or BackUp. These
+// seeds settle in epochs 2, 3 and 4, so each stream crosses the count-up
+// wraps and colour epidemics and, in turn, one Tournament round, both
+// rounds, and BackUp. Same n, budget and engine as the table above.
+struct EpochGoldenRun {
+    std::uint64_t seed;
+    unsigned settling_epoch;
+    std::uint64_t stabilization_step;
+};
+
+void PrintTo(const EpochGoldenRun& run, std::ostream* os) {
+    *os << "pll/agent seed " << run.seed;
+}
+
+constexpr EpochGoldenRun epoch_golden_runs[] = {
+    {2026, 2, 16677ULL},
+    {2020, 3, 32493ULL},
+    {2036, 4, 49689ULL},
+};
+
+class GoldenSeedReplayPllEpochs : public ::testing::TestWithParam<EpochGoldenRun> {};
+
+TEST_P(GoldenSeedReplayPllEpochs, StabilizationStepIsPinned) {
+    const EpochGoldenRun& run = GetParam();
+    const std::size_t n = 128;
+    Engine<Pll> engine(Pll::for_population(n), n, run.seed);
+    const RunResult result =
+        engine.run_until_one_leader(static_cast<StepCount>(n) * n * 50);
+    ASSERT_TRUE(result.converged) << "golden run no longer converges";
+    ASSERT_TRUE(result.stabilization_step.has_value());
+    EXPECT_EQ(*result.stabilization_step, run.stabilization_step)
+        << "seeded replay semantics changed for pll on agent at seed " << run.seed
+        << " — if the change is intentional, update this table in the same commit";
+
+    // The population settles in the epoch the cell is meant to cover.
+    unsigned epoch = 0;
+    for (const PllState& s : engine.population().states()) {
+        epoch = std::max(epoch, Pll::epoch_of(s));
+    }
+    EXPECT_EQ(epoch, run.settling_epoch);
+}
+
+std::string epoch_golden_name(const ::testing::TestParamInfo<EpochGoldenRun>& info) {
+    return "epoch" + std::to_string(info.param.settling_epoch) + "_seed" +
+           std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, GoldenSeedReplayPllEpochs,
+                         ::testing::ValuesIn(epoch_golden_runs), epoch_golden_name);
 
 // --- the τ-leap regime ------------------------------------------------------
 
