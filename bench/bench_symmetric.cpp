@@ -1,8 +1,15 @@
 // E8 — Section 4 as a figure: the symmetric variant's coin substrate
 // (fairness + independence of J/K/F0/F1 flips) and the symmetric-vs-
 // asymmetric stabilisation-time comparison.
+//
+// The program asserts the reading guide it prints: it exits 1, naming each
+// failed claim on stderr, when a size's head fraction lies more than 4
+// standard errors from 0.5, a lag-1 correlation exceeds 0.05 in magnitude,
+// the #F0 = #F1 invariant breaks, or pll_symmetric's mean stabilisation
+// time exceeds 3x pll's at some n. Standard output is the figure alone.
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "analysis/estimators.hpp"
@@ -18,6 +25,7 @@ int main() {
     const unsigned scale = repro_scale();
 
     std::cout << "== E8: Section 4 — symmetric transitions and fair coins ==\n\n";
+    std::vector<std::string> failed_claims;
 
     // --- coin fairness ------------------------------------------------------
     TextTable coins;
@@ -41,6 +49,19 @@ int main() {
             format_double(report.lag1_correlation, 4),
             report.f0_f1_always_equal ? "yes" : "NO",
         });
+        const std::string at = " at n = " + std::to_string(n);
+        // Standard error of the head fraction of a fair coin.
+        const double standard_error = 0.5 / std::sqrt(static_cast<double>(report.flips));
+        if (report.flips == 0 || std::abs(report.head_fraction - 0.5) > 4.0 * standard_error) {
+            failed_claims.push_back("P(head) = " + format_double(report.head_fraction, 4) +
+                                    " lies more than 4 standard errors from 0.5" + at);
+        }
+        if (std::abs(report.lag1_correlation) > 0.05) {
+            failed_claims.push_back("|lag-1 correlation| = " +
+                                    format_double(std::abs(report.lag1_correlation), 4) +
+                                    " exceeds 0.05" + at);
+        }
+        if (!report.f0_f1_always_equal) failed_claims.push_back("#F0 = #F1 broke" + at);
     }
     std::cout << coins.render("J/K/F0/F1 substrate: leader coin observations") << "\n";
 
@@ -71,5 +92,17 @@ int main() {
               << "correlation and the #F0 = #F1 invariant never breaks, and (b) the\n"
               << "symmetric variant stays within a constant factor of PLL — the\n"
               << "overhead is the wait for minted coins and the duel tie-break.\n";
-    return 0;
+
+    for (std::size_t i = 0; i < sweeps[0].points.size(); ++i) {
+        const double ratio = sweeps[1].points[i].parallel_time.mean() /
+                             sweeps[0].points[i].parallel_time.mean();
+        if (!(ratio <= 3.0)) {
+            failed_claims.push_back("pll_symmetric's mean is " + format_double(ratio, 2) +
+                                    "x pll's at n = " + std::to_string(sweeps[0].points[i].n));
+        }
+    }
+    for (const std::string& claim : failed_claims) {
+        std::cerr << "E8 claim failed: " << claim << "\n";
+    }
+    return failed_claims.empty() ? 0 : 1;
 }

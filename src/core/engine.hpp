@@ -2,10 +2,13 @@
 /// \brief The simulation engine: applies scheduled interactions to a
 /// population and tracks convergence incrementally.
 ///
-/// The engine is templated on the protocol so the transition function is
-/// inlined into the interaction loop (tens of millions of interactions per
-/// second). Leader counts are maintained incrementally by re-evaluating the
-/// output map only for the two agents touched by each interaction.
+/// The engine is templated on the protocol, so a transition function
+/// defined in its header is inlined into the interaction loop (tens of
+/// millions of interactions per second). `pll` and `pll_symmetric` define
+/// theirs in their .cpp files, so each of their interactions pays one
+/// out-of-line call (`Pll::interact` in pll.cpp says why). Leader counts
+/// are maintained incrementally by re-evaluating the output map only for
+/// the two agents touched by each interaction.
 ///
 /// Stabilisation semantics: for every protocol in this library, "exactly one
 /// leader" is an *absorbing* predicate — followers never become leaders and

@@ -3,27 +3,61 @@
 #include <algorithm>
 #include <cmath>
 
+#include "pll_kernel.hpp"
+
 namespace ppsim {
 
 double PllConfig::log2_exact(double x) noexcept { return std::log2(x); }
 
-namespace {
+using pll_kernel::saturating_increment;
 
-/// min(x + 1, cap) on unsigned 16-bit values — the saturating increments of
-/// lines 9, 36, 45 and 52 (see fidelity note 1 in pll.hpp).
-[[nodiscard]] constexpr std::uint16_t saturating_increment(std::uint16_t x,
-                                                           unsigned cap) noexcept {
-    return x + 1U >= cap ? static_cast<std::uint16_t>(cap) : static_cast<std::uint16_t>(x + 1U);
+// --- Algorithm 3: QuickElimination --------------------------------------------
+
+// QuickElimination runs on every epoch-1 interaction, where an election
+// spends most of its time, and status A holds for about three agents in
+// four, independently on every step. Its guards are therefore flag
+// arithmetic on 0/1 words, each tested once for its rare event (a coin flip,
+// an epidemic step), and it is forced inline into interact, like CountUp
+// (pll_kernel.hpp).
+[[gnu::always_inline]] inline void Pll::quick_elimination(State& a0,
+                                                          State& a1) const noexcept {
+    const unsigned va0 = a0.status == PllStatus::a;
+    const unsigned va1 = a1.status == PllStatus::a;
+
+    // Lines 35–38: a leader that has not finished the lottery flips a coin
+    // whenever it meets a follower: initiator = head (levelQ += 1),
+    // responder = tail (done). At most one of the two flags is set.
+    const unsigned head = a0.leader & !a1.leader & !a0.done & va0;
+    const unsigned tail = a1.leader & !a0.leader & !a1.done & va1;
+    if ((head | tail) != 0) [[unlikely]] {
+        if (head != 0) {
+            a0.level_q = saturating_increment(a0.level_q, lmax_);  // line 36
+        } else {
+            a1.done = true;  // line 37
+        }
+    }
+
+    // Lines 39–42: one-way epidemic of the maximum levelQ across VA between
+    // agents that finished the lottery; the smaller side leaves the race.
+    const unsigned spread = va0 & va1 & a0.done & a1.done & (a0.level_q != a1.level_q);
+    if (spread != 0) [[unlikely]] {
+        State& smaller = a0.level_q < a1.level_q ? a0 : a1;
+        const State& larger = a0.level_q < a1.level_q ? a1 : a0;
+        smaller.leader = false;            // line 40
+        smaller.level_q = larger.level_q;  // line 41
+    }
 }
-
-[[nodiscard]] constexpr std::uint8_t next_color(std::uint8_t c) noexcept {
-    return static_cast<std::uint8_t>((c + 1U) % 3U);
-}
-
-}  // namespace
 
 // --- Algorithm 1: main routine ----------------------------------------------
 
+// interact stays out of line, here, and each agent step pays one call:
+// registry.cpp calls it from 15 sites (the agent and hybrid engines' three
+// run loops each, the count engines' transition caches, the gillespie
+// factorisation, the hybrid rule's census features and the type-erased
+// adapter). Forcing it inline there copies the kernel into every site and
+// did not make agent steps faster: over 10 alternating runs of 40 elections
+// at n = 4096 the inlined build won 4, its ns per step within ±6% of the
+// call's (GCC 12.2, -O3).
 void Pll::interact(State& a0, State& a1) const noexcept {
     // Lines 1–6: status assignment at an agent's first interaction.
     if (a0.status == PllStatus::x && a1.status == PllStatus::x) {
@@ -51,8 +85,8 @@ void Pll::interact(State& a0, State& a1) const noexcept {
     a0.tick = false;
     a1.tick = false;
 
-    // Line 8.
-    count_up(a0, a1);
+    // Line 8: CountUp (Algorithm 2).
+    pll_kernel::count_up(a0, a1, cmax_, PllStatus::b);
 
     // Line 9: a raised tick advances the epoch, saturating at 4.
     if (a0.tick && a0.epoch < 4) ++a0.epoch;
@@ -107,82 +141,29 @@ void Pll::initialize_epoch_variables(State& s) const noexcept {
     s.init = s.epoch;
 }
 
-// --- Algorithm 2: CountUp -----------------------------------------------------
-
-void Pll::count_up(State& a0, State& a1) const noexcept {
-    // Lines 23–29: every timer agent advances its count; a wrap-around to 0
-    // mints the next colour and raises the tick flag. Reducing only at or
-    // past cmax is (count + 1) mod cmax for every count, without a division
-    // per step.
-    const auto advance_timer = [&](State& s) {
-        if (s.status != PllStatus::b) return;
-        unsigned next = s.count + 1U;
-        if (next >= cmax_) next %= cmax_;
-        s.count = static_cast<std::uint16_t>(next);
-        if (s.count == 0) {
-            s.color = next_color(s.color);
-            s.tick = true;
-        }
-    };
-    advance_timer(a0);
-    advance_timer(a1);
-
-    // Lines 30–34: the newer colour (one step ahead cyclically) spreads by
-    // one-way epidemic; an adopting timer agent restarts its counter.
-    // At most one of the two directions can apply (c and c+2 differ mod 3).
-    const auto adopt_from = [&](State& behind, const State& ahead) {
-        behind.color = ahead.color;
-        behind.tick = true;
-        if (behind.status == PllStatus::b) behind.count = 0;
-    };
-    if (a1.color == next_color(a0.color)) {
-        adopt_from(a0, a1);
-    } else if (a0.color == next_color(a1.color)) {
-        adopt_from(a1, a0);
-    }
-}
-
-// --- Algorithm 3: QuickElimination --------------------------------------------
-
-void Pll::quick_elimination(State& a0, State& a1) const noexcept {
-    // Lines 35–38: a leader that has not finished the lottery flips a coin
-    // whenever it meets a follower: initiator = head (levelQ += 1),
-    // responder = tail (done). Exactly one agent can satisfy the guard.
-    if (a0.leader && !a1.leader && !a0.done && a0.status == PllStatus::a) {
-        a0.level_q = saturating_increment(a0.level_q, lmax_);  // line 36
-    } else if (a1.leader && !a0.leader && !a1.done && a1.status == PllStatus::a) {
-        a1.done = true;  // line 37
-    }
-
-    // Lines 39–42: one-way epidemic of the maximum levelQ across VA between
-    // agents that finished the lottery; the smaller side leaves the race.
-    if (a0.status == PllStatus::a && a1.status == PllStatus::a && a0.done && a1.done &&
-        a0.level_q != a1.level_q) {
-        State& smaller = a0.level_q < a1.level_q ? a0 : a1;
-        const State& larger = a0.level_q < a1.level_q ? a1 : a0;
-        smaller.leader = false;            // line 40
-        smaller.level_q = larger.level_q;  // line 41
-    }
-}
-
 // --- Algorithm 4: Tournament ----------------------------------------------------
 
 void Pll::tournament(State& a0, State& a1) const noexcept {
+    const unsigned va0 = a0.status == PllStatus::a;
+    const unsigned va1 = a1.status == PllStatus::a;
+
     // Lines 43–46: a leader that still owes coin flips appends one nonce bit
     // per meeting with a follower: bit 0 as initiator, bit 1 as responder.
-    if (a0.leader && !a1.leader && a0.index < phi_) {
-        a0.rand = static_cast<std::uint16_t>(2U * a0.rand + 0U);  // line 44 (i = 0)
-        a0.index = static_cast<std::uint8_t>(
-            saturating_increment(a0.index, phi_));  // line 45
-    } else if (a1.leader && !a0.leader && a1.index < phi_) {
-        a1.rand = static_cast<std::uint16_t>(2U * a1.rand + 1U);  // line 44 (i = 1)
-        a1.index = static_cast<std::uint8_t>(saturating_increment(a1.index, phi_));
+    // At most one of the two flags is set.
+    const unsigned flip0 = a0.leader & !a1.leader & (a0.index < phi_);
+    const unsigned flip1 = a1.leader & !a0.leader & (a1.index < phi_);
+    if ((flip0 | flip1) != 0) [[unlikely]] {
+        State& flipper = flip0 != 0 ? a0 : a1;
+        flipper.rand = static_cast<std::uint16_t>(2U * flipper.rand + flip1);  // line 44
+        flipper.index = static_cast<std::uint8_t>(
+            saturating_increment(flipper.index, phi_));  // line 45
     }
 
     // Lines 47–50: one-way epidemic of the maximum finished nonce across VA;
     // a finished leader holding a smaller nonce leaves the race.
-    if (a0.status == PllStatus::a && a1.status == PllStatus::a && a0.index == phi_ &&
-        a1.index == phi_ && a0.rand != a1.rand) {
+    const unsigned spread =
+        va0 & va1 & (a0.index == phi_) & (a1.index == phi_) & (a0.rand != a1.rand);
+    if (spread != 0) [[unlikely]] {
         State& smaller = a0.rand < a1.rand ? a0 : a1;
         const State& larger = a0.rand < a1.rand ? a1 : a0;
         smaller.leader = false;        // line 48
@@ -195,14 +176,15 @@ void Pll::tournament(State& a0, State& a1) const noexcept {
 void Pll::back_up(State& a0, State& a1) const noexcept {
     // Lines 51–53: a leader whose tick was raised in this very interaction
     // flips one coin against a follower; head = initiator = climb a level.
-    if (a0.tick && a0.leader && !a1.leader) {
+    if ((a0.tick & a0.leader & !a1.leader) != 0) [[unlikely]] {
         a0.level_b = saturating_increment(a0.level_b, lmax_);  // line 52
     }
 
     // Lines 54–57: one-way epidemic of the maximum levelB across VA; any VA
     // agent holding a smaller level adopts it and (if a leader) drops out.
-    if (a0.status == PllStatus::a && a1.status == PllStatus::a &&
-        a0.level_b != a1.level_b) {
+    const unsigned spread = (a0.status == PllStatus::a) & (a1.status == PllStatus::a) &
+                            (a0.level_b != a1.level_b);
+    if (spread != 0) [[unlikely]] {
         State& smaller = a0.level_b < a1.level_b ? a0 : a1;
         const State& larger = a0.level_b < a1.level_b ? a1 : a0;
         smaller.level_b = larger.level_b;  // line 55
@@ -211,7 +193,7 @@ void Pll::back_up(State& a0, State& a1) const noexcept {
 
     // Line 58: two surviving leaders (necessarily equal levelB after lines
     // 54–57) resolve by the classic rule — the responder drops out.
-    if (a0.leader && a1.leader) a1.leader = false;
+    if ((a0.leader & a1.leader) != 0) [[unlikely]] a1.leader = false;
 }
 
 // --- state accounting ------------------------------------------------------------

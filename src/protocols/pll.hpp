@@ -85,7 +85,8 @@ struct PllConfig {
     /// D3: level cap multiplier — the paper's lmax = 5·m.
     unsigned lmax_multiplier = 5;
 
-    /// D2: overrides Φ when non-zero (the paper uses ⌈(2/3)·lg m⌉).
+    /// D2: overrides Φ when non-zero (the paper uses ⌈(2/3)·lg m⌉); the
+    /// protocols reject an override above max_phi.
     unsigned phi_override = 0;
 
     /// D4: module composition — disabling a fast module leaves its epoch idle.
@@ -106,9 +107,12 @@ struct PllConfig {
     /// cmax = 41m — period of the B-agents' count-up timer.
     [[nodiscard]] unsigned cmax() const noexcept { return cmax_multiplier * m; }
 
+    /// Largest Φ a state may carry.
+    static constexpr unsigned max_phi = 12;
+
     /// Φ = ⌈(2/3)·lg m⌉ — number of nonce bits drawn per Tournament epoch.
     [[nodiscard]] unsigned phi() const noexcept {
-        if (phi_override != 0) return phi_override > 12 ? 12 : phi_override;
+        if (phi_override != 0) return phi_override;
         // ceil((2/3)·lg m), evaluated in floating point — m ≤ 2^32 keeps
         // this exact in double precision.
         const double lg_m = log2_exact(m);
@@ -116,6 +120,20 @@ struct PllConfig {
         auto phi = static_cast<unsigned>(raw);
         if (static_cast<double>(phi) < raw) ++phi;
         return phi < 1 ? 1 : phi;
+    }
+
+    /// Rejects parameters the agent state cannot represent: cmax must fit
+    /// the 16-bit timer, lmax the 16-bit levels, and Φ must lie in
+    /// [1, max_phi]. Both PLL protocols check this on construction.
+    void require_representable() const {
+        require(m >= 2, "PLL requires m >= 2");
+        require(cmax() >= 2 && cmax() < 65536,
+                "timer period cmax out of the representable range");
+        require(lmax() >= 1 && lmax() < 65535,
+                "level cap lmax out of the representable range");
+        require(phi() >= 1 && phi() <= max_phi,
+                "nonce width phi = " + std::to_string(phi()) + " exceeds the limit of " +
+                    std::to_string(max_phi));
     }
 
     /// Validates the configuration against a population size: the paper
@@ -164,13 +182,7 @@ public:
           cmax_(config.cmax()),
           lmax_(config.lmax()),
           phi_(static_cast<std::uint8_t>(config.phi())) {
-        require(config.m >= 2, "PLL requires m >= 2");
-        require(config.cmax() >= 2 && config.cmax() < 65536,
-                "timer period cmax out of the representable range");
-        require(config.lmax() >= 1 && config.lmax() < 65535,
-                "level cap lmax out of the representable range");
-        require(config.phi() >= 1 && config.phi() <= 12,
-                "nonce width phi out of the representable range");
+        config.require_representable();
     }
 
     /// Convenience: the paper's parameterisation for population size n.
@@ -224,7 +236,6 @@ public:
     }
 
 private:
-    void count_up(State& a0, State& a1) const noexcept;                // Algorithm 2
     void quick_elimination(State& a0, State& a1) const noexcept;       // Algorithm 3
     void tournament(State& a0, State& a1) const noexcept;              // Algorithm 4
     void back_up(State& a0, State& a1) const noexcept;                 // Algorithm 5

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
+#include "pll_kernel.hpp"
+
 namespace ppsim {
 
+using pll_kernel::saturating_increment;
+
 namespace {
-
-[[nodiscard]] constexpr std::uint16_t saturating_increment(std::uint16_t x,
-                                                           unsigned cap) noexcept {
-    return x + 1U >= cap ? static_cast<std::uint16_t>(cap) : static_cast<std::uint16_t>(x + 1U);
-}
-
-[[nodiscard]] constexpr std::uint8_t next_color(std::uint8_t c) noexcept {
-    return static_cast<std::uint8_t>((c + 1U) % 3U);
-}
 
 /// Demotes a leader to follower: Section 4 assigns every fresh follower the
 /// coin status J; the duel bit dies with leadership.
@@ -40,13 +35,16 @@ void demote_to_follower(SymPllState& s) noexcept {
 }  // namespace
 
 void SymmetricPll::interact(State& a0, State& a1) const noexcept {
-    assign_status(a0, a1);
+    // Status assignment acts only on X and Y agents, which are all gone
+    // within the first few parallel time units, so the call is made only
+    // when one of the two agents is X or Y.
+    if (!(assigned(a0) && assigned(a1))) [[unlikely]] assign_status(a0, a1);
 
     // Transient tick flags, as in the asymmetric protocol (line 7).
     a0.tick = false;
     a1.tick = false;
 
-    count_up(a0, a1);
+    pll_kernel::count_up(a0, a1, cmax_, SymStatus::b);
 
     // Epoch advance on tick + pairwise synchronisation (lines 9–10).
     if (a0.tick && a0.epoch < 4) ++a0.epoch;
@@ -116,7 +114,7 @@ void SymmetricPll::initialize_candidate_variables(State& s, bool as_leader) cons
     switch (s.epoch) {
         case 1: s.done = !as_leader; break;
         case 2:
-        case 3: s.index = as_leader ? 0 : static_cast<std::uint8_t>(phi_); break;
+        case 3: s.index = as_leader ? 0 : phi_; break;
         default: break;  // epoch 4: levelB = 0 for everyone
     }
     s.init = s.epoch;
@@ -126,7 +124,7 @@ void SymmetricPll::initialize_group_variables(State& s) const noexcept {
     if (s.status == SymStatus::a) {
         if (s.epoch == 2 || s.epoch == 3) {
             s.rand = 0;
-            s.index = s.leader ? 0 : static_cast<std::uint8_t>(phi_);
+            s.index = s.leader ? 0 : phi_;
             s.level_q = 0;
             s.done = false;
         } else if (s.epoch == 4) {
@@ -139,34 +137,6 @@ void SymmetricPll::initialize_group_variables(State& s) const noexcept {
         }
     }
     s.init = s.epoch;
-}
-
-void SymmetricPll::count_up(State& a0, State& a1) const noexcept {
-    // Reducing only at or past cmax is (count + 1) mod cmax for every
-    // count, without a division per step.
-    const auto advance_timer = [&](State& s) {
-        if (s.status != SymStatus::b) return;
-        unsigned next = s.count + 1U;
-        if (next >= cmax_) next %= cmax_;
-        s.count = static_cast<std::uint16_t>(next);
-        if (s.count == 0) {
-            s.color = next_color(s.color);
-            s.tick = true;
-        }
-    };
-    advance_timer(a0);
-    advance_timer(a1);
-
-    const auto adopt_from = [&](State& behind, const State& ahead) {
-        behind.color = ahead.color;
-        behind.tick = true;
-        if (behind.status == SymStatus::b) behind.count = 0;
-    };
-    if (a1.color == next_color(a0.color)) {
-        adopt_from(a0, a1);
-    } else if (a0.color == next_color(a1.color)) {
-        adopt_from(a1, a0);
-    }
 }
 
 void SymmetricPll::coin_substrate(State& a0, State& a1) const noexcept {
@@ -189,8 +159,11 @@ void SymmetricPll::coin_substrate(State& a0, State& a1) const noexcept {
     }
 }
 
-void SymmetricPll::quick_elimination(State& a0, State& a1) const noexcept {
-
+// The three modules are forced inline into interact, as CountUp is
+// (pll_kernel.hpp), so that an interaction between two assigned agents makes
+// no call. Each is a tail call otherwise.
+[[gnu::always_inline]] inline void SymmetricPll::quick_elimination(State& a0,
+                                                                   State& a1) const noexcept {
     // Lottery flips via the coin substrate: F0 = head, F1 = tail, J/K = no
     // observation (the leader waits for a minted coin).
     if (State* leader = sole_leader(a0, a1); leader != nullptr && !leader->done) {
@@ -213,22 +186,21 @@ void SymmetricPll::quick_elimination(State& a0, State& a1) const noexcept {
     }
 }
 
-void SymmetricPll::tournament(State& a0, State& a1) const noexcept {
-    const auto phi = static_cast<std::uint8_t>(phi_);
-
-    if (State* leader = sole_leader(a0, a1); leader != nullptr && leader->index < phi) {
+[[gnu::always_inline]] inline void SymmetricPll::tournament(State& a0,
+                                                            State& a1) const noexcept {
+    if (State* leader = sole_leader(a0, a1); leader != nullptr && leader->index < phi_) {
         const State& follower = partner_of(leader, a0, a1);
         if (follower.coin == CoinStatus::f0) {
             leader->rand = static_cast<std::uint16_t>(2U * leader->rand);
-            leader->index = static_cast<std::uint8_t>(saturating_increment(leader->index, phi));
+            leader->index = static_cast<std::uint8_t>(saturating_increment(leader->index, phi_));
         } else if (follower.coin == CoinStatus::f1) {
             leader->rand = static_cast<std::uint16_t>(2U * leader->rand + 1U);
-            leader->index = static_cast<std::uint8_t>(saturating_increment(leader->index, phi));
+            leader->index = static_cast<std::uint8_t>(saturating_increment(leader->index, phi_));
         }
     }
 
-    if (a0.status == SymStatus::a && a1.status == SymStatus::a && a0.index == phi &&
-        a1.index == phi && a0.rand != a1.rand) {
+    if (a0.status == SymStatus::a && a1.status == SymStatus::a && a0.index == phi_ &&
+        a1.index == phi_ && a0.rand != a1.rand) {
         State& smaller = a0.rand < a1.rand ? a0 : a1;
         const State& larger = a0.rand < a1.rand ? a1 : a0;
         smaller.rand = larger.rand;
@@ -236,8 +208,8 @@ void SymmetricPll::tournament(State& a0, State& a1) const noexcept {
     }
 }
 
-void SymmetricPll::back_up(State& a0, State& a1) const noexcept {
-
+[[gnu::always_inline]] inline void SymmetricPll::back_up(State& a0,
+                                                         State& a1) const noexcept {
     if (State* leader = sole_leader(a0, a1); leader != nullptr) {
         const State& follower = partner_of(leader, a0, a1);
         // One coin per synchroniser tick: F0 = head = climb one level.

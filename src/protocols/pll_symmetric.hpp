@@ -93,8 +93,11 @@ public:
     using State = SymPllState;
 
     explicit SymmetricPll(PllConfig config)
-        : config_(config), cmax_(config.cmax()), lmax_(config.lmax()), phi_(config.phi()) {
-        require(config.m >= 2, "symmetric PLL requires m >= 2");
+        : config_(config),
+          cmax_(config.cmax()),
+          lmax_(config.lmax()),
+          phi_(static_cast<std::uint8_t>(config.phi())) {
+        config.require_representable();
     }
 
     [[nodiscard]] static SymmetricPll for_population(std::size_t n) {
@@ -134,7 +137,6 @@ private:
     void assign_status(State& a0, State& a1) const noexcept;
     void initialize_candidate_variables(State& s, bool as_leader) const noexcept;
     void initialize_group_variables(State& s) const noexcept;
-    void count_up(State& a0, State& a1) const noexcept;
     void coin_substrate(State& a0, State& a1) const noexcept;
     void quick_elimination(State& a0, State& a1) const noexcept;
     void tournament(State& a0, State& a1) const noexcept;
@@ -144,7 +146,7 @@ private:
     // cmax, lmax and Φ of config_, computed once: Φ takes a log2.
     unsigned cmax_;
     unsigned lmax_;
-    unsigned phi_;
+    std::uint8_t phi_;
 };
 
 static_assert(sizeof(SymPllState) <= 24, "symmetric PLL state should stay within 24 bytes");

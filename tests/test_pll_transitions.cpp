@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "protocols/pll.hpp"
+#include "protocols/pll_symmetric.hpp"
 
 namespace ppsim {
 namespace {
@@ -640,6 +642,35 @@ TEST(PllConfig, ForPopulationSatisfiesThePapersRequirement) {
     PllConfig tiny;
     tiny.m = 3;
     EXPECT_THROW(tiny.validate(1U << 20U), InvalidArgument);
+}
+
+TEST(PllConfig, RejectsAPhiOverrideAboveTheLimit) {
+    PllConfig cfg = test_config();
+    cfg.phi_override = PllConfig::max_phi;
+    EXPECT_EQ(Pll(cfg).config().phi(), 12U);
+
+    cfg.phi_override = PllConfig::max_phi + 1;
+    try {
+        (void)Pll(cfg);
+        ADD_FAILURE() << "Pll accepted phi_override = 13";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("limit of 12"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)SymmetricPll(cfg), InvalidArgument);
+}
+
+// The symmetric protocol keeps its timer and levels in the same 16-bit fields,
+// so it takes the same limits as Pll.
+TEST(PllConfig, BothProtocolsRejectTimersAndLevelsPastTheirFields) {
+    PllConfig long_timer = test_config();
+    long_timer.cmax_multiplier = 65536 / long_timer.m;  // cmax = 65536
+    EXPECT_THROW((void)Pll(long_timer), InvalidArgument);
+    EXPECT_THROW((void)SymmetricPll(long_timer), InvalidArgument);
+
+    PllConfig high_cap = test_config();
+    high_cap.lmax_multiplier = 65535 / high_cap.m + 1;  // lmax ≥ 65535
+    EXPECT_THROW((void)Pll(high_cap), InvalidArgument);
+    EXPECT_THROW((void)SymmetricPll(high_cap), InvalidArgument);
 }
 
 TEST(PllStateAccounting, BoundGrowsLinearlyInM) {
