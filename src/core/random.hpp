@@ -134,6 +134,32 @@ private:
 /// The generator type used by the scheduler and all experiment drivers.
 using Rng = Xoshiro256pp;
 
+/// One accepted draw of Lemire's multiply-shift method for a bound:
+/// `value` = ⌊word·bound / 2^64⌋, uniform in [0, bound).
+struct LemireDraw {
+    std::uint64_t word;   ///< the accepted generator output
+    std::uint64_t value;  ///< the sample
+};
+
+/// The rejection loop of Lemire's method, for bound ≥ 1: draws words until
+/// the low half of word·bound lies outside the rejection zone. Its one
+/// division is taken only inside the zone. Forced inline, so that a caller
+/// that reads only `value` compiles as if the loop were written in place.
+template <typename Generator>
+[[nodiscard]] [[gnu::always_inline]] constexpr LemireDraw lemire_draw(
+    Generator& gen, std::uint64_t bound) noexcept {
+    while (true) {
+        const std::uint64_t x = gen();
+        const unsigned __int128 m =
+            static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(bound);
+        const auto low = static_cast<std::uint64_t>(m);
+        if (low >= bound) return {x, static_cast<std::uint64_t>(m >> 64U)};
+        // Rejection zone: only entered with probability < bound / 2^64.
+        const std::uint64_t threshold = (0ULL - bound) % bound;
+        if (low >= threshold) return {x, static_cast<std::uint64_t>(m >> 64U)};
+    }
+}
+
 /// Unbiased sampling of an integer in [0, bound) by Lemire's multiply-shift
 /// rejection method. Identical output on every platform for a given stream.
 template <typename Generator>
@@ -141,16 +167,7 @@ template <typename Generator>
     // bound == 0 would be a caller bug; map it to 0 deterministically rather
     // than dividing by zero (callers validate in debug builds).
     if (bound == 0) return 0;
-    while (true) {
-        const std::uint64_t x = gen();
-        const unsigned __int128 m =
-            static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(bound);
-        const auto low = static_cast<std::uint64_t>(m);
-        if (low >= bound) return static_cast<std::uint64_t>(m >> 64U);
-        // Rejection zone: only entered with probability < bound / 2^64.
-        const std::uint64_t threshold = (0ULL - bound) % bound;
-        if (low >= threshold) return static_cast<std::uint64_t>(m >> 64U);
-    }
+    return lemire_draw(gen, bound).value;
 }
 
 /// Samples an integer in the closed range [lo, hi].

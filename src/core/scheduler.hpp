@@ -37,15 +37,21 @@ public:
         set_population_size(n);
     }
 
-    /// Draws the next interaction: one unbiased draw in [0, n(n−1)) indexes
-    /// the ordered pair (the quotient picks the initiator, the remainder the
-    /// responder among the other n−1 agents), so both orderings of each pair
-    /// are equally likely. The skip over the initiator is an add, not a
-    /// branch, and the call is inlined whatever the caller's inlining budget.
+    /// Draws the next interaction: one unbiased draw r = ⌊x·n(n−1) / 2^64⌋
+    /// in [0, n(n−1)) (Lemire's method, accepted word x) indexes the ordered
+    /// pair: the quotient ⌊r / (n−1)⌋ picks the initiator and the remainder
+    /// the responder among the other n−1 agents, so both orderings of each
+    /// pair are equally likely. Since ⌊⌊y⌋ / m⌋ = ⌊y / m⌋ for every integer
+    /// m ≥ 1, the quotient is ⌊x·n / 2^64⌋, the high half of one more
+    /// multiply, and the remainder is r minus the quotient times n−1: the
+    /// same pair as dividing, without a division. The skip over the
+    /// initiator is an add, not a branch, and the call is inlined whatever
+    /// the caller's inlining budget.
     [[nodiscard]] [[gnu::always_inline]] Interaction next() noexcept {
-        const std::uint64_t r = uniform_below(rng_, ordered_pairs_);
-        const auto a = static_cast<AgentId>(r / (n_ - 1));
-        auto b = static_cast<AgentId>(r % (n_ - 1));
+        const LemireDraw r = lemire_draw(rng_, ordered_pairs_);
+        const auto a = static_cast<AgentId>(
+            (static_cast<unsigned __int128>(r.word) * static_cast<unsigned __int128>(n_)) >> 64U);
+        auto b = static_cast<AgentId>(r.value - a * (n_ - 1));
         b += static_cast<AgentId>(b >= a);
         return Interaction{a, b};
     }

@@ -89,6 +89,35 @@ TEST(UniformScheduler, RolesWithinPairsAreFair) {
     EXPECT_NEAR(forward / total, 0.5, 0.05);
 }
 
+// next() finds the initiator ⌊r/(n−1)⌋ of the draw r in [0, n(n−1)) with a
+// multiply, not a division. Check each pair against the division on a copy
+// of the stream, at both ends of the population range: the golden seeds all
+// run at n = 128, while the identity has least room to spare near 2^32.
+TEST(UniformScheduler, PairsEqualTheQuotientAndRemainderOfOneDraw) {
+    const std::uint64_t sizes[] = {2, 3, 4096, (std::uint64_t{1} << 31U) + 1,
+                                   max_agent_population};
+    for (const std::uint64_t n : sizes) {
+        UniformScheduler scheduler(n, 2019 + n);
+        Rng stream = scheduler.rng();
+        int mismatches = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t r = uniform_below(stream, n * (n - 1));
+            const auto initiator = static_cast<AgentId>(r / (n - 1));
+            auto responder = static_cast<AgentId>(r % (n - 1));
+            if (responder >= initiator) ++responder;
+            const Interaction pair = scheduler.next();
+            if (pair != Interaction{initiator, responder} && ++mismatches <= 3) {
+                ADD_FAILURE() << "n = " << n << ", draw " << i << ": next() gave ("
+                              << pair.initiator << ", " << pair.responder << "), division ("
+                              << initiator << ", " << responder << ")";
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << "n = " << n;
+        // Both consumed the same words, so the streams end in step.
+        EXPECT_EQ(scheduler.rng().state(), stream.state()) << "n = " << n;
+    }
+}
+
 TEST(RecordedSchedule, AppendsAndIndexes) {
     RecordedSchedule schedule;
     EXPECT_TRUE(schedule.empty());
