@@ -14,7 +14,6 @@
 #include <ostream>
 #include <set>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
