@@ -35,7 +35,7 @@ AblationOutcome run_config(const PllConfig& cfg, std::size_t n, std::size_t reps
     std::vector<double> times(reps, -1.0);
     const auto budget = static_cast<StepCount>(
         budget_factor * static_cast<double>(n) * std::log2(static_cast<double>(n)));
-    ThreadPool::parallel_for(reps, 0, [&](std::size_t rep) {
+    shared_pool().for_each(reps, [&](std::size_t rep) {
         Engine<Pll> engine(Pll(cfg), n, derive_seed(seed, rep));
         const RunResult r = engine.run_until_one_leader(budget);
         if (r.converged && r.stabilization_step) {

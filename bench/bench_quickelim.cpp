@@ -25,7 +25,7 @@ int main() {
 
     bool all_ok = true;
     for (const std::size_t n : std::vector<std::size_t>{256, 1024, 4096}) {
-        const SurvivorDistribution dist = survivor_distribution(n, runs, 0xE5 + n, 0);
+        const SurvivorDistribution dist = survivor_distribution(n, runs, 0xE5 + n);
 
         TextTable table;
         table.add_column("survivors i");

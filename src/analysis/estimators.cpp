@@ -50,22 +50,18 @@ QuickElimObservation observe_quick_elimination(std::size_t n, std::uint64_t seed
 }
 
 SurvivorDistribution survivor_distribution(std::size_t n, std::size_t runs,
-                                           std::uint64_t seed, std::size_t threads) {
+                                           std::uint64_t seed) {
     SurvivorDistribution dist;
     dist.runs = runs;
     std::mutex merge_mutex;
-    shared_pool().for_each(
-        runs,
-        [&](std::size_t rep) {
-            const QuickElimObservation obs =
-                observe_quick_elimination(n, derive_seed(seed, rep));
-            const std::lock_guard lock(merge_mutex);
-            dist.counts.add(obs.leaders);
-            if (!obs.all_in_first_epoch) ++dist.epoch_violations;
-            if (obs.any_level_capped) ++dist.cap_violations;
-            if (!obs.all_done_and_agreed) ++dist.agreement_violations;
-        },
-        threads);
+    shared_pool().for_each(runs, [&](std::size_t rep) {
+        const QuickElimObservation obs = observe_quick_elimination(n, derive_seed(seed, rep));
+        const std::lock_guard lock(merge_mutex);
+        dist.counts.add(obs.leaders);
+        if (!obs.all_in_first_epoch) ++dist.epoch_violations;
+        if (obs.any_level_capped) ++dist.cap_violations;
+        if (!obs.all_done_and_agreed) ++dist.agreement_violations;
+    });
     return dist;
 }
 

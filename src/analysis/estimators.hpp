@@ -39,8 +39,7 @@ struct SurvivorDistribution {
     std::size_t agreement_violations = 0;  ///< runs where VA had not agreed yet
 };
 [[nodiscard]] SurvivorDistribution survivor_distribution(std::size_t n, std::size_t runs,
-                                                         std::uint64_t seed,
-                                                         std::size_t threads = 0);
+                                                         std::uint64_t seed);
 
 /// Synchroniser trace of one PLL run (Lemma 6 / the CountUp machinery):
 /// when colours first change and when the population completes each epoch.

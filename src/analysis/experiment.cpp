@@ -62,10 +62,8 @@ SweepResult run_sweep(const SweepConfig& config) {
         const StepCount max_steps = budget(n);
 
         std::mutex merge_mutex;
-        // Repetitions fan out over the process-wide shared pool.
-        const std::size_t hw =
-            std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        const std::size_t rep_threads = config.threads == 0 ? hw : config.threads;
+        // Repetitions fan out over the process-wide shared team; a
+        // repetition's error is rethrown here once every helper has joined.
         shared_pool().for_each(
             config.repetitions,
             [&](std::size_t rep) {
@@ -132,7 +130,7 @@ SweepResult run_sweep(const SweepConfig& config) {
                     }
                 }
             },
-            rep_threads);
+            config.threads);
         // Repetitions merge in completion order; sort for reproducible output.
         std::sort(point.recovery_rows.begin(), point.recovery_rows.end(),
                   [](const RecoveryRow& a, const RecoveryRow& b) {

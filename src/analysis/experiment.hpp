@@ -34,10 +34,10 @@ struct SweepConfig {
     std::vector<std::size_t> sizes; ///< population sizes n
     std::size_t repetitions = 30;   ///< runs per size
     std::uint64_t seed = 0xACE1ULL; ///< root seed; rep i uses derive_seed(seed, i)
-    /// Worker cap for the repetition fan-out (0 = hardware concurrency).
-    /// Repetitions run on the process-wide shared pool (core/thread_pool.hpp);
-    /// each repetition is one sequential run, so its result depends on its
-    /// seed, never on this cap or on scheduling.
+    /// Cap on the threads running repetitions, the caller included (0 = the
+    /// hardware thread count). Repetitions fan out on the process-wide team
+    /// (core/thread_pool.hpp); each is one sequential run, so its result
+    /// depends on its seed, never on this cap or on scheduling.
     std::size_t threads = 0;
     /// Simulation back-end: per-interaction agent engine, count-based
     /// batched engine, reaction-rate gillespie engine, or the adaptive
@@ -66,11 +66,13 @@ struct SweepConfig {
     /// run; the returned observer is attached to that run's Simulation and
     /// destroyed right after it completes. Use for per-repetition
     /// instrumentation: trajectories (a TrajectoryRecorder), milestones,
-    /// snapshots. Concurrency contract: repetitions run on a thread pool, so
-    /// the factory and each observer's observe()/finish() execute on worker
-    /// threads with no lock held — harvest results in the factory-created
-    /// observer's destructor or behind your own mutex, and keep any state
-    /// captured by the factory synchronised.
+    /// snapshots. Concurrency contract: repetitions run concurrently on the
+    /// calling thread and its helpers, so the factory and each observer's
+    /// observe()/finish() execute with no lock held — harvest results in the
+    /// factory-created observer's destructor or behind your own mutex, and
+    /// keep any state captured by the factory synchronised. An exception
+    /// from the factory or an observer ends the sweep: run_sweep rethrows it
+    /// once every repetition already started has finished.
     std::function<std::unique_ptr<SimulationObserver>(std::size_t, std::size_t)>
         make_observer;
 };
@@ -123,7 +125,8 @@ struct SweepResult {
     [[nodiscard]] LinearFit fit_power_law() const;
 };
 
-/// Runs the sweep described by `config` (parallel across repetitions).
+/// Runs the sweep described by `config` (parallel across repetitions). The
+/// first error a repetition throws is rethrown once the fan-out has joined.
 [[nodiscard]] SweepResult run_sweep(const SweepConfig& config);
 
 /// One seeded election with trajectory capture: runs `protocol` on `n`

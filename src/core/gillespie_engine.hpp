@@ -551,9 +551,6 @@ public:
     /// propensity ratios c_a·(c_b − [a = b])·rate(a, b).
     void enable_channel_tally() noexcept { tally_enabled_ = true; }
 
-    /// Clears the tally (e.g. after a warm-up phase).
-    void clear_channel_tally() { tally_.clear(); }
-
     /// The firing tally as (initiator key, responder key, fired) rows,
     /// sorted by key pair for deterministic comparison.
     [[nodiscard]] std::vector<ChannelFiredCount> channel_tally() const {

@@ -39,8 +39,6 @@ public:
     /// Plot x on a log2 axis (useful when x spans octaves of n).
     void set_log2_x(bool enabled) { log2_x_ = enabled; }
 
-    [[nodiscard]] std::size_t series_count() const noexcept { return series_.size(); }
-
     /// Renders a width×height character canvas with axes, tick labels and a
     /// legend line per series.
     [[nodiscard]] std::string render(std::size_t width = 72, std::size_t height = 20) const;

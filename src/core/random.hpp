@@ -9,8 +9,9 @@
 /// We provide two generators:
 ///  * SplitMix64 — tiny, used for seeding and for cheap auxiliary streams;
 ///  * Xoshiro256pp (xoshiro256++) — the main generator: 256-bit state,
-///    period 2^256 − 1, passes BigCrush, and supports `jump()` for creating
-///    2^128-decorrelated parallel streams (one per worker thread).
+///    period 2^256 − 1, passes BigCrush. Every independent stream (a
+///    repetition's, an engine's fault and thinning streams, a hybrid
+///    segment's) is seeded through `derive_seed`.
 ///
 /// Both satisfy the C++ UniformRandomBitGenerator concept so they compose
 /// with <random> distributions, but hot paths use the bias-free bounded
@@ -84,31 +85,6 @@ public:
         state_[2] ^= t;
         state_[3] = rotl(state_[3], 45);
         return result;
-    }
-
-    /// Advances the state by 2^128 steps: calling jump() k times on copies of
-    /// one generator yields k streams that never overlap in any feasible run.
-    constexpr void jump() noexcept {
-        constexpr std::array<std::uint64_t, 4> jump_poly = {
-            0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-            0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
-        std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-        for (std::uint64_t word : jump_poly) {
-            for (unsigned bit = 0; bit < 64; ++bit) {
-                if ((word & (1ULL << bit)) != 0) {
-                    for (std::size_t i = 0; i < 4; ++i) acc[i] ^= state_[i];
-                }
-                (*this)();
-            }
-        }
-        state_ = acc;
-    }
-
-    /// Returns a copy jumped `index + 1` times: stream #0, #1, ... for workers.
-    [[nodiscard]] constexpr Xoshiro256pp split(unsigned index) const noexcept {
-        Xoshiro256pp child = *this;
-        for (unsigned i = 0; i <= index; ++i) child.jump();
-        return child;
     }
 
     /// The raw 256-bit state, for checkpointing a stream position.

@@ -31,9 +31,6 @@ public:
     /// Appends a horizontal separator row.
     void add_separator();
 
-    [[nodiscard]] std::size_t column_count() const noexcept { return headings_.size(); }
-    [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
     /// Renders the table with an optional title line above it.
     [[nodiscard]] std::string render(std::string_view title = {}) const;
 

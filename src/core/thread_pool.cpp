@@ -2,163 +2,53 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
-#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace ppsim {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-    if (threads == 0) {
-        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-ThreadPool::~ThreadPool() {
-    {
-        const std::lock_guard lock(mutex_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-    {
-        const std::lock_guard lock(mutex_);
-        ensure(!stopping_, "submit on a stopping ThreadPool");
-        queue_.push_back(std::move(task));
-    }
-    wake_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock lock(mutex_);
-    idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock lock(mutex_);
-            wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty()) return;  // stopping and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++in_flight_;
-        }
-        // The documented submit contract: tasks must not throw. Catch-and-
-        // terminate here makes the contract explicit and testable instead of
-        // relying on the implicit std::thread terminate path.
-        try {
-            task();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "ppsim: exception escaped a ThreadPool task: %s\n",
-                         e.what());
-            std::terminate();
-        } catch (...) {
-            std::fprintf(stderr, "ppsim: exception escaped a ThreadPool task\n");
-            std::terminate();
-        }
-        {
-            const std::lock_guard lock(mutex_);
-            --in_flight_;
-        }
-        idle_.notify_all();
-    }
-}
-
-namespace {
-
-/// Shared state of one for_each call. Helpers submitted to the pool hold a
-/// shared_ptr: a helper that only gets scheduled after the call returned
-/// finds `next >= count` and exits without touching `fn` (which lives in
-/// here, copied, precisely so a late helper never dereferences a dead frame).
-struct ForEachControl {
-    std::function<void(std::size_t)> fn;
-    std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mutex;
-    std::condition_variable all_done;
-
-    /// Claims and runs indices until none remain. Every claimed index is
-    /// completed before the owning for_each returns (the caller waits on
-    /// `done`), so `fn` is alive for the whole body.
-    void run() {
-        while (true) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count) return;
-            fn(i);
-            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-                { const std::lock_guard lock(mutex); }  // pair with the waiter
-                all_done.notify_all();
-            }
-        }
-    }
-};
-
-}  // namespace
-
 void ThreadPool::for_each(std::size_t count, const std::function<void(std::size_t)>& fn,
-                          std::size_t max_concurrency) {
-    if (count == 0) return;
-    std::size_t helpers = std::min(workers_.size(), count - 1);
-    if (max_concurrency != 0) {
-        helpers = std::min(helpers, max_concurrency - 1);
-    }
-    if (helpers == 0) {  // inline path: nothing to coordinate
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-        return;
-    }
-    auto ctl = std::make_shared<ForEachControl>();
-    ctl->fn = fn;
-    ctl->count = count;
-    for (std::size_t h = 0; h < helpers; ++h) {
-        submit([ctl] { ctl->run(); });
-    }
-    ctl->run();  // the caller participates — see the header's deadlock note
-    std::unique_lock lock(ctl->mutex);
-    ctl->all_done.wait(lock, [&] {
-        return ctl->done.load(std::memory_order_acquire) == ctl->count;
-    });
-}
+                          std::size_t max_concurrency) const {
+    std::size_t helpers = std::min(helpers_, count > 0 ? count - 1 : 0);
+    if (max_concurrency != 0) helpers = std::min(helpers, max_concurrency - 1);
 
-void ThreadPool::parallel_for(std::size_t count, std::size_t threads,
-                              const std::function<void(std::size_t)>& fn) {
-    if (count == 0) return;
-    if (threads == 0) {
-        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    threads = std::min(threads, count);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-        return;
-    }
     std::atomic<std::size_t> next{0};
-    std::vector<std::thread> team;
-    team.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        team.emplace_back([&] {
-            while (true) {
-                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const auto fail = [&](std::exception_ptr e) {
+        const std::lock_guard lock(error_mutex);
+        if (!error) error = std::move(e);
+        failed = true;
+    };
+    const auto run = [&] {
+        try {
+            while (!failed) {
+                const std::size_t i = next++;
                 if (i >= count) return;
                 fn(i);
             }
-        });
+        } catch (...) {
+            fail(std::current_exception());
+        }
+    };
+
+    std::vector<std::thread> team;
+    team.reserve(helpers);
+    try {
+        while (team.size() < helpers) team.emplace_back(run);
+    } catch (...) {  // a helper that cannot start stops the call like a throwing fn
+        fail(std::current_exception());
     }
-    for (std::thread& member : team) member.join();
+    run();
+    for (std::thread& helper : team) helper.join();
+    if (error) std::rethrow_exception(error);
 }
 
-ThreadPool& shared_pool() {
-    // hardware_concurrency − 1 workers (min 1): the for_each caller is the
-    // extra runner, so concurrency tops out at the hardware thread count.
-    static ThreadPool pool(std::max<std::size_t>(
+const ThreadPool& shared_pool() {
+    static const ThreadPool pool(std::max<std::size_t>(
         1, std::max<std::size_t>(1, std::thread::hardware_concurrency()) - 1));
     return pool;
 }

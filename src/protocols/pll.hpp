@@ -222,7 +222,6 @@ public:
     // --- introspection helpers (benches & tests) ----------------------------
 
     [[nodiscard]] static bool is_leader(const State& s) noexcept { return s.leader; }
-    [[nodiscard]] static PllStatus status_of(const State& s) noexcept { return s.status; }
     [[nodiscard]] static unsigned epoch_of(const State& s) noexcept { return s.epoch; }
     [[nodiscard]] static unsigned color_of(const State& s) noexcept { return s.color; }
 

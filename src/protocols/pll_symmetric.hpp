@@ -127,7 +127,6 @@ public:
     // --- introspection ---------------------------------------------------------
 
     [[nodiscard]] static bool is_leader(const State& s) noexcept { return s.leader; }
-    [[nodiscard]] static bool is_follower(const State& s) noexcept { return !s.leader; }
     [[nodiscard]] static bool assigned(const State& s) noexcept {
         return s.status == SymStatus::a || s.status == SymStatus::b;
     }

@@ -143,7 +143,7 @@ TEST(Estimators, QuickEliminationObservationIsWellFormed) {
 TEST(Estimators, SurvivorDistributionMatchesLemma7Shape) {
     // Lemma 7: P(|VL| = i) ≤ 2^{1−i} + εᵢ. With 200 runs the empirical
     // fractions should respect a loosened version of the bound.
-    const SurvivorDistribution dist = survivor_distribution(128, 200, 21, 4);
+    const SurvivorDistribution dist = survivor_distribution(128, 200, 21);
     EXPECT_EQ(dist.counts.total(), 200U);
     EXPECT_GE(dist.counts.count(1), 1U);  // a unique survivor happens often
     for (std::uint64_t i = 3; i <= dist.counts.max_key(); ++i) {

@@ -2,15 +2,12 @@
 // using the two-state Angluin protocol as the simplest host.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "core/population.hpp"
-#include "core/thread_pool.hpp"
 #include "protocols/angluin.hpp"
 
 namespace ppsim {
@@ -145,21 +142,6 @@ TEST(Engine, StabilizationParallelTimeIsNanWithoutConvergence) {
     Engine<Angluin> engine(Angluin{}, 256, 5);
     const RunResult result = engine.run_until_one_leader(5);
     EXPECT_TRUE(std::isnan(result.stabilization_parallel_time(256)));
-}
-
-TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
-    std::vector<std::atomic<int>> hits(500);
-    ThreadPool::parallel_for(500, 4, [&](std::size_t i) { ++hits[i]; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdle) {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.thread_count(), 3U);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 20; ++i) pool.submit([&] { ++done; });
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 20);
 }
 
 }  // namespace

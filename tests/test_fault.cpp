@@ -4,6 +4,8 @@
 // and golden-seed pins of whole chaos scenarios per engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
@@ -378,6 +380,28 @@ TEST(RecoverySweep, AggregatesRecoveryAcrossRepetitions) {
         const RecoveryRow& row = point.recovery_rows[i];
         EXPECT_TRUE(prev.rep < row.rep ||
                     (prev.rep == row.rep && prev.fault_index < row.fault_index));
+    }
+}
+
+TEST(RunSweep, RethrowsARepetitionsErrorAfterEveryRepetitionStops) {
+    // Eight concurrent repetitions each try to rejoin 2^64 - 1 agents at
+    // t = 1, past the agent engine's ceiling: the sweep must fail on its
+    // caller with that error, not abort or outlive its configuration.
+    SweepConfig config;
+    config.protocol = "lottery";
+    config.sizes = {256};
+    config.repetitions = 8;
+    config.seed = 7;
+    config.threads = 0;
+    config.engine = EngineKind::agent;
+    config.fault_plan.add(1.0, FaultAction::rejoin_count(~std::uint64_t{0}));
+    try {
+        (void)run_sweep(config);
+        FAIL() << "a rejoin past the agent ceiling must throw";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("holds at most 2^32 - 1 agents"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
