@@ -1,5 +1,5 @@
 // Contract tests for the sweep parallelism layer (src/core/thread_pool.hpp):
-// for_each covers every index exactly once for any team/count shape, runs on
+// for_each covers every index exactly once for any team, cap and count, runs on
 // the caller plus its helpers (inline under a cap of 1), completes when
 // nested, and on a throw starts no further index and rethrows the first
 // exception on the caller only after every helper has joined. run_sweep
@@ -25,6 +25,13 @@ TEST(ThreadPool, ReportsItsThreadCount) {
     EXPECT_EQ(ThreadPool(0).thread_count(), 0U);  // a team of none: the caller alone
 }
 
+TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
+    // The shared team under a cap, as bench_ablation and run_sweep use it.
+    std::vector<std::atomic<int>> hits(500);
+    shared_pool().for_each(500, [&](std::size_t i) { ++hits[i]; }, /*max_concurrency=*/4);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ThreadPoolForEach, CoversEveryIndexExactlyOnce) {
     for (const std::size_t helpers : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
         const ThreadPool pool(helpers);
@@ -40,6 +47,40 @@ TEST(ThreadPoolForEach, CoversEveryIndexExactlyOnce) {
             }
         }
     }
+}
+
+// A parallel for over `count` indices on at most `cap` threads is
+// for_each(count, fn, cap): these vary the cap of one 16-helper team.
+TEST(ThreadPoolParallelFor, CoversEveryIndexExactlyOnce) {
+    const ThreadPool pool(16);
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                                  std::size_t{16}}) {
+        const std::size_t count = 257;  // not a multiple of any cap
+        std::vector<std::atomic<int>> hits(count);
+        pool.for_each(
+            count, [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
+            cap);
+        for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", cap " << cap;
+        }
+    }
+}
+
+TEST(ThreadPoolParallelFor, HandlesDegenerateShapes) {
+    const ThreadPool pool(8);
+    std::atomic<int> calls{0};
+    pool.for_each(0, [&](std::size_t) { calls.fetch_add(1); }, 8);
+    EXPECT_EQ(calls.load(), 0);  // zero indices: no calls, no hang
+    pool.for_each(
+        1,
+        [&](std::size_t i) {
+            EXPECT_EQ(i, 0U);
+            calls.fetch_add(1);
+        },
+        8);
+    EXPECT_EQ(calls.load(), 1);  // a cap and a team larger than the count
+    pool.for_each(5, [&](std::size_t) { calls.fetch_add(1); }, 1);
+    EXPECT_EQ(calls.load(), 6);  // the inline path
 }
 
 TEST(ThreadPoolForEach, MaxConcurrencyOneRunsInlineOnTheCaller) {
