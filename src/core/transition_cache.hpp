@@ -10,11 +10,24 @@
 /// beyond which an open-addressing table takes over. The cache knows nothing
 /// about protocols — callers supply a compute callback on miss, so the one
 /// implementation serves every engine that works on interned state ids.
+///
+/// Memory rule: the matrix commits memory only for the pairs it caches. An
+/// entry is empty while its `filled` byte is 0, so an all-zero entry is
+/// empty and the matrix is a `calloc`'d block that nothing initialises:
+/// calloc does not clear memory fresh from the kernel, so pages the cache
+/// never writes stay uncommitted. (glibc does clear heap memory it has
+/// handed out before, and after a process frees its first large block it
+/// serves later ones of that size from the heap.) A pll election at
+/// n = 2^20 interns ~800 states, a 1024 × 1024 matrix of 16 MB, while its
+/// leaps look up a few hundred pairs. Growth frees the old block before it
+/// takes the doubled one, so the peak never holds both.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -28,23 +41,24 @@ namespace ppsim {
 // them.)
 
 /// One memoised transition: output ids plus the leader-count delta and
-/// whether any output symbol changed (verify_outputs_stable). out_a ==
-/// invalid_state marks an empty slot. For rate-annotated protocols
-/// (RatedProtocol, protocol.hpp) the entry also memoises the *firing
-/// probability* rate(a, b) / max_rate() of the input pair, so the engines'
-/// thinning draws never re-evaluate the protocol's rate function on a hot
-/// path; unrated protocols keep the default 1 (never thinned).
+/// whether any output symbol changed (verify_outputs_stable). For
+/// rate-annotated protocols (RatedProtocol, protocol.hpp) the entry also
+/// memoises the *firing probability* rate(a, b) / max_rate() of the input
+/// pair, so the engines' thinning draws never re-evaluate the protocol's rate
+/// function on a hot path; unrated protocols keep the default 1 (never
+/// thinned). `filled` is 0 in an empty slot, and TransitionCache sets it
+/// once the slot holds a computed transition, so an all-zero entry is empty
+/// and a valid one may have any outputs, (0, 0) included.
 struct CachedTransition {
-    /// Sentinel id marking an empty cache slot (= the shared
-    /// invalid_state_id from state_index.hpp).
-    static constexpr StateId invalid_state = invalid_state_id;
-
-    StateId out_a = invalid_state;
-    StateId out_b = invalid_state;
+    StateId out_a = 0;
+    StateId out_b = 0;
     float fire_weight = 1.0F;  ///< rate(a, b) / max_rate(), clamped to [0, 1]
     std::int8_t leader_delta = 0;
     bool role_changed = false;
+    std::uint8_t filled = 0;  ///< set by the cache; 0 marks an empty slot
 };
+static_assert(sizeof(CachedTransition) == 16,
+              "the filled flag must sit in padding: an entry stays 16 bytes");
 
 /// Memoised (initiator id, responder id) → CachedTransition table: dense
 /// matrix for low ids, open-addressing hash map beyond.
@@ -60,20 +74,20 @@ public:
     /// re-enter the caller's interning (it never touches this cache).
     template <typename Compute>
     const CachedTransition& get(StateId a, StateId b, Compute&& compute) {
-        if (a < dense_dim_ && b < dense_dim_) {
-            CachedTransition& slot = dense_cache_[a * dense_dim_ + b];
-            if (slot.out_a == CachedTransition::invalid_state) slot = compute(a, b);
-            return slot;
-        }
-        if (a < dense_cap && b < dense_cap) {
+        if (a >= dense_dim_ || b >= dense_dim_) {
+            if (a >= dense_cap || b >= dense_cap) {
+                const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32U) | b;
+                if (CachedTransition* hit = overflow_cache_.find(key)) return *hit;
+                return *overflow_cache_.insert(key, compute(a, b));
+            }
             grow_dense(std::max(a, b));
-            CachedTransition& slot = dense_cache_[a * dense_dim_ + b];
-            if (slot.out_a == CachedTransition::invalid_state) slot = compute(a, b);
-            return slot;
         }
-        const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32U) | b;
-        if (CachedTransition* hit = overflow_cache_.find(key)) return *hit;
-        return *overflow_cache_.insert(key, compute(a, b));
+        CachedTransition& slot = dense_[a * dense_dim_ + b];
+        if (slot.filled == 0) {
+            slot = compute(a, b);
+            slot.filled = 1;
+        }
+        return slot;
     }
 
 private:
@@ -86,7 +100,7 @@ private:
             if (slots_.empty()) return nullptr;
             for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
                 Slot& slot = slots_[i];
-                if (slot.value.out_a == CachedTransition::invalid_state) return nullptr;
+                if (slot.value.filled == 0) return nullptr;
                 if (slot.key == key) return &slot.value;
             }
         }
@@ -96,9 +110,10 @@ private:
             if ((size_ + 1) * 10 > slots_.size() * 7) rehash(slots_.size() * 2);
             for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
                 Slot& slot = slots_[i];
-                if (slot.value.out_a == CachedTransition::invalid_state) {
+                if (slot.value.filled == 0) {
                     slot.key = key;
                     slot.value = value;
+                    slot.value.filled = 1;
                     ++size_;
                     return &slot.value;
                 }
@@ -108,7 +123,7 @@ private:
     private:
         struct Slot {
             std::uint64_t key = 0;
-            CachedTransition value;  // out_a == invalid_state marks empty
+            CachedTransition value;  // value.filled == 0 marks empty
         };
 
         [[nodiscard]] static std::uint64_t mix(std::uint64_t key) noexcept {
@@ -124,9 +139,7 @@ private:
             mask_ = capacity - 1;
             size_ = 0;
             for (const Slot& slot : old) {
-                if (slot.value.out_a != CachedTransition::invalid_state) {
-                    insert(slot.key, slot.value);
-                }
+                if (slot.value.filled != 0) insert(slot.key, slot.value);
             }
         }
 
@@ -135,18 +148,28 @@ private:
         std::size_t size_ = 0;
     };
 
+    struct FreeBlock {
+        void operator()(CachedTransition* block) const noexcept { std::free(block); }
+    };
+
     /// Doubles the dense matrix dimension to cover id `needed` (< dense_cap).
     /// Cached entries are dropped and lazily recomputed — growth happens a
-    /// handful of times per engine lifetime.
+    /// handful of times per engine lifetime. The old block is freed before
+    /// the new one is taken, and the new one is never written in bulk: an
+    /// all-zero entry is already empty (memory rule, file comment).
     void grow_dense(StateId needed) {
         StateId dim = dense_dim_ == 0 ? 64 : dense_dim_;
         while (dim <= needed) dim *= 2;
+        dense_.reset();
+        dense_dim_ = 0;  // stays empty if the allocation throws
+        void* block = std::calloc(static_cast<std::size_t>(dim) * dim, sizeof(CachedTransition));
+        if (block == nullptr) throw std::bad_alloc();
+        dense_.reset(static_cast<CachedTransition*>(block));
         dense_dim_ = dim;
-        dense_cache_.assign(static_cast<std::size_t>(dim) * dim, CachedTransition{});
     }
 
     StateId dense_dim_ = 0;
-    std::vector<CachedTransition> dense_cache_;
+    std::unique_ptr<CachedTransition[], FreeBlock> dense_;
     FlatTransitionMap overflow_cache_;
 };
 
