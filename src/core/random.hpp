@@ -329,14 +329,18 @@ template <typename Generator>
 [[nodiscard]] std::uint64_t binomial_inversion(Generator& gen, std::uint64_t trials,
                                                double p) {
     const double n = static_cast<double>(trials);
-    const double log_p = std::log(p);
     const double log_q = std::log1p(-p);
 
     auto mode = static_cast<std::uint64_t>((n + 1.0) * p);
     mode = std::min(mode, trials);
 
-    const double log_pm = log_choose(trials, mode) + static_cast<double>(mode) * log_p +
-                          static_cast<double>(trials - mode) * log_q;
+    // At mode 0 the general form adds ln C(trials, 0), which is exactly 0,
+    // and 0·ln p, which is −0: trials·ln q is the same double, without the
+    // log and the two log-factorials.
+    const double log_pm = mode == 0 ? n * log_q
+                                    : log_choose(trials, mode) +
+                                          static_cast<double>(mode) * std::log(p) +
+                                          static_cast<double>(trials - mode) * log_q;
     const double pm = std::exp(log_pm);
 
     double u = uniform_unit(gen) - pm;
@@ -388,10 +392,13 @@ template <typename Generator>
     const double a = -0.0873 + 0.0248 * b + 0.01 * p;
     const double c = n * p + 0.5;
     const double vr = 0.92 - 4.2 / b;
-    const double alpha = (2.83 + 5.1 / b) * spq;
-    const double lpq = std::log(p / q);
-    const auto mode = static_cast<std::uint64_t>((n + 1.0) * p);
-    const double h = log_factorial(mode) + log_factorial(trials - mode);
+    // The exact test's constants, computed on the first candidate that
+    // reaches it: the inner box accepts most draws without them.
+    double alpha = 0.0;
+    double lpq = 0.0;
+    std::uint64_t mode = 0;
+    double h = 0.0;
+    bool exact_ready = false;
 
     while (true) {
         double u = 0.0;
@@ -414,6 +421,13 @@ template <typename Generator>
         const double k = std::floor((2.0 * a / us + b) * u + c);
         if (k < 0.0 || k > n) continue;
         const auto ki = static_cast<std::uint64_t>(k);
+        if (!exact_ready) {
+            alpha = (2.83 + 5.1 / b) * spq;
+            lpq = std::log(p / q);
+            mode = static_cast<std::uint64_t>((n + 1.0) * p);
+            h = log_factorial(mode) + log_factorial(trials - mode);
+            exact_ready = true;
+        }
         const double scaled = v * alpha / (a / (us * us) + b);
         const double log_accept = h - log_factorial(ki) - log_factorial(trials - ki) +
                                   (k - static_cast<double>(mode)) * lpq;
