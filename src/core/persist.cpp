@@ -65,22 +65,27 @@ std::string read_string(std::ifstream& in) {
 
 /// A short signature of the CPU a checkpoint was written on (model name +
 /// hardware thread count): bit-identical resume is only defined there.
-std::string cpu_signature() {
-    std::string model = "unknown-cpu";
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(cpuinfo, line)) {
-        if (line.rfind("model name", 0) == 0) {
-            const std::size_t colon = line.find(':');
-            if (colon != std::string::npos) {
-                model = line.substr(colon + 1);
-                const std::size_t first = model.find_first_not_of(' ');
-                if (first != std::string::npos) model.erase(0, first);
+/// Computed once per process: every checkpoint save and load asks for it,
+/// and each read of /proc/cpuinfo costs tens of microseconds.
+const std::string& cpu_signature() {
+    static const std::string signature = [] {
+        std::string model = "unknown-cpu";
+        std::ifstream cpuinfo("/proc/cpuinfo");
+        std::string line;
+        while (std::getline(cpuinfo, line)) {
+            if (line.rfind("model name", 0) == 0) {
+                const std::size_t colon = line.find(':');
+                if (colon != std::string::npos) {
+                    model = line.substr(colon + 1);
+                    const std::size_t first = model.find_first_not_of(' ');
+                    if (first != std::string::npos) model.erase(0, first);
+                }
+                break;
             }
-            break;
         }
-    }
-    return model + " x" + std::to_string(std::thread::hardware_concurrency());
+        return model + " x" + std::to_string(std::thread::hardware_concurrency());
+    }();
+    return signature;
 }
 
 std::ofstream open_for_write(const std::string& path) {
