@@ -28,10 +28,10 @@ FaultPlan churn_election_plan(std::size_t n0) {
     return plan;
 }
 
-/// Rated-protocol chaos: half the population reset to fresh candidates
-/// (the epidemic must re-spread through the rate-thinned channels), a
-/// silence window where model time passes with nothing reacting, then a
-/// crash wave. Exercises faults under non-uniform reaction rates.
+/// Epidemic chaos on the [Ang+06] pairwise rule: half the population reset
+/// to fresh candidates (the defeat epidemic must re-spread), a silence
+/// window where model time passes with nothing reacting, then a crash
+/// wave.
 FaultPlan reset_epidemic_plan(std::size_t n0) {
     (void)n0;  // fraction-based throughout
     FaultPlan plan;
@@ -50,7 +50,7 @@ const std::vector<ChaosScenario>& chaos_scenarios() {
             "crash 30% at t=2, rejoin 30% fresh contenders at t=5, full reset at t=8",
             3000.0, &churn_election_plan},
         ChaosScenario{
-            "reset_epidemic", "rated_epidemic",
+            "reset_epidemic", "angluin06",
             "reset 50% at t=1.5, silence for 0.75 time at t=3, crash 25% at t=5",
             3000.0, &reset_epidemic_plan},
     };

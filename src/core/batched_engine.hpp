@@ -38,16 +38,6 @@
 /// asymmetry (PLL's coin flips) is preserved because initiator and responder
 /// multisets are sampled per slot parity, never merged.
 ///
-/// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are honoured
-/// by rejection thinning against the maximum rate: each cell of a batch
-/// draws the number of pairs that actually fire as
-/// Binomial(mult, rate/max_rate); the rest met without reacting and re-enter
-/// the touched multiset with their states unchanged — exactly the thinned
-/// chain the agent engine runs pair by pair, so cross-engine agreement is
-/// preserved (KS harness, tests/test_statistical.cpp). Unrated protocols
-/// compile to the identical pre-rate hot path (`if constexpr`), so their
-/// seeded replay streams are bit-for-bit unchanged.
-///
 /// The stabilisation step is recorded *exactly*, not at batch granularity:
 /// when a batch crosses to a single leader, the per-pair leader deltas are
 /// replayed in a uniformly shuffled order (the pair sequence is exchangeable,
@@ -195,39 +185,21 @@ private:
     /// Applies every pair group of the batch through the transition cache;
     /// locates the exact stabilisation step when this batch crosses to one
     /// leader. O(#groups): cell count under bulk pairing, batch length under
-    /// pairwise. Rated protocols thin each group binomially first (the
-    /// thinned pairs met without reacting).
+    /// pairwise.
     void apply_pairs(std::uint64_t fresh) {
         const StepCount steps_before = steps_;
         std::int64_t delta_total = 0;
         bool role_changed = false;
-        if constexpr (RatedProtocol<P>) fired_mult_.clear();
         // Forced inline: left to the heuristics, registry.cpp, which
         // instantiates every engine, compiles this per-pair loop with an
         // out-of-line transition-cache lookup.
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
                             __attribute__((always_inline)) {
             const CachedTransition& tr = transition(a, b);
-            std::uint64_t fired = mult;
-            if constexpr (RatedProtocol<P>) {
-                // Thinning only matters for non-null transitions (a thinned
-                // null is a null); skipping the draw there keeps unrated-like
-                // cells cheap and changes nothing in distribution.
-                if (tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
-                    fired = binomial(rng_, mult, static_cast<double>(tr.fire_weight));
-                }
-                fired_mult_.push_back(fired);
-                const std::uint64_t nulls = mult - fired;
-                if (nulls > 0) {  // met without reacting: states unchanged
-                    store_.touch(a, nulls);
-                    store_.touch(b, nulls);
-                }
-                if (fired == 0) return;
-            }
-            store_.touch(tr.out_a, fired);
-            store_.touch(tr.out_b, fired);
+            store_.touch(tr.out_a, mult);
+            store_.touch(tr.out_b, mult);
             delta_total += static_cast<std::int64_t>(tr.leader_delta) *
-                           static_cast<std::int64_t>(fired);
+                           static_cast<std::int64_t>(mult);
             role_changed |= tr.role_changed;
         });
         role_change_seen_ = role_change_seen_ || role_changed;
@@ -237,8 +209,8 @@ private:
         if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
             // The batch's pairs are exchangeable — contingency cells no less
             // than shuffled pairs — so the shared replay localises the
-            // crossing; unrated batches apply every pair (empty fired_mult_).
-            first_single_leader_step_ = steps_before + crossing_offset(fired_mult_);
+            // crossing; a batch applies every pair.
+            first_single_leader_step_ = steps_before + crossing_offset();
         }
         leader_count_ = post;
     }
@@ -246,8 +218,7 @@ private:
     /// The interaction that ends the batch: at least one participant is an
     /// already-touched agent. Ordered-slot cases weighted t(t−1) : t(n−t)
     /// : (n−t)t; a touched slot samples a uniform touched agent (post-batch
-    /// state multiset), an untouched slot a uniform untouched agent. Rated
-    /// protocols thin the single interaction by one Bernoulli draw.
+    /// state multiset), an untouched slot a uniform untouched agent.
     void collision_step() {
         const std::uint64_t t = store_.touched_total();
         const std::uint64_t m = untouched_;
@@ -260,16 +231,6 @@ private:
         const StateId qa = a_touched ? take_touched() : take_untouched();
         const StateId qb = b_touched ? take_touched() : take_untouched();
         const CachedTransition& tr = transition(qa, qb);
-        if constexpr (RatedProtocol<P>) {
-            if (tr.fire_weight < 1.0F && (tr.out_a != qa || tr.out_b != qb) &&
-                uniform_unit(rng_) >= static_cast<double>(tr.fire_weight)) {
-                // Thinned: the pair met, nothing happened.
-                store_.touch(qa, 1);
-                store_.touch(qb, 1);
-                ++steps_;
-                return;
-            }
-        }
         store_.touch(tr.out_a, 1);
         store_.touch(tr.out_b, 1);
         role_change_seen_ = role_change_seen_ || tr.role_changed;
@@ -316,7 +277,6 @@ private:
 
     CollisionRunSampler run_sampler_;
     std::uint64_t untouched_ = 0;
-    std::vector<std::uint64_t> fired_mult_;  ///< per-group fired count (rated only)
 };
 
 }  // namespace ppsim

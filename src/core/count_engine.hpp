@@ -280,12 +280,12 @@ protected:
     /// Locates the crossing interaction inside a round of `pairs_` that
     /// reached a single leader, via the shared exchangeability replay
     /// (`locate_leader_crossing`, transition_cache.hpp). `applied` holds each
-    /// group's applied pairs in `pairs_` order, or is empty when every pair
+    /// group's applied pairs in `pairs_` order, or is null when every pair
     /// applied; applied pairs contribute their leader deltas, the rest
-    /// (over-drawn or rate-thinned) zeros, since null interactions occupy
-    /// step slots too. Called at most once per run.
-    template <typename Mult>
-    [[nodiscard]] std::uint64_t crossing_offset(const std::vector<Mult>& applied) {
+    /// (over-drawn) zeros, since null interactions occupy step slots too.
+    /// Called at most once per run.
+    [[nodiscard]] std::uint64_t crossing_offset(
+        const std::vector<std::uint32_t>* applied = nullptr) {
         scratch_deltas_.clear();
         std::size_t group = 0;
         // Forced inline, although it runs once per run: left to the
@@ -294,7 +294,7 @@ protected:
         // per-pair loop with an out-of-line transition-cache lookup.
         pairs_.for_each([&](StateId a, StateId b, std::uint64_t mult)
                             __attribute__((always_inline)) {
-            const std::uint64_t m = applied.empty() ? mult : applied[group++];
+            const std::uint64_t m = applied == nullptr ? mult : (*applied)[group++];
             scratch_deltas_.insert(scratch_deltas_.end(), m,
                                    transition(a, b).leader_delta);
             scratch_deltas_.insert(scratch_deltas_.end(), mult - m, 0);

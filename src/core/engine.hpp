@@ -133,15 +133,6 @@ struct RunResult {
 };
 
 /// Simulation engine for a statically-typed protocol.
-///
-/// Rate-annotated protocols (RatedProtocol, protocol.hpp) are honoured by
-/// per-step rejection thinning: after the scheduler draws a pair, the
-/// transition fires with probability rate(a, b)/max_rate() — otherwise the
-/// step is a null interaction (it still counts as a step, exactly as in the
-/// count-based engines). The thinning draws come from a dedicated stream so
-/// unrated protocols' seeded schedules are untouched. Hand-driven
-/// `apply(Interaction)` calls (replay, adversary tests) are *not* thinned:
-/// they apply the transition the caller asked for.
 template <Protocol P>
 class Engine {
 public:
@@ -153,7 +144,6 @@ public:
         : protocol_(std::move(protocol)),
           population_(n, protocol_.initial_state()),
           scheduler_(n, seed),
-          thin_rng_(derive_seed(seed, 0x7468696eULL)),  // "thin"
           fault_rng_(derive_seed(seed, fault_stream_tag)) {
         recount_leaders();
     }
@@ -181,16 +171,9 @@ public:
     // --- execution --------------------------------------------------------
 
     /// Executes one interaction drawn from the internal random scheduler and
-    /// returns the pair that interacted. For rated protocols the step may be
-    /// thinned to a null interaction (the pair met, nothing happened).
+    /// returns the pair that interacted.
     Interaction step() {
         const Interaction interaction = scheduler_.next();
-        if constexpr (RatedProtocol<P>) {
-            if (!fires(interaction)) {
-                ++steps_;  // a null interaction occupies its step slot
-                return interaction;
-            }
-        }
         apply(interaction);
         return interaction;
     }
@@ -255,12 +238,6 @@ public:
         bool changed = false;
         for (StepCount i = 0; i < count; ++i) {
             const Interaction interaction = scheduler_.next();
-            if constexpr (RatedProtocol<P>) {
-                if (!fires(interaction)) {  // thinned: outputs cannot change
-                    ++steps_;
-                    continue;
-                }
-            }
             const Role a_before = role_of(interaction.initiator);
             const Role b_before = role_of(interaction.responder);
             apply(interaction);
@@ -346,8 +323,8 @@ public:
     /// over the population in the given order (identities are irrelevant
     /// under the uniform scheduler), and carries the step counter and
     /// stabilisation step across so observers see one continuous run. The
-    /// census must conserve this engine's population size. The scheduler /
-    /// thinning / fault streams keep the seed this engine was built with —
+    /// census must conserve this engine's population size. The scheduler and
+    /// fault streams keep the seed this engine was built with —
     /// the handoff contract assigns each hybrid segment its own stream.
     void adopt_census(const std::vector<std::pair<State, std::uint64_t>>& census,
                       StepCount steps, std::optional<StepCount> stabilization_step) {
@@ -374,7 +351,7 @@ public:
     // --- checkpointing ------------------------------------------------------
 
     /// Serialises the engine's complete replay-relevant state: the raw agent
-    /// states, every PRNG stream position (scheduler, thinning, fault), and
+    /// states, both PRNG stream positions (scheduler, fault), and
     /// the step/leader/stabilisation counters. The streams are private by
     /// design, so this is a member rather than an external walker.
     void save_state(CheckpointWriter& w) const {
@@ -382,7 +359,6 @@ public:
         w.u64(population_.size());
         w.raw(population_.states().data(), population_.size() * sizeof(State));
         w.pod(scheduler_.rng().state());
-        w.pod(thin_rng_.state());
         w.pod(fault_rng_.state());
         w.u64(steps_);
         w.u64(leader_count_);
@@ -402,7 +378,6 @@ public:
         scheduler_.set_population_size(n);
         r.raw(population_.states().data(), population_.size() * sizeof(State));
         scheduler_.rng().set_state(r.pod<std::array<std::uint64_t, 4>>());
-        thin_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         fault_rng_.set_state(r.pod<std::array<std::uint64_t, 4>>());
         steps_ = r.u64();
         leader_count_ = r.u64();
@@ -410,17 +385,6 @@ public:
     }
 
 private:
-    /// Rejection-thinning draw: does the scheduled pair's transition fire?
-    /// (Instantiated for rated protocols only.)
-    [[nodiscard]] bool fires(const Interaction& interaction) {
-        const State& a = population_[interaction.initiator];
-        const State& b = population_[interaction.responder];
-        const double rate = pair_rate_of(protocol_, a, b);
-        const double rmax = max_rate_of(protocol_);
-        if (rate >= rmax) return true;
-        return uniform_unit(thin_rng_) * rmax < rate;
-    }
-
     [[nodiscard]] int roles_as_int(const State& a, const State& b) const noexcept {
         return static_cast<int>(protocol_.output(a) == Role::leader) +
                static_cast<int>(protocol_.output(b) == Role::leader);
@@ -439,7 +403,6 @@ private:
     P protocol_;
     Population<State> population_;
     UniformScheduler scheduler_;
-    Rng thin_rng_;  ///< rate-thinning stream (only drawn from by rated protocols)
     Rng fault_rng_;  ///< fault-surgery stream (only drawn from by apply_fault)
     StepCount steps_ = 0;
     std::size_t leader_count_ = 0;

@@ -28,10 +28,10 @@
 ///    reacts. Handled by the run layer; engines never see it.
 ///
 /// Determinism: every engine owns a dedicated `fault_rng_` stream (seeded
-/// `derive_seed(seed, fault_stream_tag)` at construction, like the rated
-/// thinning stream), so fault randomness never perturbs the main schedule
-/// stream — no-fault runs keep bit-identical golden-seed streams, and the
-/// same seed + plan replays the same post-fault stream on each engine.
+/// `derive_seed(seed, fault_stream_tag)` at construction), so fault
+/// randomness never perturbs the main schedule stream — no-fault runs keep
+/// bit-identical golden-seed streams, and the same seed + plan replays the
+/// same post-fault stream on each engine.
 #pragma once
 
 #include <algorithm>

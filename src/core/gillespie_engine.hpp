@@ -65,8 +65,7 @@
 ///    separable leaps sample exactly what paired leaps sample and add no
 ///    approximation of their own. PLL's count-up wait, where timer agents
 ///    advance whatever they meet, is separable and symmetric (f = g)
-///    almost throughout. Rated protocols, which thin per cell, always
-///    pair.
+///    almost throughout.
 ///
 ///  * **Folded leaps.** Where only some live states are *self-determined*
 ///    (SD: against every live partner a state becomes f(a) as initiator and
@@ -90,16 +89,6 @@
 ///    leap's law. PLL's QuickElimination folds: its timers and its
 ///    finished status-A agents at the top level are SD and fall into a few
 ///    classes.
-///
-/// **Rate-annotated protocols** (RatedProtocol, protocol.hpp) are this
-/// engine's native habitat: a channel's propensity simply becomes
-/// c_a·(c_b − [a = b])·rate(a, b)/max_rate — the geometric null-skip then
-/// jumps both null *transitions* and rate-thinned steps at once, and the
-/// categorical draw picks among non-null channels by their rated weights.
-/// No rejection loop: rates enter the weights directly (exact for the
-/// thinned chain defined in protocol.hpp). The τ-leap path thins each cell
-/// binomially, identical in distribution to the batched engine's thinning.
-/// Unrated protocols keep the integer-weight hot path bit-for-bit.
 ///
 /// The paths compose automatically: leaping needs n ≥ `leap_min_population`
 /// (below that the engine is *exact* — the configuration is one of the two
@@ -548,7 +537,7 @@ public:
     /// channel (one branch per non-null event while enabled; τ-leap cells
     /// are not tallied — use small n so the engine stays on the SSA paths).
     /// The sampler-marginal chi-square tests compare the tally against the
-    /// propensity ratios c_a·(c_b − [a = b])·rate(a, b).
+    /// propensity ratios c_a·(c_b − [a = b]).
     void enable_channel_tally() noexcept { tally_enabled_ = true; }
 
     /// The firing tally as (initiator key, responder key, fired) rows,
@@ -629,16 +618,12 @@ private:
     }
 
     /// One non-null reaction channel: the ordered state pair and its current
-    /// propensity weight. `weight` is the structural part c_a·(c_b − [a = b])
-    /// (always integral); rated protocols scale it by the memoised firing
-    /// probability into `rated_weight` and draw against the scaled weights.
-    /// The transition itself is re-read from the cache at firing time (the
-    /// cache may reallocate).
+    /// propensity weight c_a·(c_b − [a = b]). The transition itself is
+    /// re-read from the cache at firing time (the cache may reallocate).
     struct Channel {
         StateId a;
         StateId b;
         std::uint64_t weight;
-        double rated_weight;
     };
 
     // --- round dispatch ---------------------------------------------------
@@ -652,7 +637,7 @@ private:
             std::min<StepCount>(budget, std::max<std::uint64_t>(1, n_ / leap_divisor));
         if (d <= channel_state_cap) {
             build_channels();
-            if (total_nonnull_weight() == 0.0) {  // dead: every channel null
+            if (w_nonnull_ == 0) {  // dead: every channel null
                 steps_ += budget;
                 return budget;
             }
@@ -666,22 +651,12 @@ private:
                                  stop_at_single_leader);
     }
 
-    /// The summed non-null channel weight on whichever scale the protocol
-    /// uses (integer structural weights, or rate-scaled ones).
-    [[nodiscard]] double total_nonnull_weight() const noexcept {
-        if constexpr (RatedProtocol<P>) {
-            return w_rated_;
-        } else {
-            return static_cast<double>(w_nonnull_);
-        }
-    }
-
     /// Expected non-null firings over a leap of `len` steps under the
     /// enumerated channel weights.
     [[nodiscard]] double expected_firings(StepCount len) const noexcept {
         const double w_total =
             static_cast<double>(n_) * (static_cast<double>(n_) - 1.0);
-        return static_cast<double>(len) * total_nonnull_weight() / w_total;
+        return static_cast<double>(len) * static_cast<double>(w_nonnull_) / w_total;
     }
 
     // --- exact SSA, enumerated channels -----------------------------------
@@ -691,7 +666,6 @@ private:
     void build_channels() {
         channels_.clear();
         w_nonnull_ = 0;
-        w_rated_ = 0.0;
         const std::vector<std::uint64_t>& counts = store_.counts();
         for (const StateId a : store_.live_ids()) {
             const std::uint64_t ca = counts[a];
@@ -700,29 +674,19 @@ private:
                 if (weight == 0) continue;
                 const CachedTransition& tr = transition(a, b);
                 if (tr.out_a == a && tr.out_b == b) continue;  // null reaction
-                if constexpr (RatedProtocol<P>) {
-                    const double rated =
-                        static_cast<double>(weight) * static_cast<double>(tr.fire_weight);
-                    if (rated <= 0.0) continue;  // rate-zero channel never fires
-                    channels_.push_back(Channel{a, b, weight, rated});
-                    w_rated_ += rated;
-                } else {
-                    channels_.push_back(Channel{a, b, weight, 0.0});
-                    w_nonnull_ += weight;
-                }
+                channels_.push_back(Channel{a, b, weight});
+                w_nonnull_ += weight;
             }
         }
     }
 
     /// One exact SSA event: a geometric draw skips every null step up to the
     /// next non-null firing; if that firing lies beyond the budget the round
-    /// consumes the budget as nulls (exact: geometric memorylessness). For
-    /// rated protocols the skip probability and the categorical draw use the
-    /// rate-scaled weights — thinned steps are nulls, skipped for free.
+    /// consumes the budget as nulls (exact: geometric memorylessness).
     StepCount enumerated_ssa_event(StepCount budget) {
         const double w_total =
             static_cast<double>(n_) * (static_cast<double>(n_) - 1.0);
-        const double p = total_nonnull_weight() / w_total;
+        const double p = static_cast<double>(w_nonnull_) / w_total;
         const StepCount gap = geometric(rng_, p);
         if (gap > budget) {  // the next reaction lies beyond this round
             steps_ += budget;
@@ -730,30 +694,16 @@ private:
         }
         steps_ += gap;
         const Channel* fired = nullptr;
-        if constexpr (RatedProtocol<P>) {
-            double r = uniform_unit(rng_) * w_rated_;
-            for (const Channel& ch : channels_) {
-                if (r < ch.rated_weight) {
-                    fired = &ch;
-                    break;
-                }
-                r -= ch.rated_weight;
+        std::uint64_t r = uniform_below(rng_, w_nonnull_);
+        for (const Channel& ch : channels_) {
+            if (r < ch.weight) {
+                fired = &ch;
+                break;
             }
-            // Floating-point rounding can walk the scan past the total;
-            // the mass belongs to the last channel.
-            if (fired == nullptr) fired = &channels_.back();
-        } else {
-            std::uint64_t r = uniform_below(rng_, w_nonnull_);
-            for (const Channel& ch : channels_) {
-                if (r < ch.weight) {
-                    fired = &ch;
-                    break;
-                }
-                r -= ch.weight;
-            }
-            if (fired == nullptr) [[unlikely]] {
-                ensure(false, "SSA channel draw ran past the total weight");
-            }
+            r -= ch.weight;
+        }
+        if (fired == nullptr) [[unlikely]] {
+            ensure(false, "SSA channel draw ran past the total weight");
         }
         const StateId a = fired->a;
         const StateId b = fired->b;
@@ -767,9 +717,7 @@ private:
 
     /// Exact per-step form for configurations too wide to enumerate: the
     /// initiator is a categorical draw over the counts, the responder over
-    /// the remaining n−1 agents. O(d) per step; cannot skip nulls. Rated
-    /// protocols thin each non-null pick by one Bernoulli draw against the
-    /// memoised firing probability.
+    /// the remaining n−1 agents. O(d) per step; cannot skip nulls.
     StepCount categorical_steps(StepCount chunk, bool stop_at_single_leader) {
         StepCount executed = 0;
         while (executed < chunk) {
@@ -779,12 +727,6 @@ private:
             ++steps_;
             ++executed;
             if (tr.out_a != a || tr.out_b != b) {
-                if constexpr (RatedProtocol<P>) {
-                    if (tr.fire_weight < 1.0F &&
-                        uniform_unit(rng_) >= static_cast<double>(tr.fire_weight)) {
-                        continue;  // thinned: the pair met, nothing happened
-                    }
-                }
                 apply_single(a, b, tr);
                 ++exact_events_;
                 if (stop_at_single_leader && leader_count_ == 1) break;
@@ -834,18 +776,17 @@ private:
 
     /// Advances `len` steps with propensities frozen at the current counts:
     /// multinomial initiator/responder multisets, a uniform pairing through
-    /// the batch-pairing layer, and clamped per-cell application (plus a
-    /// binomial thinning per cell for rated protocols, identical in
-    /// distribution to the batched engine's thinning). When every live cell
-    /// factorises, one Mult(2·len) draw T replaces the two Mult(len) draws —
-    /// their sum has that law — and `separable_leap` applies it without the
-    /// pairing. T is split into its sides X and Y = T − X only when they
-    /// differ (some live state has f ≠ g) or when the leap declines to the
-    /// pairing; the split draws X from its exact law given T. When only
-    /// some live states are self-determined and some partner class holds
-    /// two or more, `fold_sides` folds each class into its token, the
-    /// folded sides are paired, and `folded_leap` applies them, unless the
-    /// sides over-draw a state or could end at a single leader.
+    /// the batch-pairing layer, and clamped per-cell application. When every
+    /// live cell factorises, one Mult(2·len) draw T replaces the two
+    /// Mult(len) draws — their sum has that law — and `separable_leap`
+    /// applies it without the pairing. T is split into its sides X and
+    /// Y = T − X only when they differ (some live state has f ≠ g) or when
+    /// the leap declines to the pairing; the split draws X from its exact law
+    /// given T. When only some live states are self-determined and some
+    /// partner class holds two or more, `fold_sides` folds each class into
+    /// its token, the folded sides are paired, and `folded_leap` applies
+    /// them, unless the sides over-draw a state or could end at a single
+    /// leader.
     StepCount leap_round(StepCount len) {
         const StepCount steps_before = steps_;
         const LeapKind kind = classify_leap();
@@ -889,15 +830,8 @@ private:
             const std::uint64_t avail =
                 a == b ? counts[a] / 2 : std::min(counts[a], counts[b]);
             const CachedTransition tr = transition(a, b);  // copy: cache may grow
-            std::uint64_t m = std::min(mult, avail);
+            const std::uint64_t m = std::min(mult, avail);
             dropped += mult - m;
-            if constexpr (RatedProtocol<P>) {
-                // Rate thinning: only m' ~ Binomial(m, rate/max_rate) of the
-                // scheduled pairs react; the rest met without reacting.
-                if (m > 0 && tr.fire_weight < 1.0F && (tr.out_a != a || tr.out_b != b)) {
-                    m = binomial(rng_, m, static_cast<double>(tr.fire_weight));
-                }
-            }
             applied_mult_.push_back(static_cast<std::uint32_t>(m));
             if (m == 0) return;
             if (a == b) {
@@ -918,7 +852,7 @@ private:
         const auto post = static_cast<std::size_t>(
             static_cast<std::int64_t>(leader_count_) + delta_total);
         if (!first_single_leader_step_ && post == 1 && leader_count_ != 1) {
-            first_single_leader_step_ = steps_before + crossing_offset(applied_mult_);
+            first_single_leader_step_ = steps_before + crossing_offset(&applied_mult_);
         }
         leader_count_ = post;
         store_.merge_touched();
@@ -938,9 +872,9 @@ private:
     // helpers, moving one loop inside one of them tipped the budget into
     // inlining the paired application's pair loop instead, and both sites
     // called the sampler out of line (leap_round<Pll> 0x9e6). Forced, it is
-    // 0x7cd with both sites inline and the pair loop out of line;
-    // classify_leap 0x5f1, separable_leap 0x503, fold_sides 0x299 calling
-    // fold_side (0x247) twice, folded_leap 0x752 with its cell visitor
+    // 0x7a0 with both sites inline and the pair loop (0x755) out of line;
+    // classify_leap 0x5f1, separable_leap 0x503, fold_sides 0x16d calling
+    // fold_side (0x247) twice, folded_leap 0x758 with its cell visitor
     // inline, and CellFactorisation's out-of-line add 0xcf6, remove_at 0x1c5
     // and regroup 0x76a (GCC 12.2, Release `registry.cpp.o`).
 
@@ -955,18 +889,13 @@ private:
     /// `separable_cell_factor` gate: separable when every live cell
     /// factorises, folded when the factorisation folds, paired otherwise. A
     /// pure function of the live list and n, so a resumed run decides every
-    /// leap as the uninterrupted run did. Rated protocols thin per cell and
-    /// always pair.
+    /// leap as the uninterrupted run did.
     __attribute__((noinline)) LeapKind classify_leap() {
-        if constexpr (RatedProtocol<P>) {
-            return LeapKind::paired;
-        } else {
-            const std::uint64_t d = store_.live_ids().size();
-            const std::uint64_t leap = std::max<std::uint64_t>(1, n_ / leap_divisor);
-            if (d * d > separable_cell_factor * leap) return LeapKind::paired;
-            if (factorisation_.update(protocol_, store_) == 0) return LeapKind::separable;
-            return factorisation_.folds() ? LeapKind::folded : LeapKind::paired;
-        }
+        const std::uint64_t d = store_.live_ids().size();
+        const std::uint64_t leap = std::max<std::uint64_t>(1, n_ / leap_divisor);
+        if (d * d > separable_cell_factor * leap) return LeapKind::paired;
+        if (factorisation_.update(protocol_, store_) == 0) return LeapKind::separable;
+        return factorisation_.folds() ? LeapKind::folded : LeapKind::paired;
     }
 
     /// Whether the sampled sides draw some state past its count
@@ -1188,8 +1117,7 @@ private:
     }
 
     std::vector<Channel> channels_;       ///< non-null channels (rebuilt per SSA event)
-    std::uint64_t w_nonnull_ = 0;         ///< Σ weights of channels_ (unrated)
-    double w_rated_ = 0.0;                ///< Σ rated weights of channels_ (rated)
+    std::uint64_t w_nonnull_ = 0;         ///< Σ weights of channels_
     std::vector<std::uint32_t> applied_mult_;  ///< per-cell applied multiplicity
     CellFactorisation<P> factorisation_;  ///< self-determined states, classes (not persisted)
     std::vector<StateId> self_determined_out_;  ///< per self-determined slot entry: f or g

@@ -9,8 +9,7 @@
 /// engine's geometric null-skipping makes a narrow, null-dominated profile
 /// nearly free and its τ-leaps batch many steps into few transitions at
 /// large n. The rule (`choose_mode`) reads n, the live-state count d and the
-/// rate-thinned null mass z (the share of interactions that change
-/// nothing):
+/// null mass z (the share of interactions that change nothing):
 ///
 ///  * n ≥ 8 × `GillespieEngine::leap_min_population` (2¹⁵), the τ-leap
 ///    regime: gillespie while d² < 16·L, and from agent only at d² < 8·L
@@ -38,7 +37,7 @@
 /// **Segment streams.** Each contiguous run segment k (starting at k = 0)
 /// runs a fresh inner engine seeded
 /// `derive_seed(root_seed, hybrid_segment_tag + k)` — the same SplitMix64
-/// discipline as the fault and thinning streams, so no hybrid stream ever
+/// discipline as the fault stream, so no hybrid stream ever
 /// collides with a fixed engine's streams and a segment's draws are
 /// independent of how previous segments were produced. A switch hands
 /// over the exact census, step counter and stabilisation step via
@@ -70,8 +69,8 @@ namespace ppsim {
 
 /// PRNG stream tag of the hybrid segment split ("hybr"): segment k of a
 /// hybrid run is seeded `derive_seed(root_seed, hybrid_segment_tag + k)`.
-/// Distinct from the fault ("faul") and thinning ("thin") tags, so hybrid
-/// segment streams can never collide with them.
+/// Distinct from the fault tag ("faul"), so hybrid segment streams can never
+/// collide with the fault stream.
 inline constexpr std::uint64_t hybrid_segment_tag = 0x68796272ULL;
 
 /// Fixed work of one gillespie exact-SSA event beyond its d² channel
@@ -91,7 +90,7 @@ inline constexpr double hybrid_leap_cell_bound = 8.0;
 /// The observed features of the current phase that enter the rule.
 struct PhaseFeatures {
     std::size_t live_states = 0;  ///< d: states with a non-zero count
-    double null_mass = 0.0;       ///< z ∈ [0, 1]: rate-thinned share of null interactions
+    double null_mass = 0.0;       ///< z ∈ [0, 1]: share of null interactions
 };
 
 /// Adaptive hybrid meta-engine. Drop-in alternative to the fixed engines
@@ -305,17 +304,16 @@ public:
     /// The decision features of a census: its live-state count, and — only
     /// when that is at most `max_gillespie_states`, the one case the rule
     /// reads it — the null mass by direct protocol evaluation over every
-    /// ordered pair of states (rate-thinned weight for rated protocols).
-    /// The pair weight is normalised by the census's own total, so a
-    /// sampled census (agent mode) yields its sample estimate of z. Every
-    /// census the engine reads holds at least two agents.
+    /// ordered pair of states. The pair weight is normalised by the census's
+    /// own total, so a sampled census (agent mode) yields its sample estimate
+    /// of z. Every census the engine reads holds at least two agents.
     [[nodiscard]] PhaseFeatures features_of(const Census& census) const {
         PhaseFeatures f;
         f.live_states = census.size();
         if (census.size() > max_gillespie_states) return f;
         std::uint64_t total = 0;
         for (const auto& [s, c] : census) total += c;
-        double nonnull = 0.0;  // non-null (rate-thinned) ordered-pair weight
+        double nonnull = 0.0;  // non-null ordered-pair weight
         for (const auto& [sa, ca] : census) {
             for (const auto& [sb, cb] : census) {
                 const double w =
@@ -330,13 +328,7 @@ public:
                     state_key_of(protocol_, y) == state_key_of(protocol_, sb)) {
                     continue;  // null interaction
                 }
-                if constexpr (RatedProtocol<P>) {
-                    const double rmax = max_rate_of(protocol_);
-                    nonnull +=
-                        rmax > 0.0 ? w * pair_rate_of(protocol_, sa, sb) / rmax : 0.0;
-                } else {
-                    nonnull += w;
-                }
+                nonnull += w;
             }
         }
         const double w_total =

@@ -12,7 +12,7 @@ namespace ppsim {
 namespace {
 
 constexpr std::uint32_t checkpoint_magic = 0x5050434B;  // "PPCK"
-constexpr std::uint32_t checkpoint_format_version = 5;
+constexpr std::uint32_t checkpoint_format_version = 6;
 
 void write_u32(std::ofstream& out, std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof v);

@@ -44,61 +44,6 @@ concept BoundedStateProtocol = Protocol<P> && requires(const P proto) {
     { proto.state_bound() } -> std::convertible_to<std::size_t>;
 };
 
-/// Optional extension: protocols whose ordered state pairs carry a relative
-/// interaction rate — the reaction-rate generalisation of the uniform
-/// scheduler. The **rate contract** (see docs/ARCHITECTURE.md):
-///
-///  * `rate(a, b)` is the Poisson-clock rate of an ordered agent pair in
-///    states (initiator = a, responder = b), relative to the uniform model;
-///  * rates depend only on the two states (never on time or identities) and
-///    satisfy 0 ≤ rate(a, b) ≤ max_rate() for every reachable pair, with
-///    max_rate() > 0;
-///  * one *step* of the discrete chain is one tick of the uniform scheduler
-///    at the maximum rate: a uniformly random ordered pair is drawn and its
-///    transition fires with probability rate(a, b) / max_rate() — otherwise
-///    the step is a null interaction (the pair met, nothing happened).
-///
-/// Every engine implements exactly this thinned chain, so step counts,
-/// parallel time and stabilisation steps stay comparable across engines and
-/// with unrated protocols (which are rate-1 everywhere: the thinning
-/// probability is 1 and the model is the familiar uniform scheduler). The
-/// Gillespie engine consumes rates directly as propensity weights
-/// c_a·(c_b − [a = b])·rate(a, b); the agent and batched engines thin by
-/// rejection against max_rate(). Cross-engine agreement is enforced by the
-/// KS harness (tests/test_statistical.cpp).
-template <typename P>
-concept RatedProtocol = Protocol<P> &&
-    requires(const P proto, typename P::State a, typename P::State b) {
-        { proto.rate(a, b) } -> std::convertible_to<double>;
-        { proto.max_rate() } -> std::convertible_to<double>;
-    };
-
-/// Rate of the ordered state pair (a, b) under `proto`; 1.0 for unrated
-/// protocols. The one shared definition of the default.
-template <Protocol P>
-[[nodiscard]] constexpr double pair_rate_of(const P& proto, const typename P::State& a,
-                                            const typename P::State& b) noexcept {
-    if constexpr (RatedProtocol<P>) {
-        return static_cast<double>(proto.rate(a, b));
-    } else {
-        (void)proto;
-        (void)a;
-        (void)b;
-        return 1.0;
-    }
-}
-
-/// The protocol's maximum pair rate; 1.0 for unrated protocols.
-template <Protocol P>
-[[nodiscard]] constexpr double max_rate_of(const P& proto) noexcept {
-    if constexpr (RatedProtocol<P>) {
-        return static_cast<double>(proto.max_rate());
-    } else {
-        (void)proto;
-        return 1.0;
-    }
-}
-
 /// Optional extension: protocols that can serialise a state into a canonical
 /// 64-bit key, used by the reachable-state-space counter. The key must be
 /// injective on reachable states.
@@ -160,14 +105,6 @@ public:
     /// declares one; 0 when unknown.
     [[nodiscard]] virtual std::size_t state_bound() const noexcept = 0;
 
-    /// Interaction rate of the ordered state pair in (initiator, responder);
-    /// 1.0 unless the protocol is rate-annotated (RatedProtocol).
-    [[nodiscard]] virtual double pair_rate(const std::byte* initiator,
-                                           const std::byte* responder) const noexcept = 0;
-
-    /// Maximum pair rate (the rejection-thinning ceiling); 1.0 when unrated.
-    [[nodiscard]] virtual double max_rate() const noexcept = 0;
-
     /// Protocol display name.
     [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -217,19 +154,6 @@ public:
         } else {
             return 0;
         }
-    }
-
-    [[nodiscard]] double pair_rate(const std::byte* initiator,
-                                   const std::byte* responder) const noexcept override {
-        typename P::State a;
-        typename P::State b;
-        std::memcpy(&a, initiator, sizeof(a));
-        std::memcpy(&b, responder, sizeof(b));
-        return pair_rate_of(proto_, a, b);
-    }
-
-    [[nodiscard]] double max_rate() const noexcept override {
-        return max_rate_of(proto_);
     }
 
     [[nodiscard]] std::string name() const override { return std::string(proto_.name()); }

@@ -10,8 +10,8 @@
 ///  * SplitMix64 — tiny, used for seeding and for cheap auxiliary streams;
 ///  * Xoshiro256pp (xoshiro256++) — the main generator: 256-bit state,
 ///    period 2^256 − 1, passes BigCrush. Every independent stream (a
-///    repetition's, an engine's fault and thinning streams, a hybrid
-///    segment's) is seeded through `derive_seed`.
+///    repetition's, an engine's fault stream, a hybrid segment's) is
+///    seeded through `derive_seed`.
 ///
 /// Both satisfy the C++ UniformRandomBitGenerator concept so they compose
 /// with <random> distributions, but hot paths use the bias-free bounded
@@ -465,23 +465,6 @@ template <typename Generator>
     const double mean = static_cast<double>(trials) * p;
     const std::uint64_t x = mean < 10.0 ? detail::binomial_inversion(gen, trials, p)
                                         : detail::binomial_btrs(gen, trials, p);
-    return reflected ? trials - x : x;
-}
-
-/// Double-probability binomial overload for callers whose success
-/// probability is not a count ratio — the engines' rate-thinning draws
-/// (fired pairs among `trials` scheduled ones, each firing with probability
-/// rate/max_rate). Same two regimes as the ratio overload above; p is taken
-/// as given, so the caller owns its rounding.
-template <typename Generator>
-[[nodiscard]] std::uint64_t binomial(Generator& gen, std::uint64_t trials, double p) {
-    if (trials == 0 || p <= 0.0) return 0;
-    if (p >= 1.0) return trials;
-    const bool reflected = p > 0.5;
-    const double q = reflected ? 1.0 - p : p;
-    const double mean = static_cast<double>(trials) * q;
-    const std::uint64_t x = mean < 10.0 ? detail::binomial_inversion(gen, trials, q)
-                                        : detail::binomial_btrs(gen, trials, q);
     return reflected ? trials - x : x;
 }
 

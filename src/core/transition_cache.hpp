@@ -18,7 +18,7 @@
 /// never writes stay uncommitted. (glibc does clear heap memory it has
 /// handed out before, and after a process frees its first large block it
 /// serves later ones of that size from the heap.) A pll election at
-/// n = 2^20 interns ~800 states, a 1024 × 1024 matrix of 16 MB, while its
+/// n = 2^20 interns ~800 states, a 1024 × 1024 matrix of 12 MB, while its
 /// leaps look up a few hundred pairs. Growth frees the old block before it
 /// takes the doubled one, so the peak never holds both.
 #pragma once
@@ -41,24 +41,19 @@ namespace ppsim {
 // them.)
 
 /// One memoised transition: output ids plus the leader-count delta and
-/// whether any output symbol changed (verify_outputs_stable). For
-/// rate-annotated protocols (RatedProtocol, protocol.hpp) the entry also
-/// memoises the *firing probability* rate(a, b) / max_rate() of the input
-/// pair, so the engines' thinning draws never re-evaluate the protocol's rate
-/// function on a hot path; unrated protocols keep the default 1 (never
-/// thinned). `filled` is 0 in an empty slot, and TransitionCache sets it
-/// once the slot holds a computed transition, so an all-zero entry is empty
-/// and a valid one may have any outputs, (0, 0) included.
+/// whether any output symbol changed (verify_outputs_stable). `filled` is 0
+/// in an empty slot, and TransitionCache sets it once the slot holds a
+/// computed transition, so an all-zero entry is empty and a valid one may
+/// have any outputs, (0, 0) included.
 struct CachedTransition {
     StateId out_a = 0;
     StateId out_b = 0;
-    float fire_weight = 1.0F;  ///< rate(a, b) / max_rate(), clamped to [0, 1]
     std::int8_t leader_delta = 0;
     bool role_changed = false;
     std::uint8_t filled = 0;  ///< set by the cache; 0 marks an empty slot
 };
-static_assert(sizeof(CachedTransition) == 16,
-              "the filled flag must sit in padding: an entry stays 16 bytes");
+static_assert(sizeof(CachedTransition) == 12,
+              "the filled flag must sit in padding: an entry stays 12 bytes");
 
 /// Memoised (initiator id, responder id) → CachedTransition table: dense
 /// matrix for low ids, open-addressing hash map beyond.
@@ -193,10 +188,6 @@ template <typename P, typename InternFn>
     const int before = static_cast<int>(role_a == Role::leader) +
                        static_cast<int>(role_b == Role::leader);
     CachedTransition tr;
-    if constexpr (RatedProtocol<P>) {
-        const double weight = pair_rate_of(proto, sa, sb) / max_rate_of(proto);
-        tr.fire_weight = static_cast<float>(std::clamp(weight, 0.0, 1.0));
-    }
     proto.interact(sa, sb);
     tr.out_a = intern_state(sa);
     tr.out_b = intern_state(sb);

@@ -6,7 +6,6 @@
 #include "mst.hpp"
 #include "pll.hpp"
 #include "pll_symmetric.hpp"
-#include "rated.hpp"
 
 namespace ppsim {
 
@@ -34,17 +33,6 @@ ProtocolRegistry build_default_registry() {
     registry.register_protocol(
         ProtocolInfo{"pll_symmetric", "this work, Section 4", "O(log n)", "O(log n)"},
         [](std::size_t n) { return SymmetricPll::for_population(n < 3 ? 3 : n); });
-    // Rate-annotated workloads (rated.hpp): non-uniform interaction rates
-    // honoured natively by the gillespie engine and by rejection thinning on
-    // the agent/batched engines.
-    registry.register_protocol(
-        ProtocolInfo{"rated_epidemic", "this repo (two-class contact rates)", "3",
-                     "O(n)"},
-        [](std::size_t) { return RatedEpidemic{}; });
-    registry.register_protocol(
-        ProtocolInfo{"rated_election", "[GSU18]-style rate classes over the lottery",
-                     "O(log n)", "O(log n) + P(tie)*O(n)"},
-        [](std::size_t n) { return TwoRateElection::for_population(n); });
     return registry;
 }
 

@@ -7,11 +7,8 @@
 #include <utility>
 
 #include "core/adversary.hpp"
-#include "core/batched_engine.hpp"
 #include "core/engine.hpp"
-#include "core/gillespie_engine.hpp"
 #include "protocols/angluin.hpp"
-#include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
 #include "protocols/pll_symmetric.hpp"
 
@@ -176,108 +173,6 @@ TEST(AdversarialSafety, AngluinStabilisesUnderRoundRobin) {
 TEST(AdversarialSafety, PllUnderOddRoundRobin) {
     RoundRobinScheduler scheduler(63);
     expect_pll_safety_under(scheduler, 63, 400'000);
-}
-
-// --- Count-engine adversary suite -------------------------------------------
-//
-// The count engines have no scheduler to replace — they draw whole batches
-// from the uniform pairing law. The adversarial analogue there is a *biased
-// channel*: a rated wrapper multiplying the reaction rate of selected
-// channels, so the engines' rate machinery (thinning on batched, channel
-// propensities on gillespie) skews which pairs actually react — the
-// rate-space counterpart of the star / clique-biased schedules above.
-// Safety invariants must survive the skew on both count engines.
-
-/// Rated wrapper biasing channels by whether they touch a leader: `hot`
-/// times the base rate for leader channels when `favour_leaders` (a
-/// star-like hub of attention on the contenders), for follower-only
-/// channels otherwise (a periphery clique starving the race).
-template <typename Base>
-struct ChannelBiased {
-    using State = typename Base::State;
-
-    Base base;
-    double hot = 16.0;
-    bool favour_leaders = true;
-
-    [[nodiscard]] std::string_view name() const noexcept { return "channel_biased"; }
-    [[nodiscard]] State initial_state() const { return base.initial_state(); }
-    void interact(State& a, State& b) const { base.interact(a, b); }
-    [[nodiscard]] Role output(const State& s) const { return base.output(s); }
-    [[nodiscard]] std::uint64_t state_key(const State& s) const {
-        return state_key_of(base, s);
-    }
-    [[nodiscard]] double rate(const State& a, const State& b) const {
-        const bool leaderish =
-            base.output(a) == Role::leader || base.output(b) == Role::leader;
-        return leaderish == favour_leaders ? hot : 1.0;
-    }
-    [[nodiscard]] double max_rate() const noexcept { return hot; }
-};
-
-/// Drives a count engine in n-interaction bursts and re-checks the safety
-/// invariants after each burst: population conserved, the leader census
-/// consistent with the counts, at least one leader, level domain respected.
-template <typename EngineT>
-void expect_lottery_safety_on_count_engine(EngineT& engine, std::size_t n,
-                                           unsigned lmax) {
-    for (int burst = 0; burst < 40; ++burst) {
-        (void)engine.run_for(static_cast<StepCount>(n));
-        ASSERT_EQ(engine.total_count(), n);
-        std::uint64_t total = 0;
-        std::uint64_t leaders = 0;
-        engine.visit_counts([&](const LotteryState& s, std::uint64_t count, Role role) {
-            total += count;
-            if (role == Role::leader) leaders += count;
-            ASSERT_LE(s.level, lmax);
-        });
-        ASSERT_EQ(total, n);
-        ASSERT_EQ(leaders, engine.leader_count());
-        ASSERT_GE(engine.leader_count(), 1U);
-    }
-}
-
-TEST(AdversarialSafety, BatchedUnderLeaderHotChannels) {
-    const std::size_t n = 512;
-    const ChannelBiased<Lottery> proto{Lottery::for_population(n), 16.0, true};
-    BatchedEngine<ChannelBiased<Lottery>> engine(proto, n, 31);
-    expect_lottery_safety_on_count_engine(engine, n, proto.base.lmax());
-}
-
-TEST(AdversarialSafety, BatchedUnderLeaderColdChannels) {
-    const std::size_t n = 512;
-    const ChannelBiased<Lottery> proto{Lottery::for_population(n), 16.0, false};
-    BatchedEngine<ChannelBiased<Lottery>> engine(proto, n, 32);
-    expect_lottery_safety_on_count_engine(engine, n, proto.base.lmax());
-}
-
-TEST(AdversarialSafety, GillespieUnderLeaderHotChannels) {
-    const std::size_t n = 512;
-    const ChannelBiased<Lottery> proto{Lottery::for_population(n), 16.0, true};
-    GillespieEngine<ChannelBiased<Lottery>> engine(proto, n, 33);
-    expect_lottery_safety_on_count_engine(engine, n, proto.base.lmax());
-}
-
-TEST(AdversarialSafety, GillespieUnderLeaderColdChannels) {
-    const std::size_t n = 512;
-    const ChannelBiased<Lottery> proto{Lottery::for_population(n), 16.0, false};
-    GillespieEngine<ChannelBiased<Lottery>> engine(proto, n, 34);
-    expect_lottery_safety_on_count_engine(engine, n, proto.base.lmax());
-}
-
-TEST(AdversarialSafety, BiasedChannelsStillElectOnCountEngines) {
-    // Rate bias skews *which* pairs meet, not fairness: every channel keeps
-    // positive rate, so the election must still complete on both engines.
-    const std::size_t n = 256;
-    const ChannelBiased<Lottery> proto{Lottery::for_population(n), 16.0, false};
-    BatchedEngine<ChannelBiased<Lottery>> batched(proto, n, 35);
-    const RunResult via_batched =
-        batched.run_until_one_leader(static_cast<StepCount>(n) * n * 200);
-    EXPECT_TRUE(via_batched.converged);
-    GillespieEngine<ChannelBiased<Lottery>> gillespie(proto, n, 36);
-    const RunResult via_gillespie =
-        gillespie.run_until_one_leader(static_cast<StepCount>(n) * n * 200);
-    EXPECT_TRUE(via_gillespie.converged);
 }
 
 TEST(AdversarialSafety, ResumingUniformSchedulingStillElects) {

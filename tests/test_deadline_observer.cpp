@@ -92,12 +92,10 @@ TEST(DeadlineObserver, DeadlinePastStabilizationReportsFinalAbsorbingState) {
     }
 }
 
-TEST(DeadlineObserver, RatedProtocolCensusAgreesAcrossEnginesInExpectation) {
-    // The thinned chain slows rated_epidemic by up to 4× relative to its
-    // unrated skeleton, so at a fixed model time the surviving-candidate
-    // census is a rate-sensitive quantity: the engine means must agree
-    // (rejection thinning on agent/batched, propensity weights on
-    // gillespie) and sit well above the unrated angluin06 census.
+TEST(DeadlineObserver, CensusAgreesAcrossEnginesInExpectation) {
+    // At a fixed model time mid-election the surviving-candidate census of
+    // angluin06 is a time-sensitive quantity: an engine that mis-counts
+    // steps or parallel time moves it, so the engine means must agree.
     const ProtocolRegistry& registry = ProtocolRegistry::instance();
     const std::size_t n = 512;
     const int reps = 24;
@@ -107,7 +105,7 @@ TEST(DeadlineObserver, RatedProtocolCensusAgreesAcrossEnginesInExpectation) {
         double total = 0.0;
         for (int rep = 0; rep < reps; ++rep) {
             const auto sim = registry.make_simulation(
-                "rated_epidemic", n, derive_seed(900 + rep, static_cast<std::uint64_t>(engine)),
+                "angluin06", n, derive_seed(900 + rep, static_cast<std::uint64_t>(engine)),
                 engine);
             DeadlineObserver deadline(time, n);
             sim->add_observer(deadline);
@@ -121,19 +119,6 @@ TEST(DeadlineObserver, RatedProtocolCensusAgreesAcrossEnginesInExpectation) {
         EXPECT_NEAR(means[i], means[0], 0.15 * means[0])
             << to_string(kEngines[i]) << " vs " << to_string(kEngines[0]);
     }
-    // Unrated angluin06 at the same model time has decayed far further
-    // (the rated chain idles ~3/4 of its early steps).
-    double unrated_total = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto sim =
-            registry.make_simulation("angluin06", n, derive_seed(901, rep),
-                                     EngineKind::agent);
-        DeadlineObserver deadline(time, n);
-        sim->add_observer(deadline);
-        (void)sim->run_until_one_leader(50'000'000);
-        unrated_total += static_cast<double>(deadline.report()->leader_count);
-    }
-    EXPECT_GT(means[0], 1.5 * (unrated_total / reps));
 }
 
 TEST(TimedSnapshotRecorder, CapturesEachPointAtItsExactStep) {
@@ -203,7 +188,7 @@ TEST(TimedSnapshotRecorder, WritesLongFormCsv) {
 
 TEST(RunSweep, AggregatesDeadlineCensusAcrossRepetitions) {
     SweepConfig config;
-    config.protocol = "rated_election";
+    config.protocol = "lottery";
     config.sizes = {128};
     config.repetitions = 6;
     config.seed = 0xDEAD;

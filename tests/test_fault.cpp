@@ -423,9 +423,9 @@ constexpr std::array<FaultGoldenCell, 6> kFaultGoldenCells = {{
     {"churn_election", EngineKind::agent, 1752},
     {"churn_election", EngineKind::batched, 1973},
     {"churn_election", EngineKind::gillespie, 2070},
-    {"reset_epidemic", EngineKind::agent, 11584},
-    {"reset_epidemic", EngineKind::batched, 23477},
-    {"reset_epidemic", EngineKind::gillespie, 7594},
+    {"reset_epidemic", EngineKind::agent, 8745},
+    {"reset_epidemic", EngineKind::batched, 21735},
+    {"reset_epidemic", EngineKind::gillespie, 9777},
 }};
 
 TEST(FaultGoldenSeeds, ScenarioStreamsAreBitStable) {

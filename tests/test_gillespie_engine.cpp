@@ -8,8 +8,8 @@
 //  * exactness guarantee at small n (the engine must never leap there — the
 //    property the KS harness in test_statistical.cpp relies on);
 //  * separable leaps: taken only where a brute-force check finds every live
-//    cell factorising, nearly always in PLL's count-up wait, never for rated
-//    protocols, and for angluin06 only while no follower is live; the split
+//    cell factorising, nearly always in PLL's count-up wait, and for
+//    angluin06 only while no follower is live; the split
 //    of one Mult(2L) draw into the law of two Mult(L) draws; the count of
 //    live states whose two sides differ;
 //  * folded leaps: self-determined states and partner classes against a
@@ -51,7 +51,6 @@
 #include "protocols/loose.hpp"
 #include "protocols/lottery.hpp"
 #include "protocols/pll.hpp"
-#include "protocols/rated.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -230,7 +229,7 @@ TEST(GillespieEngine, SeparableLeapsOnlyWhereEveryLiveCellFactorises) {
     }
 }
 
-TEST(GillespieEngine, LeaderMeetsLeaderAndRatedProtocolsKeepPairing) {
+TEST(GillespieEngine, LeaderMeetsLeaderKeepsPairing) {
     const std::size_t n = std::size_t{1} << 14U;
     const StepCount leap = n / GillespieEngine<Angluin>::leap_divisor;
     // angluin06: while every agent is a leader the one live cell is (L, L),
@@ -244,12 +243,6 @@ TEST(GillespieEngine, LeaderMeetsLeaderAndRatedProtocolsKeepPairing) {
     (void)angluin.run_for(static_cast<StepCount>(n) * 8);
     EXPECT_GT(angluin.leaps_taken(), 100U);
     EXPECT_EQ(angluin.separable_leaps(), 1U) << "a leader-meets-leader leap skipped its pairing";
-
-    // rated_election thins per cell, so it never takes the separable path.
-    GillespieEngine<TwoRateElection> rated(TwoRateElection::for_population(n), n, 5);
-    (void)rated.run_for(static_cast<StepCount>(n) * 8);
-    EXPECT_GT(rated.leaps_taken(), 0U);
-    EXPECT_EQ(rated.separable_leaps(), 0U);
 }
 
 TEST(GillespieLeapSplit, OneMultinomialSplitHasTheLawOfTwo) {
@@ -770,8 +763,8 @@ TEST(GillespieFoldedLeap, CrossingOffsetHasThePairedLeapsLaw) {
 
 TEST(GillespieFoldedLeap, OnlyProtocolsWithSharedPartnerClassesFold) {
     // angluin06, lottery and loose_sud12 have SD states, but never two in
-    // one partner class; rated_election thins per cell and always pairs.
-    // PLL's QuickElimination at 2^20 folds nearly every leap.
+    // one partner class. PLL's QuickElimination at 2^20 folds nearly every
+    // leap.
     const std::size_t m = std::size_t{1} << 16U;
     const auto expect_no_fold = [&](auto engine, double until, const char* name) {
         (void)engine.run_for(model_time_to_step(until, m));
@@ -782,8 +775,6 @@ TEST(GillespieFoldedLeap, OnlyProtocolsWithSharedPartnerClassesFold) {
     expect_no_fold(GillespieEngine<Lottery>(Lottery::for_population(m), m, 3), 16.0, "lottery");
     expect_no_fold(GillespieEngine<LooselyStabilizing>(LooselyStabilizing::for_population(m), m, 3),
                    16.0, "loose_sud12");
-    expect_no_fold(GillespieEngine<TwoRateElection>(TwoRateElection::for_population(m), m, 3), 16.0,
-                   "rated_election");
 
     const std::size_t n = std::size_t{1} << 20U;
     GillespieEngine<Pll> pll(Pll::for_population(n), n, 1);
@@ -1061,30 +1052,24 @@ TEST(GillespieSimulation, RunToSingleLeaderWithVerificationCertifies) {
 
 // --- sampler marginals: per-channel firing frequencies ∝ propensities -------
 
-/// Fixed-point race protocol for the sampler-marginal chi-square tests.
+/// Fixed-point race protocol for the sampler-marginal chi-square test.
 /// A deterministic bootstrap drains the uniform initial state U: U×U mints
 /// an (A, B) pair, so with odd n the configuration settles at the invariant
 /// counts {U: 1, A: (n−1)/2, B: (n−1)/2} — from then on the only non-null
 /// channels are four count-preserving swaps, so the channel propensities
 /// are constant forever and the per-channel firing frequencies must be
-/// exactly multinomial with weights c_a·(c_b − [a = b])·rate(a, b):
+/// exactly multinomial with weights c_a·(c_b − [a = b]):
 ///
-///   (A,B)→(B,A)  rate 1      (B,A)→(A,B)  rate 2
-///   (U,A)→(A,U)  rate 4      (B,U)→(U,B)  rate 8
-///
-/// With `uniform_rates` every rate is 1 and the expected frequencies reduce
-/// to the structural weights — the rate-free control.
+///   (A,B)→(B,A)   (B,A)→(A,B)   (U,A)→(A,U)   (B,U)→(U,B)
 struct RaceState {
     std::uint8_t kind = 0;  ///< 0 = U, 1 = A, 2 = B
 
     friend constexpr bool operator==(const RaceState&, const RaceState&) = default;
 };
 
-class RateRace {
+class SwapRace {
 public:
     using State = RaceState;
-
-    explicit RateRace(bool uniform_rates = false) : uniform_(uniform_rates) {}
 
     [[nodiscard]] State initial_state() const noexcept { return State{}; }
 
@@ -1102,39 +1087,21 @@ public:
         }
     }
 
-    [[nodiscard]] double rate(const State& a, const State& b) const noexcept {
-        if (uniform_) return 1.0;
-        if (a.kind == 1 && b.kind == 2) return 1.0;
-        if (a.kind == 2 && b.kind == 1) return 2.0;
-        if (a.kind == 0 && b.kind == 1) return 4.0;
-        if (a.kind == 2 && b.kind == 0) return 8.0;
-        return 1.0;  // null channels: the rate never matters
-    }
-
-    [[nodiscard]] double max_rate() const noexcept { return 8.0; }
-
-    [[nodiscard]] std::string_view name() const noexcept { return "rate_race"; }
+    [[nodiscard]] std::string_view name() const noexcept { return "swap_race"; }
 
     [[nodiscard]] std::uint64_t state_key(const State& s) const noexcept {
         return s.kind;
     }
 
     [[nodiscard]] std::size_t state_bound() const noexcept { return 3; }
-
-private:
-    bool uniform_;
 };
-
-static_assert(RatedProtocol<RateRace>);
-static_assert(!RatedProtocol<Angluin>);
 
 /// Runs the race to its invariant configuration, tallies `target_events`
 /// exact-SSA firings, and returns the chi-square statistic of the observed
 /// per-channel frequencies against the expected propensity proportions.
-double race_chi_square(bool uniform_rates, std::uint64_t seed,
-                       std::uint64_t target_events) {
+double race_chi_square(std::uint64_t seed, std::uint64_t target_events) {
     const std::size_t n = 9;  // odd: settles at U=1, A=4, B=4
-    GillespieEngine<RateRace> engine(RateRace{uniform_rates}, n, seed);
+    GillespieEngine<SwapRace> engine(SwapRace{}, n, seed);
     // Warm up to the invariant configuration (U drained to one agent).
     while (engine.count_of(RaceState{0}) != 1) {
         (void)engine.run_for(64);
@@ -1144,22 +1111,18 @@ double race_chi_square(bool uniform_rates, std::uint64_t seed,
     while (engine.exact_events() < warm_events + target_events) {
         (void)engine.run_for(4096);
     }
-    // Expected proportions: weight c_a·(c_b − [a = b])·rate over the four
-    // swap channels at counts U=1, A=4, B=4. Keys: U=0, A=1, B=2.
+    // Expected proportions: weight c_a·(c_b − [a = b]) over the four swap
+    // channels at counts U=1, A=4, B=4. Keys: U=0, A=1, B=2.
     struct Expected {
         std::uint64_t key_a;
         std::uint64_t key_b;
         double weight;
     };
-    const double r1 = uniform_rates ? 1.0 : 1.0;
-    const double r2 = uniform_rates ? 1.0 : 2.0;
-    const double r3 = uniform_rates ? 1.0 : 4.0;
-    const double r4 = uniform_rates ? 1.0 : 8.0;
     const std::vector<Expected> expected = {
-        {1, 2, 4.0 * 4.0 * r1},  // (A,B)
-        {2, 1, 4.0 * 4.0 * r2},  // (B,A)
-        {0, 1, 1.0 * 4.0 * r3},  // (U,A)
-        {2, 0, 4.0 * 1.0 * r4},  // (B,U)
+        {1, 2, 4.0 * 4.0},  // (A,B)
+        {2, 1, 4.0 * 4.0},  // (B,A)
+        {0, 1, 1.0 * 4.0},  // (U,A)
+        {2, 0, 4.0 * 1.0},  // (B,U)
     };
     double total_weight = 0.0;
     for (const Expected& e : expected) total_weight += e.weight;
@@ -1191,46 +1154,14 @@ double race_chi_square(bool uniform_rates, std::uint64_t seed,
 }
 
 /// Critical value of chi-square with 3 degrees of freedom at α = 0.001.
-/// Seeds are fixed, so these are regression bars (like the KS harness): the
-/// committed seeds pass with wide margin, and a mis-weighted channel draw
-/// (e.g. rates ignored, or applied squared) drives the statistic into the
-/// thousands at these sample sizes.
+/// Seeds are fixed, so this is a regression bar (like the KS harness): the
+/// committed seed passes with wide margin, and a mis-weighted channel draw
+/// (e.g. weights squared, or the self-pair exclusion dropped) drives the
+/// statistic into the thousands at this sample size.
 constexpr double chi_square_3df_crit = 16.27;
 
-TEST(GillespieRates, ChannelFiringFrequenciesMatchRateWeightedPropensities) {
-    EXPECT_LT(race_chi_square(/*uniform_rates=*/false, 2019, 40000),
-              chi_square_3df_crit);
-    EXPECT_LT(race_chi_square(/*uniform_rates=*/false, 7, 40000),
-              chi_square_3df_crit);
-}
-
 TEST(GillespieRates, UniformRatesReduceToStructuralWeights) {
-    EXPECT_LT(race_chi_square(/*uniform_rates=*/true, 2019, 40000),
-              chi_square_3df_crit);
-}
-
-TEST(GillespieRates, RateZeroChannelsNeverFire) {
-    // A rate can be zero: the channel is then excluded from the propensity
-    // sum and must never fire. Freeze the race's (A,B) channel.
-    class FrozenRace : public RateRace {
-    public:
-        using RateRace::RateRace;
-        [[nodiscard]] double rate(const RaceState& a, const RaceState& b) const noexcept {
-            if (a.kind == 1 && b.kind == 2) return 0.0;
-            return RateRace::rate(a, b);
-        }
-    };
-    static_assert(RatedProtocol<FrozenRace>);
-    GillespieEngine<FrozenRace> engine(FrozenRace{}, 9, 11);
-    while (engine.count_of(RaceState{0}) != 1) {
-        (void)engine.run_for(64);
-    }
-    engine.enable_channel_tally();
-    (void)engine.run_for(200000);
-    for (const ChannelFiredCount& row : engine.channel_tally()) {
-        EXPECT_FALSE(row.initiator_key == 1 && row.responder_key == 2)
-            << "rate-zero channel fired " << row.fired << " times";
-    }
+    EXPECT_LT(race_chi_square(2019, 40000), chi_square_3df_crit);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "protocols/mst.hpp"
 #include "protocols/pll.hpp"
 #include "protocols/pll_symmetric.hpp"
-#include "protocols/rated.hpp"
 #include "protocols/registry.hpp"
 
 namespace ppsim {
@@ -119,16 +118,20 @@ TEST(HybridEngine, RuleReturnsToAgentOnlyAtSixteen) {
 }
 
 TEST(HybridEngine, InitialPickReadsTheAllInitialCensus) {
-    // rated_epidemic's all-initial census is one state whose self-pairs are
-    // mostly rate-thinned: (1 − 0.75)·14 = 3.5 < 8 starts it on gillespie.
-    // pll's initial state reacts with itself, so z = 0 and it starts on agent.
+    // z counts the ordered pairs that change nothing: of the 4·3 ordered
+    // pairs of an angluin06 census with two leaders and two followers, only
+    // the 2 leader-leader pairs react, so z = 1 − 2/12.
     const std::size_t n = 4096;
-    const HybridEngine<RatedEpidemic> epidemic(RatedEpidemic{}, n, 1);
-    std::vector<std::pair<RatedEpidemicState, std::uint64_t>> initial{
-        {epidemic.protocol().initial_state(), n}};
-    EXPECT_DOUBLE_EQ(epidemic.features_of(initial).null_mass, 0.75);
-    EXPECT_EQ(epidemic.mode(), EngineKind::gillespie);
+    const HybridEngine<Angluin> angluin(Angluin{}, n, 1);
+    const std::vector<std::pair<AngluinState, std::uint64_t>> census{
+        {AngluinState{true}, 2}, {AngluinState{false}, 2}};
+    EXPECT_DOUBLE_EQ(angluin.features_of(census).null_mass, 1.0 - 2.0 / 12.0);
+    // pll's initial state reacts with itself, so its all-initial census has
+    // z = 0 and the run starts on agent.
     const HybridEngine<Pll> pll(Pll::for_population(n), n, 1);
+    const std::vector<std::pair<PllState, std::uint64_t>> initial{
+        {pll.protocol().initial_state(), n}};
+    EXPECT_DOUBLE_EQ(pll.features_of(initial).null_mass, 0.0);
     EXPECT_EQ(pll.mode(), EngineKind::agent);
 }
 
@@ -291,14 +294,14 @@ TEST(HybridEngine, SwitchesFromWideToNarrowModeAsTheRunAbsorbs) {
     EXPECT_EQ(engine.leader_count(), 1U);
 }
 
-TEST(HybridEngine, RatedElectionTieTailEndsOnGillespie) {
-    // Seed 10 leaves four hot leaders tied at the top lottery level; the
-    // rest of the population is settled, so the census is narrow and almost
-    // every meeting is null or rate-thinned. The rule must run that tail
-    // (thousands of parallel-time units) on gillespie rather than stepping
-    // it interaction by interaction.
+TEST(HybridEngine, LotteryTieTailEndsOnGillespie) {
+    // Seed 21 leaves five leaders tied at the top lottery level; the rest
+    // of the population is settled, so the census is narrow and almost
+    // every meeting is null. The rule must run that tail (about 1700
+    // parallel-time units) on gillespie rather than stepping it
+    // interaction by interaction.
     const std::size_t n = 4096;
-    HybridEngine<TwoRateElection> engine(TwoRateElection::for_population(n), n, 10);
+    HybridEngine<Lottery> engine(Lottery::for_population(n), n, 21);
     ASSERT_EQ(engine.mode(), EngineKind::agent);
     (void)engine.run_until_one_leader(static_cast<StepCount>(100 * n));
     ASSERT_GE(engine.leader_count(), 2U) << "the seed no longer reaches the tie tail";

@@ -155,10 +155,10 @@ TEST(CheckpointContainer, RejectsWrongFormatVersion) {
     // Version 1 is the earlier layout whose header and engine payloads
     // carried a per-run thread count, version 2 checksummed the payload
     // byte by byte, version 3 hybrid payloads carried a measured cost
-    // table, and version 4 headers and payload preambles named a batch
-    // mode: all must fail loudly, not misparse or fail as a checksum
-    // mismatch.
-    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U, 3U, 4U}) {
+    // table, version 4 headers and payload preambles named a batch mode,
+    // and version 5 agent payloads carried a thinning stream: all must fail
+    // loudly, not misparse or fail as a checksum mismatch.
+    for (const std::uint32_t wrong : {0xFFFF'FFFFU, 1U, 2U, 3U, 4U, 5U}) {
         (void)write_sample_checkpoint(path);
         corrupt_file(path, [wrong](std::string& bytes) {
             // The container version is the u32 after the 4-byte magic.

@@ -22,7 +22,6 @@ using Pair = std::pair<StateId, StateId>;
     CachedTransition tr;
     tr.out_a = (a * 7U + b) % 1500U;
     tr.out_b = (a + b * 13U) % 1500U;
-    tr.fire_weight = static_cast<float>((a + b) % 5U) / 4.0F;
     tr.leader_delta =
         static_cast<std::int8_t>(static_cast<int>((a ^ b) % 5U) - static_cast<int>((a + b) % 3U));
     tr.role_changed = ((a + b) % 3U) == 1U;
@@ -33,7 +32,6 @@ void expect_entry(const CachedTransition& got, StateId a, StateId b) {
     const CachedTransition want = expected_transition(a, b);
     EXPECT_EQ(got.out_a, want.out_a) << a << "," << b;
     EXPECT_EQ(got.out_b, want.out_b) << a << "," << b;
-    EXPECT_EQ(got.fire_weight, want.fire_weight) << a << "," << b;
     EXPECT_EQ(got.leader_delta, want.leader_delta) << a << "," << b;
     EXPECT_EQ(got.role_changed, want.role_changed) << a << "," << b;
 }
@@ -51,13 +49,9 @@ struct CountingCompute {
 };
 
 TEST(TransitionCache, AllZeroTransitionIsComputedOnce) {
-    // Outputs (0, 0), no leader change, no role change and a zero firing
-    // weight: every byte but the cache's own flag is zero.
-    const auto zero = [](StateId, StateId) {
-        CachedTransition tr;
-        tr.fire_weight = 0.0F;
-        return tr;
-    };
+    // Outputs (0, 0), no leader change and no role change: every byte but
+    // the cache's own flag is zero.
+    const auto zero = [](StateId, StateId) { return CachedTransition{}; };
     for (const Pair& pair : {Pair{0, 0}, Pair{5, 63}, Pair{700, 2}, Pair{1024, 0}, Pair{3, 90000}}) {
         TransitionCache cache;
         int calls = 0;
@@ -69,7 +63,6 @@ TEST(TransitionCache, AllZeroTransitionIsComputedOnce) {
             const CachedTransition& tr = cache.get(pair.first, pair.second, compute);
             EXPECT_EQ(tr.out_a, 0U);
             EXPECT_EQ(tr.out_b, 0U);
-            EXPECT_EQ(tr.fire_weight, 0.0F);
             EXPECT_EQ(tr.leader_delta, 0);
             EXPECT_FALSE(tr.role_changed);
         }

@@ -88,7 +88,7 @@ std::string ratio(double value) {
 
 int run(const ArgParser& args) {
     const std::vector<std::string> protocols = split_csv(args.get_string(
-        "protocols", "angluin06,loose_sud12,lottery,pll,rated_epidemic,rated_election"));
+        "protocols", "angluin06,loose_sud12,lottery,pll"));
     std::vector<std::size_t> sizes;
     for (const std::string& s :
          split_csv(args.get_string("sizes", "1024,16384,1048576,16777216"))) {
@@ -190,7 +190,7 @@ int run(const ArgParser& args) {
 int main(int argc, char** argv) {
     ArgParser args;
     args.declare("protocols", "comma-separated registry names",
-                 "angluin06,loose_sud12,lottery,pll,rated_epidemic,rated_election");
+                 "angluin06,loose_sud12,lottery,pll");
     args.declare("engines", "comma-separated engine names: " + engine_kind_list(),
                  "agent,batched,gillespie,hybrid");
     args.declare("sizes", "comma-separated population sizes",
